@@ -23,12 +23,12 @@
 //! per-backend activity counters) and energy-delay product, and the same
 //! heterogeneous fleet is served twice more — once under
 //! [`Objective::Cycles`] and once under [`Objective::EnergyDelayProduct`],
-//! with run queues deep enough that the objective (not the depth-full
-//! spill fallback) routes every job, and stealing off — to isolate what
-//! the energy knob buys on the identical stream: the EDP objective keeps
-//! queueing FFT jobs behind the ~10×-cheaper engine where the cycles
-//! objective spills them onto the arrays the moment the engine backlog
-//! grows.
+//! with run queues deep enough that the objective sees every capable
+//! backend (a full one is hidden from placement), and stealing off — to
+//! isolate what the energy knob buys on the identical stream: the EDP
+//! objective keeps queueing FFT jobs behind the ~10×-cheaper engine where
+//! the cycles objective spills them onto the arrays the moment the engine
+//! backlog grows.
 //!
 //! Run with `--smoke` for the fast CI configuration and `--seed N` to
 //! re-seed the arrival process.  In every mode the binary *fails fast*
@@ -341,10 +341,10 @@ fn check_routes(
 }
 
 /// Run-queue depth of the placement-objective comparison pair.  Deep
-/// enough that no backend's queue fills on the 24-job stream: every job
-/// is routed by the [`Objective`] under test, never by the depth-full
-/// least-projected fallback (which is objective-blind and would launder
-/// the comparison through identical spill decisions).
+/// enough that no backend's queue fills on the 24-job stream: the
+/// [`Objective`] under test chooses among every capable backend, never
+/// among the few that happen to have room (which would launder the
+/// comparison through identical spill decisions).
 const OBJECTIVE_DEPTH: usize = 12;
 
 /// One sweep cell: the same stream on both fleets, plus the heterogeneous

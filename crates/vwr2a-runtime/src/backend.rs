@@ -487,7 +487,7 @@ impl Backend for CpuBackend {
 /// schedule) and the window's measured energy in nanojoules (the delta
 /// each substrate's executor priced into [`RunReport::energy_nj`], which
 /// the caller attributes to the landed job's route).  The generic bridge
-/// between the pool's typed fan-out and the type-erased backend vector.
+/// between the pool's typed executor and the type-erased backend vector.
 pub(crate) fn run_window_on<K: Kernel>(
     backend: &mut dyn Backend,
     kernel: &K,

@@ -16,6 +16,16 @@
 //! (staging overlapped with compute, exactly like
 //! [`Session::run_stream`]).
 //!
+//! The pool has one executor, the serve loop behind
+//! [`crate::serve::Server`].  A batch is an arrival-0 serve: every job
+//! arrives at cycle 0, dispatches in submission order and runs as soon as
+//! placement commits it (with no work stealing nothing could re-route it),
+//! and there is no lookahead.  Whenever a job dispatches, the
+//! strategy sees only the backends that can serve it *and* have room in
+//! their run queue — so its choice, and its prefetch, land where the job
+//! runs.  The same online cost estimator prices queued work for both
+//! paths.
+//!
 //! Placement is where the fleet either wins or loses: a kernel's program
 //! must be *resident* in an array's configuration memory to launch warm,
 //! so routing a job to an array that already holds its program skips the
@@ -39,18 +49,20 @@
 //!   complete — reload cost ([`BackendView::reload_cycles`]) against
 //!   compute backlog ([`BackendView::free_compute_at`]), plus the
 //!   backend's modelled per-window cycles
-//!   ([`BackendView::window_cycles`], the pool's learned per-key estimate
-//!   for arrays) — and routes the job to the cheapest completion,
-//!   directing a prefetch whenever a chosen *array* would otherwise
-//!   reload cold.  On an all-array fleet this reduces exactly to PR 5's
-//!   cost model; with offload backends present it is what routes FFT jobs
-//!   to the FFT engine and reload-dominated crumbs to the CPU.
+//!   ([`BackendView::window_cycles`], the pool's estimate
+//!   [`JobView::window_cycles_hint`] for arrays) — and routes the job to
+//!   the cheapest completion, directing a prefetch whenever a chosen
+//!   *array* would otherwise reload cold.  On an all-array fleet this
+//!   reduces exactly to the reload-versus-backlog cost model; with
+//!   offload backends present it is what routes FFT jobs to the FFT
+//!   engine and reload-dominated crumbs to the CPU.
 //! * [`ResidencyAware`] — PR 4's scheduler, kept as the prefetch-less
 //!   comparison point: prefer backends with the job's program resident,
 //!   tie-breaking on the earliest-free compute engine; replicate onto
 //!   fully idle backends rather than queue behind busy resident copies.
-//! * [`RoundRobin`] — job *i* goes to eligible backend *i mod E*,
-//!   residency-blind.  The baseline the `pool` bench bin compares against.
+//! * [`RoundRobin`] — job *i* goes to backend *i mod E* of the E
+//!   offered, residency-blind.  The baseline the `pool` bench bin
+//!   compares against.
 //! * [`LeastLoaded`] — route to the eligible backend with the fewest
 //!   cumulative compute-busy cycles, balancing load without looking at
 //!   residency.
@@ -97,7 +109,7 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use vwr2a_core::timeline::Engine;
@@ -106,13 +118,16 @@ use vwr2a_energy::EnergyModel;
 use crate::backend::{run_window_on, ArrayBackend, Backend, BackendKind};
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::StreamSchedule;
-use crate::report::{ArrayReport, FleetReport, JobRoute, RunReport};
+use crate::report::{
+    ArrayReport, FleetReport, JobLatency, JobRoute, PlannerStats, RunReport, ServeReport,
+};
+use crate::serve::{QueuedJob, SchedPolicy, ServeJob, TenantId};
 use crate::session::{Kernel, Session};
 
 /// What a [`Placement`] strategy sees about the job being placed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobView<'a> {
-    /// Submission index of the job (0-based, in fan-out order).
+    /// Submission index of the job (0-based, in submission order).
     pub index: usize,
     /// The job kernel's [`Kernel::cache_key`] — program identity, i.e.
     /// what residency is tracked by.
@@ -133,22 +148,27 @@ pub struct JobView<'a> {
     /// [`crate::backend::CAP_CGRA`] / [`crate::backend::CAP_FFT`] /
     /// [`crate::backend::CAP_CPU`] bits ([`crate::backend::Offload::classes`]).
     pub classes: u32,
-    /// The pool's learned per-window compute estimate for this cache key
-    /// on a CGRA array (mean observed compute cycles; `0` before the key
-    /// has ever run) — what [`CostAware`] compares against an offload
-    /// backend's modelled [`BackendView::window_cycles`].
+    /// The pool's per-window compute estimate for this cache key on a
+    /// CGRA array — what [`CostAware`] compares against an offload
+    /// backend's modelled [`BackendView::window_cycles`].  It is the
+    /// key's mean observed array cycles per window; before the key has
+    /// run on an array, the mean over every key seen on the arrays; before
+    /// any array ran, the program's configuration-word footprint.  Both
+    /// cold-start values are raised to the FFT engine's modelled window
+    /// when the engine can serve the job (dedicated silicon is never
+    /// slower at its own kernel).  Always at least 1.
     pub window_cycles_hint: u64,
     /// Estimated energy of one window of this job on a CGRA array, in
-    /// nanojoules — the learned [`JobView::window_cycles_hint`] priced at
-    /// the calibrated array power ([`vwr2a_energy::EnergyModel::
-    /// array_window_nj`]; `0` before the key has ever run).  The array
-    /// counterpart of [`BackendView::window_energy_nj`].
+    /// nanojoules — [`JobView::window_cycles_hint`] priced at the
+    /// calibrated array power ([`vwr2a_energy::EnergyModel::
+    /// array_window_nj`]).  The array counterpart of
+    /// [`BackendView::window_energy_nj`].
     pub window_energy_hint_nj: u64,
     /// Absolute deadline cycle of the job on the caller's timeline, when
     /// one exists — the serving layer passes each ticket's deadline so
     /// [`Objective::EnergyUnderDeadline`] can minimise joules among the
     /// backends that still meet it.  `None` for batch fan-outs and
-    /// deadline-less tickets.
+    /// deadline-less jobs.
     pub deadline: Option<u64>,
 }
 
@@ -192,7 +212,7 @@ pub struct BackendView {
     pub reload_cycles: Option<u64>,
     /// The backend's own modelled cycles for one window of this job
     /// ([`Backend::window_cycles`]; `None` for arrays, whose per-window
-    /// cost is learned from observation — see
+    /// cost is estimated from observation — see
     /// [`JobView::window_cycles_hint`]).
     pub window_cycles: Option<u64>,
     /// Estimated energy of streaming this job's cold configuration reload
@@ -209,7 +229,7 @@ pub struct BackendView {
 impl BackendView {
     /// `true` if this backend can serve the job being placed (see
     /// [`BackendView::reload_cycles`]).  Routing a job to an ineligible
-    /// backend aborts the fan-out with a typed error
+    /// backend aborts the run with a typed error
     /// ([`RuntimeError::MixedGeometry`] for arrays,
     /// [`RuntimeError::Capability`] otherwise).
     pub fn eligible(&self) -> bool {
@@ -220,19 +240,6 @@ impl BackendView {
     /// ([`BackendView::window_energy_nj`] scaled for display).
     pub fn window_energy_uj(&self) -> Option<f64> {
         self.window_energy_nj.map(|nj| nj as f64 / 1e3)
-    }
-}
-
-/// The views a strategy may actually route the job to: backends that are
-/// [`BackendView::eligible`].  Falls back to the full slice if nothing is
-/// eligible — the pool rejects such jobs before consulting the strategy,
-/// so the fallback is purely defensive.
-fn serviceable(backends: &[BackendView]) -> Vec<BackendView> {
-    let eligible: Vec<BackendView> = backends.iter().filter(|b| b.eligible()).copied().collect();
-    if eligible.is_empty() {
-        backends.to_vec()
-    } else {
-        eligible
     }
 }
 
@@ -259,7 +266,7 @@ pub struct PrefetchDirective {
 ///
 /// Returned by [`Placement::place`].  Both the target backend and a
 /// directive's backend must be valid indices; an out-of-range index aborts
-/// the fan-out with [`RuntimeError::Placement`] (the pool stays valid and
+/// the run with [`RuntimeError::Placement`] (the pool stays valid and
 /// reusable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementPlan {
@@ -294,22 +301,29 @@ impl PlacementPlan {
 /// Chooses which backend of a [`Pool`] runs a job — and whether the job's
 /// configuration reload is prefetched ahead of its launch.
 ///
-/// The strategy is consulted once per job, in submission order, with a
-/// fresh snapshot of every backend — so residency and timeline effects of
-/// earlier placements (including prefetches) are visible.  Views with
-/// [`BackendView::eligible`] `false` cannot serve the job; the shipped
-/// strategies filter them out, and custom strategies should too (routing
-/// to one is a typed error).  It returns a [`PlacementPlan`]; any
-/// out-of-range backend index in the plan aborts the fan-out with
-/// [`RuntimeError::Placement`] (the pool stays valid and reusable).
-/// Strategies must be deterministic so fleet experiments are reproducible.
+/// The strategy is consulted whenever a job dispatches, with a fresh
+/// snapshot of the backends that can serve the job and have room in their
+/// run queue — so residency and timeline effects of earlier placements
+/// (including prefetches) are visible, and the chosen backend runs the
+/// job.  A job with no such backend waits without consulting the
+/// strategy.  Each view carries its pool-wide [`BackendView::index`],
+/// which is what the plan names.  The work-stealing pass re-consults the
+/// strategy under the same rule, the donor excluded.  It returns a
+/// [`PlacementPlan`]; an out-of-range backend index aborts the run with
+/// [`RuntimeError::Placement`], and a target that cannot serve the job
+/// with [`RuntimeError::MixedGeometry`] (an array) or
+/// [`RuntimeError::Capability`] (an offload backend).  The pool stays
+/// valid and reusable either way.  A plan naming a backend that can serve
+/// the job but has no room waits until it has (a steal onto it, or back
+/// onto the donor, is dropped).  Strategies must be deterministic so fleet
+/// experiments are reproducible.
 pub trait Placement: fmt::Debug + Send {
     /// Short strategy name used in reports and bench tables.
     fn name(&self) -> &'static str;
 
     /// Returns the plan for `job`: target backend plus optional prefetch.
     ///
-    /// `backends` is never empty (a pool has at least one backend).
+    /// `backends` is never empty.
     fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan;
 }
 
@@ -338,7 +352,6 @@ impl Placement for ResidencyAware {
     }
 
     fn place(&self, _job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-        let candidates = serviceable(backends);
         // Ties on the wave-local free time (e.g. every backend idle at the
         // start of a wave) break on the lifetime compute load, so a
         // sequence of single-job waves still spreads first-seen programs
@@ -349,9 +362,9 @@ impl Placement for ResidencyAware {
                 .copied()
         };
         let best_any =
-            earliest_free(&mut candidates.iter()).expect("a pool has at least one backend");
+            earliest_free(&mut backends.iter()).expect("placement sees at least one backend");
         PlacementPlan::run_on(
-            match earliest_free(&mut candidates.iter().filter(|a| a.resident)) {
+            match earliest_free(&mut backends.iter().filter(|a| a.resident)) {
                 // Busy resident copies, but an idle backend is available:
                 // replicate rather than queue.
                 Some(resident) if resident.free_compute_at > 0 && best_any.free_compute_at == 0 => {
@@ -403,8 +416,8 @@ pub enum Objective {
 /// ends later, because a prefetched reload streams *concurrently* with
 /// the backlog on the configuration-load lane; then the windows
 /// themselves, at the backend's modelled per-window cost
-/// ([`BackendView::window_cycles`]) or, for arrays, the pool's learned
-/// estimate for the kernel ([`JobView::window_cycles_hint`]).  It also
+/// ([`BackendView::window_cycles`]) or, for arrays, the pool's estimate
+/// for the kernel ([`JobView::window_cycles_hint`]).  It also
 /// estimates what the job would *cost in joules* there: the cold reload's
 /// streaming energy ([`BackendView::reload_energy_nj`]) plus windows at
 /// the backend's modelled per-window energy
@@ -419,7 +432,7 @@ pub enum Objective {
 /// [`PrefetchDirective`].
 ///
 /// On an all-array fleet every candidate prices windows at the same
-/// learned hint, so the completion term cancels and the choice reduces
+/// hint, so the completion term cancels and the choice reduces
 /// exactly to the PR 5 cost model (reload versus backlog, prefetch the
 /// rest).  With offload backends present, the completion term is what
 /// sends an FFT-shaped job to the fixed-function engine when the arrays
@@ -455,7 +468,6 @@ impl Placement for CostAware {
     }
 
     fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-        let candidates = serviceable(backends);
         let reload_price = |a: &BackendView| a.reload_cycles.unwrap_or(job.config_words as u64);
         let reload = |a: &BackendView| if a.warm { 0 } else { reload_price(a) };
         // Earliest estimated compute start on this backend: a prefetched
@@ -505,21 +517,21 @@ impl Placement for CostAware {
             views.min_by_key(|a| (edp(a), tail(a))).copied()
         };
         let chosen = match self.objective {
-            Objective::Cycles => candidates.iter().min_by_key(|a| tail(a)).copied(),
-            Objective::Energy => min_energy(&mut candidates.iter()),
-            Objective::EnergyDelayProduct => min_edp(&mut candidates.iter()),
+            Objective::Cycles => backends.iter().min_by_key(|a| tail(a)).copied(),
+            Objective::Energy => min_energy(&mut backends.iter()),
+            Objective::EnergyDelayProduct => min_edp(&mut backends.iter()),
             Objective::EnergyUnderDeadline => match job.deadline {
                 // Cheapest joules among the backends that still make the
                 // deadline; nobody can -> earliest completion limits the
                 // damage.
                 Some(deadline) => {
-                    min_energy(&mut candidates.iter().filter(|a| completion(a) <= deadline))
-                        .or_else(|| candidates.iter().min_by_key(|a| tail(a)).copied())
+                    min_energy(&mut backends.iter().filter(|a| completion(a) <= deadline))
+                        .or_else(|| backends.iter().min_by_key(|a| tail(a)).copied())
                 }
-                None => min_edp(&mut candidates.iter()),
+                None => min_edp(&mut backends.iter()),
             },
         }
-        .expect("a pool has at least one backend");
+        .expect("placement sees at least one backend");
         if chosen.warm || chosen.kind != BackendKind::Array {
             PlacementPlan::run_on(chosen.index)
         } else {
@@ -528,8 +540,8 @@ impl Placement for CostAware {
     }
 }
 
-/// Residency-blind baseline: job *i* runs on eligible backend *i mod E*
-/// (of the E backends that can serve it).
+/// Residency-blind baseline: job *i* runs on backend *i mod E* of the E
+/// backends placement offers it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRobin;
 
@@ -539,8 +551,7 @@ impl Placement for RoundRobin {
     }
 
     fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-        let candidates = serviceable(backends);
-        PlacementPlan::run_on(candidates[job.index % candidates.len()].index)
+        PlacementPlan::run_on(backends[job.index % backends.len()].index)
     }
 }
 
@@ -558,11 +569,11 @@ impl Placement for LeastLoaded {
 
     fn place(&self, _job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
         PlacementPlan::run_on(
-            serviceable(backends)
+            backends
                 .iter()
                 .min_by_key(|a| (a.busy_compute, a.index))
                 .map(|a| a.index)
-                .expect("a pool has at least one backend"),
+                .expect("placement sees at least one backend"),
         )
     }
 }
@@ -570,23 +581,23 @@ impl Placement for LeastLoaded {
 /// One backend's admission-time price for a job — the cycles *and*
 /// joules columns that seed [`BackendView`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct BackendPrice {
+struct BackendPrice {
     /// Cold-reload streaming cycles; `None` = the backend cannot serve
     /// the job, `Some(0)` = eligible with no reload (offload backends).
-    pub reload_cycles: Option<u64>,
+    reload_cycles: Option<u64>,
     /// Modelled per-window cycles (offload backends; arrays use the
-    /// pool's learned hint instead).
-    pub window_cycles: Option<u64>,
+    /// pool's learned estimate instead).
+    window_cycles: Option<u64>,
     /// Energy of the cold reload in nanojoules (config-word streaming on
     /// an array; `Some(0)` on eligible offload backends).
-    pub reload_energy_nj: Option<u64>,
+    reload_energy_nj: Option<u64>,
     /// Modelled per-window energy in nanojoules (offload backends).
-    pub window_energy_nj: Option<u64>,
+    window_energy_nj: Option<u64>,
 }
 
 impl BackendPrice {
     /// The "cannot serve" price.
-    pub(crate) const INELIGIBLE: Self = Self {
+    const INELIGIBLE: Self = Self {
         reload_cycles: None,
         window_cycles: None,
         reload_energy_nj: None,
@@ -594,36 +605,130 @@ impl BackendPrice {
     };
 
     /// Whether the backend can serve the job at all.
-    pub(crate) fn eligible(&self) -> bool {
+    fn eligible(&self) -> bool {
         self.reload_cycles.is_some()
     }
 }
 
 /// Per-job, per-backend pricing computed once at admission: which
 /// backends can serve the job, and at what reload / per-window cost (the
-/// raw material of [`BackendView`]; shared with the serving layer, which
-/// prices at admission and places at dispatch).
+/// raw material of [`BackendView`]).
 #[derive(Debug, Clone)]
-pub(crate) struct JobPricing {
+struct JobPricing {
     /// Capability classes of the job ([`crate::backend::Offload::classes`]).
-    pub classes: u32,
+    classes: u32,
     /// Scalar reload cost: the footprint on the first array backend whose
     /// geometry builds the program (`0` in an all-offload fleet).
-    pub config_words: usize,
+    config_words: usize,
     /// Per backend, in pool order — see [`BackendPrice`].
-    pub per_backend: Vec<BackendPrice>,
+    per_backend: Vec<BackendPrice>,
+}
+
+/// Observed `(compute cycles, windows)` totals.
+type Observed = (u64, u64);
+
+/// The pool's online per-program cost model: cumulative compute cycles and
+/// windows keyed by *backend kind and* cache key, learned from every
+/// completed job.  The kind keeps the substrates' very different
+/// per-window costs from polluting each other's means (a CGRA window and
+/// an FFT-engine window of the same program differ by orders of
+/// magnitude).  Each kind also keeps the running total over all of its
+/// keys — the same-substrate cold-start fallback.  Backs the projected
+/// backlogs that placement and stealing reason over.
+#[derive(Debug, Default)]
+struct Estimator {
+    kinds: HashMap<BackendKind, (Observed, HashMap<String, Observed>)>,
+}
+
+impl Estimator {
+    /// Folds one completed job's observed cost into the model.
+    fn learn(&mut self, kind: BackendKind, key: String, cycles: u64, windows: u64) {
+        let (total, keys) = self.kinds.entry(kind).or_default();
+        let entry = keys.entry(key).or_default();
+        for observed in [total, entry] {
+            observed.0 += cycles;
+            observed.1 += windows;
+        }
+    }
+
+    /// Mean cycles per window, floored at 1 (`None` before any window).
+    fn mean((cycles, windows): Observed) -> Option<u64> {
+        cycles.checked_div(windows).map(|mean| mean.max(1))
+    }
+
+    /// The learned per-window mean for `key` on backends of `kind`
+    /// (`None` before any job of that key has completed on that kind).
+    fn learned_mean(&self, kind: BackendKind, key: &str) -> Option<u64> {
+        let (_, keys) = self.kinds.get(&kind)?;
+        keys.get(key).copied().and_then(Self::mean)
+    }
+
+    /// The learned per-window mean over *every* program seen on backends
+    /// of `kind` — the same-substrate cold-start fallback.
+    fn kind_mean(&self, kind: BackendKind) -> Option<u64> {
+        self.kinds
+            .get(&kind)
+            .and_then(|&(total, _)| Self::mean(total))
+    }
+}
+
+/// One admitted-but-not-yet-started job inside [`Pool::serve`].
+struct Ticket<'k, K, I> {
+    seq: usize,
+    kernel: &'k K,
+    windows: I,
+    key: String,
+    /// Per-backend cycles-and-joules pricing, computed once at admission.
+    /// An ineligible price marks a backend that cannot serve this job;
+    /// dispatch and stealing never commit the job there.
+    pricing: JobPricing,
+    windows_hint: usize,
+    tenant: TenantId,
+    arrival: u64,
+    priority: u8,
+    deadline: Option<u64>,
+}
+
+impl<K, I> Ticket<'_, K, I> {
+    /// `true` if backend `index` can serve this job at all.
+    fn eligible(&self, index: usize) -> bool {
+        self.pricing.per_backend[index].eligible()
+    }
+}
+
+/// A backend's run queue: committed-but-unstarted tickets, each with the
+/// cycle it was committed at.
+type RunQueue<'k, K, I> = VecDeque<(Ticket<'k, K, I>, u64)>;
+
+/// How [`Pool::serve`] orders and commits the admitted queue: the
+/// [`Server`](crate::serve::Server)'s knobs, or the fixed values of the
+/// batch path ([`Pool::run_stream`]).
+pub(crate) struct Dispatch<'a> {
+    /// Picks which admitted job dispatches next.  `None` is the batch
+    /// path: jobs dispatch in admission order, and each runs the moment it
+    /// is committed — with stealing off nothing can re-route a committed
+    /// job, so it need not wait in a run queue, and every backend keeps
+    /// room.
+    pub(crate) policy: Option<&'a mut dyn SchedPolicy>,
+    /// Whether the work-stealing pass runs.
+    pub(crate) stealing: bool,
+    /// Per-backend run-queue depth (committed-but-unstarted jobs), ≥ 1.
+    pub(crate) depth: usize,
+    /// Whether the whole-queue lookahead planner runs.
+    pub(crate) lookahead: bool,
 }
 
 /// A fleet of [`Backend`]s behind one [`Placement`] scheduler.
 ///
 /// Every fan-out call ([`Pool::run_batch`] / [`Pool::run_stream`]) is one
 /// *wave*: each backend starts the wave with an empty [`StreamSchedule`]
-/// (its engines free at cycle 0), jobs are placed and run in submission
-/// order, and the wave's merged [`FleetReport`] is returned.  *Residency
-/// persists across waves*: the sessions keep their loaded programs, so a
-/// later wave's jobs launch warm wherever earlier waves already placed
-/// their programs.  [`Pool::stats`] accumulates the per-backend accounting
-/// over all waves.
+/// (its engines free at cycle 0), and the wave's merged [`FleetReport`] is
+/// returned.  A wave is an arrival-0 serve: every job arrives at cycle 0,
+/// dispatches in submission order, and runs as soon as placement commits
+/// it.  *Residency persists across waves*: the sessions
+/// keep their loaded programs, so a later wave's jobs launch warm wherever
+/// earlier waves already placed their programs.  [`Pool::stats`]
+/// accumulates the per-backend accounting over all waves.
 ///
 /// See the [module docs](crate::pool) for the scheduling model and a
 /// runnable example.
@@ -638,10 +743,9 @@ pub struct Pool {
     /// geometry rather than once per job (the hook may build the whole
     /// program to count).
     footprints: Vec<HashMap<String, Option<usize>>>,
-    /// Observed per-window compute cycles by cache key on CGRA arrays:
-    /// `(total cycles, windows)` — the learned estimate [`CostAware`]
-    /// weighs against offload backends' modelled costs.
-    estimates: HashMap<String, (u64, u64)>,
+    /// The learned per-program costs behind projected backlogs and
+    /// [`JobView::window_cycles_hint`].
+    estimates: Estimator,
 }
 
 impl Pool {
@@ -700,7 +804,7 @@ impl Pool {
             placement: Box::new(CostAware::default()),
             stats: FleetReport::for_kinds(&kinds),
             footprints,
-            estimates: HashMap::new(),
+            estimates: Estimator::default(),
         }
     }
 
@@ -772,65 +876,14 @@ impl Pool {
             .expect("backend is a CGRA array")
     }
 
-    /// Mutable backend access for the serving layer's per-window executor
-    /// (which replays phases on its own schedules, like [`Pool::fan_out`]).
-    pub(crate) fn backend_mut(&mut self, index: usize) -> &mut dyn Backend {
-        self.backends[index].as_mut()
-    }
-
-    /// The active placement strategy — the serving layer re-consults it on
-    /// dispatch and on every work-stealing re-route.
-    pub(crate) fn strategy(&self) -> &dyn Placement {
-        &*self.placement
-    }
-
-    /// Announces `keys` as needed-soon on every CGRA-array session of the
-    /// fleet (see [`Session::set_needed_soon`]); an empty set clears the
-    /// announcement.  Offload backends have no configuration memory and
-    /// ignore it.  The serving layer's lookahead planner derives the set
-    /// from its admission and run queues each scheduling round.
-    pub(crate) fn set_needed_soon(&mut self, keys: &std::collections::HashSet<String>) {
-        for backend in &mut self.backends {
-            if let Some(session) = backend.as_session_mut() {
-                session.set_needed_soon(keys.iter().cloned());
-            }
-        }
-    }
-
-    /// Announces the needed-soon set on a single backend (no-op for
-    /// backends without a session) — the serving planner announces each
-    /// backend's own run queue, not a fleet-wide union.
-    pub(crate) fn set_needed_soon_on(
-        &mut self,
-        index: usize,
-        keys: impl IntoIterator<Item = String>,
-    ) {
-        if let Some(session) = self.backends[index].as_session_mut() {
-            session.set_needed_soon(keys);
-        }
-    }
-
     /// Evictions the needed-soon shield redirected, summed over the
     /// fleet's array sessions (see [`Session::evictions_averted`]).
-    pub(crate) fn evictions_averted(&self) -> u64 {
+    fn evictions_averted(&self) -> u64 {
         self.backends
             .iter()
             .filter_map(|b| b.as_session())
             .map(Session::evictions_averted)
             .sum()
-    }
-
-    /// An empty wave report shaped like this fleet (one entry per backend,
-    /// labelled by kind).
-    pub(crate) fn blank_wave(&self) -> FleetReport {
-        let kinds: Vec<BackendKind> = self.backends.iter().map(|b| b.kind()).collect();
-        FleetReport::for_kinds(&kinds)
-    }
-
-    /// Folds one externally-built wave (the serving layer's) into the
-    /// pool's accumulated [`Pool::stats`].
-    pub(crate) fn absorb_stats(&mut self, wave: &FleetReport) {
-        self.stats.absorb(wave);
     }
 
     /// Accumulated fleet accounting over every wave run so far (per-backend
@@ -878,8 +931,14 @@ impl Pool {
 
     /// Streams a fan-out of `(kernel, windows)` jobs across the fleet,
     /// handing each output to `sink` together with its job's submission
-    /// index, as soon as it is computed (jobs execute in submission order;
-    /// within a job, windows in window order).
+    /// index as soon as it is computed.  Within a job, windows arrive in
+    /// window order; jobs on different backends may interleave.
+    ///
+    /// The fan-out is an arrival-0 serve: every job arrives at cycle 0,
+    /// dispatches in submission order and runs on its backend as soon as
+    /// placement commits it; there is no stealing and no lookahead.  Every
+    /// job is priced against the fleet before the first one runs, so a job
+    /// no backend can serve fails before any work.
     ///
     /// # Errors
     ///
@@ -896,21 +955,16 @@ impl Pool {
         W::Item: Borrow<K::Input>,
         F: FnMut(usize, K::Output) -> Result<()>,
     {
-        let backends = self.backends.len();
-        let mut schedules: Vec<StreamSchedule> =
-            (0..backends).map(|_| StreamSchedule::new()).collect();
-        let mut wave = self.blank_wave();
-
-        let result = self.fan_out(jobs, sink, &mut wave, &mut schedules);
-        for (backend, schedule) in wave.arrays.iter_mut().zip(schedules) {
-            let timeline = schedule.finish();
-            backend.report.wall_cycles = timeline.wall_cycles();
-            backend.report.busy = timeline.occupancy();
-        }
-        // The wave's accounting survives an abort: the backends did the
-        // work, so the fleet statistics must show it.
-        self.stats.absorb(&wave);
-        result.map(|()| wave)
+        let jobs = jobs
+            .into_iter()
+            .map(|(kernel, windows)| ServeJob::new(kernel, windows, 0, 0));
+        let batch = Dispatch {
+            policy: None,
+            stealing: false,
+            depth: 1,
+            lookahead: false,
+        };
+        self.serve(jobs, sink, batch).map(|report| report.fleet)
     }
 
     /// Configuration-word footprint of `kernel`'s program against backend
@@ -927,31 +981,12 @@ impl Pool {
         words
     }
 
-    /// The pool's learned per-window compute estimate for `key` on a CGRA
-    /// array (mean observed compute cycles; `0` before the key has run).
-    fn window_hint(&self, key: &str) -> u64 {
-        self.estimates
-            .get(key)
-            .map(|&(cycles, windows)| (cycles / windows.max(1)).max(1))
-            .unwrap_or(0)
-    }
-
-    /// The learned hint's energy companion: the mean observed array window,
-    /// priced at the array's average power (`0` before the key has run, like
-    /// [`Pool::window_hint`]).
-    fn window_energy_hint(&self, key: &str) -> u64 {
-        match self.window_hint(key) {
-            0 => 0,
-            cycles => EnergyModel::calibrated().array_window_nj(cycles),
-        }
-    }
-
     /// Prices `kernel` against every backend of the fleet (see
     /// [`JobPricing`]).  Errs if *no* backend can serve the job:
     /// [`RuntimeError::MixedGeometry`] naming the first array whose
     /// geometry failed, or [`RuntimeError::Capability`] when the fleet has
     /// no backend matching the job's classes at all.
-    pub(crate) fn price_job<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<JobPricing> {
+    fn price_job<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<JobPricing> {
         let offload = kernel.offload();
         let classes = offload.classes();
         let model = EnergyModel::calibrated();
@@ -1010,23 +1045,38 @@ impl Pool {
         })
     }
 
-    /// The typed error for routing a job to backend `index`, which cannot
-    /// serve it.
-    fn unservable(&self, index: usize, kernel: &str) -> RuntimeError {
-        if self.backends[index].kind() == BackendKind::Array {
-            RuntimeError::MixedGeometry { array: index }
+    /// Checks a dispatch plan before anything runs: the target and any
+    /// prefetch directive must name backends of the pool
+    /// ([`RuntimeError::Placement`]), and the target must be able to serve
+    /// the job ([`RuntimeError::MixedGeometry`] for an array,
+    /// [`RuntimeError::Capability`] otherwise).
+    fn check_plan<K: Kernel, I>(
+        &self,
+        plan: &PlacementPlan,
+        ticket: &Ticket<'_, K, I>,
+    ) -> Result<()> {
+        let arrays = self.backends.len();
+        let mut targets = std::iter::once(plan.backend).chain(plan.prefetch.map(|d| d.backend));
+        if let Some(index) = targets.find(|&index| index >= arrays) {
+            return Err(RuntimeError::Placement { index, arrays });
+        }
+        if ticket.eligible(plan.backend) {
+            Ok(())
+        } else if self.backends[plan.backend].kind() == BackendKind::Array {
+            Err(RuntimeError::MixedGeometry {
+                array: plan.backend,
+            })
         } else {
-            RuntimeError::Capability {
-                kernel: kernel.to_string(),
-                backend: self.backends[index].kind().label().to_string(),
-            }
+            Err(RuntimeError::Capability {
+                kernel: ticket.kernel.name().to_string(),
+                backend: self.backends[plan.backend].kind().label().to_string(),
+            })
         }
     }
 
     /// Executes one [`PrefetchDirective`]: stages `kernel`'s program on
-    /// backend `target` no earlier than `not_before` (cycle 0 for a batch
-    /// fan-out, the dispatch cycle for the serving layer) and folds the
-    /// streamed cycles into `wave`.
+    /// backend `target` no earlier than `not_before` (the dispatch cycle)
+    /// and folds the streamed cycles into `wave`.
     ///
     /// Speculative staging is best-effort: a prefetch the target cannot
     /// satisfy (its configuration memory packed with pinned programs, say)
@@ -1034,7 +1084,7 @@ impl Pool {
     /// memory — is skipped, not fatal.  The job's own launch then pays the
     /// reload, and a genuine error resurfaces there, on the authoritative
     /// path.
-    pub(crate) fn stage_prefetch<K: Kernel>(
+    fn stage_prefetch<K: Kernel>(
         &mut self,
         target: usize,
         kernel: &K,
@@ -1070,119 +1120,571 @@ impl Pool {
         }
     }
 
-    /// The job loop of [`Pool::run_stream`]: prices, plans, prefetches and
-    /// runs every job, recording into `wave`/`schedules` as it goes so the
-    /// caller can salvage the accounting of an aborted fan-out.
-    fn fan_out<'k, K, J, W, F>(
+    /// The pool's one executor, behind both [`Pool::run_stream`] and
+    /// [`Server::run_stream`](crate::serve::Server::run_stream): admits
+    /// arrival-stamped jobs, dispatches them by `dispatch.policy`, places
+    /// each on a backend with room by the pool's [`Placement`], steals and
+    /// plans ahead if asked to, and runs windows on per-backend
+    /// [`StreamSchedule`]s.
+    ///
+    /// Every job is priced at admission, so a job no backend can serve
+    /// fails before any work.  The run's accounting is folded into
+    /// [`Pool::stats`] even when it aborts.
+    pub(crate) fn serve<'k, K, J, W, F>(
         &mut self,
         jobs: J,
-        mut sink: F,
-        wave: &mut FleetReport,
-        schedules: &mut [StreamSchedule],
-    ) -> Result<()>
+        sink: F,
+        mut dispatch: Dispatch<'_>,
+    ) -> Result<ServeReport>
     where
         K: Kernel + 'k,
-        J: IntoIterator<Item = (&'k K, W)>,
+        J: IntoIterator<Item = ServeJob<&'k K, W>>,
         W: IntoIterator,
         W::Item: Borrow<K::Input>,
         F: FnMut(usize, K::Output) -> Result<()>,
     {
-        let backends = self.backends.len();
-        let out_of_range = |index: usize| RuntimeError::Placement {
-            index,
-            arrays: backends,
-        };
-        for (index, (kernel, windows)) in jobs.into_iter().enumerate() {
-            let key = kernel.cache_key();
-            let pricing = self.price_job(kernel, &key)?;
-            // Windows are consumed lazily (constant memory in the window
-            // count, like `Session::run_stream`); placement sees the
-            // iterator's size hint.
-            let windows = windows.into_iter();
-            let windows_hint = windows.size_hint().0;
-            let hint = self.window_hint(&key);
-            let energy_hint = self.window_energy_hint(&key);
-            let views: Vec<BackendView> = self
-                .backends
-                .iter()
-                .enumerate()
-                .map(|(i, backend)| BackendView {
-                    index: i,
-                    kind: backend.kind(),
-                    capabilities: backend.capabilities(),
-                    resident: backend.is_resident(&key),
-                    warm: backend.is_warm(&key),
-                    free_compute_at: schedules[i].free_at(Engine::Compute),
-                    free_config_at: schedules[i].free_at(Engine::ConfigLoad),
-                    busy_compute: backend.busy_compute(),
-                    loaded_programs: backend.loaded_programs(),
-                    reload_cycles: pricing.per_backend[i].reload_cycles,
-                    window_cycles: pricing.per_backend[i].window_cycles,
-                    reload_energy_nj: pricing.per_backend[i].reload_energy_nj,
-                    window_energy_nj: pricing.per_backend[i].window_energy_nj,
-                })
-                .collect();
-            let job = JobView {
-                index,
-                cache_key: &key,
-                windows: windows_hint,
-                config_words: pricing.config_words,
-                classes: pricing.classes,
-                window_cycles_hint: hint,
-                window_energy_hint_nj: energy_hint,
-                deadline: None,
-            };
-            let plan = self.placement.place(&job, &views);
-            let chosen = plan.backend;
-            if chosen >= backends {
-                return Err(out_of_range(chosen));
-            }
-            if views[chosen].reload_cycles.is_none() {
-                return Err(self.unservable(chosen, kernel.name()));
-            }
-            if let Some(directive) = plan.prefetch {
-                let target = directive.backend;
-                if target >= backends {
-                    return Err(out_of_range(target));
-                }
-                self.stage_prefetch(target, kernel, 0, schedules, wave);
-            }
-            wave.jobs += 1;
-            wave.arrays[chosen].jobs += 1;
-            let kind = self.backends[chosen].kind();
-            wave.routes.push(JobRoute {
-                job: index,
-                backend: chosen,
-                kind,
-                energy_nj: 0,
+        let mut pending: VecDeque<Ticket<'k, K, W::IntoIter>> = VecDeque::new();
+        for (seq, job) in jobs.into_iter().enumerate() {
+            let key = job.kernel.cache_key();
+            // Admission prices the job against every backend once; the
+            // ticket carries the pricing through dispatch and stealing.
+            let pricing = self.price_job(job.kernel, &key)?;
+            let windows = job.windows.into_iter();
+            pending.push_back(Ticket {
+                seq,
+                kernel: job.kernel,
+                windows_hint: windows.size_hint().0,
+                windows,
+                key,
+                pricing,
+                tenant: job.tenant,
+                arrival: job.arrival_cycle,
+                priority: job.priority,
+                deadline: job.deadline_cycle,
             });
-            for window in windows {
-                let (output, phases, window_nj) = run_window_on(
-                    self.backends[chosen].as_mut(),
-                    kernel,
-                    &key,
-                    window.borrow(),
-                    &mut wave.arrays[chosen].report,
-                )?;
-                // Attribute the window's measured joules to the job as
-                // they land, so even an aborted fan-out's routes price the
-                // work actually done.
-                wave.routes
-                    .last_mut()
-                    .expect("route pushed above")
-                    .energy_nj += window_nj;
-                schedules[chosen].push(phases);
-                if kind == BackendKind::Array {
-                    // Learn the kernel's observed array cost, so later
-                    // placements can weigh arrays against offload models.
-                    let entry = self.estimates.entry(key.clone()).or_insert((0, 0));
-                    entry.0 += phases.compute;
-                    entry.1 += 1;
+        }
+        // Admission happens in arrival order, stable on ties (submission
+        // order), regardless of how the caller interleaved the stream.
+        pending
+            .make_contiguous()
+            .sort_by_key(|t| (t.arrival, t.seq));
+
+        let kinds: Vec<BackendKind> = self.backends.iter().map(|b| b.kind()).collect();
+        let mut schedules: Vec<StreamSchedule> =
+            kinds.iter().map(|_| StreamSchedule::new()).collect();
+        let mut report = ServeReport {
+            fleet: FleetReport::for_kinds(&kinds),
+            latencies: Vec::new(),
+            steals: 0,
+            plan: PlannerStats::default(),
+        };
+        let averted_before = self.evictions_averted();
+        let result = self.serve_loop(pending, sink, &mut dispatch, &mut schedules, &mut report);
+        if dispatch.lookahead {
+            // The queue is drained (or the run aborted): clear the
+            // needed-soon announcement so later runs see an unshielded
+            // fleet, and account what the shield redirected.
+            for backend in &mut self.backends {
+                if let Some(session) = backend.as_session_mut() {
+                    session.set_needed_soon(std::iter::empty());
                 }
-                sink(index, output)?;
             }
+            report.plan.evictions_averted = self.evictions_averted() - averted_before;
+        }
+        for (backend, schedule) in report.fleet.arrays.iter_mut().zip(schedules) {
+            let timeline = schedule.finish();
+            backend.report.wall_cycles = timeline.wall_cycles();
+            backend.report.busy = timeline.occupancy();
+        }
+        // The run's accounting survives an abort: the backends did the
+        // work, so the fleet statistics must show it.
+        self.stats.absorb(&report.fleet);
+        report.latencies.sort_unstable_by_key(|l| l.job);
+        result.map(|()| report)
+    }
+
+    /// The event loop of [`Pool::serve`]: admits, dispatches, steals and
+    /// executes until the stream drains, recording into
+    /// `schedules`/`report` as it goes so the caller can salvage the
+    /// accounting of an aborted run.
+    fn serve_loop<'k, K, I, F>(
+        &mut self,
+        mut pending: VecDeque<Ticket<'k, K, I>>,
+        mut sink: F,
+        dispatch: &mut Dispatch<'_>,
+        schedules: &mut [StreamSchedule],
+        report: &mut ServeReport,
+    ) -> Result<()>
+    where
+        K: Kernel,
+        I: Iterator,
+        I::Item: Borrow<K::Input>,
+        F: FnMut(usize, K::Output) -> Result<()>,
+    {
+        let backends = self.backends.len();
+        let depth = dispatch.depth;
+        let batch = dispatch.policy.is_none();
+        let mut queue: VecDeque<Ticket<'k, K, I>> = VecDeque::new();
+        let mut assigned: Vec<RunQueue<'k, K, I>> =
+            (0..backends).map(|_| VecDeque::new()).collect();
+        let mut now = 0u64;
+
+        loop {
+            // Admit every job that has arrived by `now`.
+            while pending.front().is_some_and(|t| t.arrival <= now) {
+                queue.extend(pending.pop_front());
+            }
+
+            // Whether this iteration committed or materialised any job —
+            // the guard against re-dispatching in place at the same cycle
+            // forever when the only backends with queue room cannot serve
+            // the jobs that are waiting.
+            let mut progressed = false;
+
+            // Dispatch: while the queue has jobs and some backend has
+            // room, the policy picks the job and placement picks among the
+            // backends that can serve it *and* have room, so the
+            // strategy's choice and its prefetch land where the job runs.
+            // A job with no such backend parks for this pass (room
+            // elsewhere is no use to it), as does a job whose strategy
+            // looked past its views at a full backend, so the loop
+            // strictly consumes the queue and terminates.
+            let mut parked: Vec<Ticket<'k, K, I>> = Vec::new();
+            while !queue.is_empty() && assigned.iter().any(|a| a.len() < depth) {
+                let ticket = match dispatch.policy.as_deref_mut() {
+                    Some(policy) => {
+                        let views: Vec<QueuedJob<'_>> = queue
+                            .iter()
+                            .map(|t| QueuedJob {
+                                seq: t.seq,
+                                tenant: t.tenant,
+                                arrival_cycle: t.arrival,
+                                priority: t.priority,
+                                deadline_cycle: t.deadline,
+                                windows: t.windows_hint,
+                                cache_key: &t.key,
+                            })
+                            .collect();
+                        let index = policy.select(now, &views);
+                        queue.remove(index).ok_or(RuntimeError::Sched {
+                            index,
+                            queued: queue.len(),
+                        })?
+                    }
+                    None => queue.pop_front().expect("the queue is not empty"),
+                };
+                let open: Vec<BackendView> = (0..backends)
+                    .filter(|&i| ticket.eligible(i) && assigned[i].len() < depth)
+                    .map(|i| self.backend_view(i, &ticket, now, schedules, &assigned))
+                    .collect();
+                if open.is_empty() {
+                    parked.push(ticket);
+                    continue;
+                }
+                let plan = self.placement.place(&self.job_view(&ticket), &open);
+                self.check_plan(&plan, &ticket)?;
+                let chosen = plan.backend;
+                if assigned[chosen].len() >= depth {
+                    parked.push(ticket);
+                    continue;
+                }
+                if let Some(directive) = plan.prefetch {
+                    self.stage_prefetch(
+                        directive.backend,
+                        ticket.kernel,
+                        now,
+                        schedules,
+                        &mut report.fleet,
+                    );
+                }
+                let head_key = dispatch.lookahead.then(|| ticket.key.clone());
+                assigned[chosen].push_back((ticket, now));
+                progressed = true;
+                if batch {
+                    break; // the execute step runs it at once
+                }
+                // Affinity batching: queued jobs sharing the head job's
+                // program ride along onto the same backend, back to back,
+                // while its run queue has room — the reload (if any)
+                // amortises over the whole run, and deeper riders become
+                // warm launches behind the head.  Riders keep their queue
+                // order; the head was dispatched on the policy's
+                // authority, so fairness is charged where it matters (the
+                // policy saw the head; the riders save everyone cycles).
+                if let Some(head_key) = head_key {
+                    let mut riders = 0u64;
+                    while assigned[chosen].len() < depth {
+                        let Some(next) = queue
+                            .iter()
+                            .position(|t| t.key == head_key && t.eligible(chosen))
+                        else {
+                            break;
+                        };
+                        assigned[chosen].extend(queue.remove(next).map(|t| (t, now)));
+                        riders += 1;
+                    }
+                    if riders > 0 {
+                        report.plan.affinity_runs += 1;
+                        report.plan.batched_jobs += riders;
+                    }
+                }
+            }
+            queue.extend(parked);
+
+            // Steal: re-route queued jobs away from the backend whose
+            // projected backlog drifted furthest ahead of the fleet.
+            if dispatch.stealing {
+                self.steal_pass(now, depth, schedules, &mut assigned, report)?;
+            }
+
+            if dispatch.lookahead {
+                // Eviction co-planning: announce, per backend, the
+                // programs of the jobs committed to *that* backend as
+                // needed-soon, so neither a sibling's prefetch nor a cold
+                // load victimises a program this backend's run queue is
+                // about to use.  The set is per-backend on purpose: a
+                // global announce would shield replicas on arrays that
+                // will never launch them, redirecting evictions onto
+                // programs those arrays actually need (and starving the
+                // speculative prefetches below, which refuse to evict
+                // shielded residents).  Runs after stealing, against each
+                // job's final backend.
+                for (backend, run_queue) in self.backends.iter_mut().zip(&assigned) {
+                    if let Some(session) = backend.as_session_mut() {
+                        session.set_needed_soon(run_queue.iter().map(|(t, _)| t.key.clone()));
+                    }
+                }
+                // Pipelined prefetch: stage the program of every job
+                // *waiting* in an array's run queue on the
+                // configuration-load lane, where it overlaps the compute
+                // of the jobs ahead of it (and, behind a backlog, costs
+                // zero wall cycles — a hidden reload).  Best-effort, like
+                // every prefetch: a stage the session cannot satisfy is
+                // skipped and the job's own launch pays the reload.
+                for (i, run_queue) in assigned.iter().enumerate() {
+                    if self.backends[i].kind() != BackendKind::Array {
+                        continue;
+                    }
+                    for (ticket, _) in run_queue {
+                        if self.backends[i].is_warm(&ticket.key) {
+                            continue;
+                        }
+                        self.stage_prefetch(i, ticket.kernel, now, schedules, &mut report.fleet);
+                        if self.backends[i].is_warm(&ticket.key) {
+                            report.plan.planned_prefetches += 1;
+                        }
+                    }
+                }
+            }
+
+            // Execute: materialise the front job of every backend whose
+            // compute engine has caught up with the clock (a batch job at
+            // once: nothing could re-route it).
+            for i in 0..backends {
+                while batch || schedules[i].free_at(Engine::Compute) <= now {
+                    let Some((ticket, assign_cycle)) = assigned[i].pop_front() else {
+                        break;
+                    };
+                    let kind = self.backends[i].kind();
+                    // The route is final only now — stealing may have
+                    // moved the ticket since dispatch — so the job counts
+                    // from here.
+                    let fleet = &mut report.fleet;
+                    fleet.jobs += 1;
+                    fleet.arrays[i].jobs += 1;
+                    let route = fleet.routes.len();
+                    fleet.routes.push(JobRoute {
+                        job: ticket.seq,
+                        backend: i,
+                        kind,
+                        energy_nj: 0,
+                    });
+                    let mut first_compute: Option<u64> = None;
+                    let mut completed = assign_cycle;
+                    let mut compute_cycles = 0u64;
+                    let mut count = 0u64;
+                    for window in ticket.windows {
+                        let (output, phases, window_nj) = run_window_on(
+                            self.backends[i].as_mut(),
+                            ticket.kernel,
+                            &ticket.key,
+                            window.borrow(),
+                            &mut report.fleet.arrays[i].report,
+                        )?;
+                        // Attribute the window's measured joules to the
+                        // job as they land, so even an aborted run's
+                        // routes price the work actually done.
+                        report.fleet.routes[route].energy_nj += window_nj;
+                        let spans = schedules[i].push_at(phases, assign_cycle);
+                        first_compute.get_or_insert(spans.compute.start);
+                        completed = spans.irq.end;
+                        compute_cycles += phases.compute;
+                        count += 1;
+                        sink(ticket.seq, output)?;
+                    }
+                    // Learn the kernel's observed cost *on this kind of
+                    // backend* — offload substrates included, so their
+                    // queued jobs project real horizons too.
+                    self.estimates
+                        .learn(kind, ticket.key, compute_cycles, count);
+                    // The host knows the job is done once the last
+                    // window's completion interrupt was serviced.
+                    let service_start = first_compute.unwrap_or(completed);
+                    report.latencies.push(JobLatency {
+                        job: ticket.seq,
+                        tenant: ticket.tenant,
+                        queue_cycles: service_start - ticket.arrival,
+                        service_cycles: completed - service_start,
+                        total: completed - ticket.arrival,
+                        deadline_met: ticket.deadline.is_none_or(|d| completed <= d),
+                    });
+                    progressed = true;
+                }
+            }
+
+            // Re-dispatch at the same cycle if this iteration made
+            // progress and left room for still-queued jobs.  The progress
+            // guard matters in a heterogeneous fleet: room on a backend
+            // the queued jobs cannot run on is not progress, and looping
+            // on it would spin forever at the same cycle.
+            if progressed && !queue.is_empty() && assigned.iter().any(|a| a.len() < depth) {
+                continue;
+            }
+            if pending.is_empty() && queue.is_empty() && assigned.iter().all(VecDeque::is_empty) {
+                return Ok(());
+            }
+            // Advance to the next event: an arrival, or a backend's
+            // compute engine catching up with its front job.  Both are
+            // strictly ahead of `now` (admission drained arrivals <= now;
+            // execution drained backends free at <= now), and one exists:
+            // a job still queued here waits on a run queue that is not
+            // empty (an iteration that emptied them all made progress and
+            // re-dispatched above).
+            let next_arrival = pending.front().map(|t| t.arrival);
+            let next_free = (0..backends)
+                .filter(|&i| !assigned[i].is_empty())
+                .map(|i| schedules[i].free_at(Engine::Compute))
+                .min();
+            now = next_arrival
+                .into_iter()
+                .chain(next_free)
+                .min()
+                .expect("an undrained stream has a next event");
+        }
+    }
+
+    /// The work-stealing pass: while the most backlogged backend still
+    /// has queued (unstarted) jobs, try to move its *last-committed* job
+    /// to a backend that would finish it earlier, re-consulting
+    /// [`Placement`] under the dispatch rule (donor excluded) so prefetch
+    /// directives fire on the new target.  Every move must strictly
+    /// improve the donor/target pair's projected finish, and the pass is
+    /// bounded, so it terminates.  A plan that cannot serve the job errs
+    /// as at dispatch.
+    fn steal_pass<'k, K, I>(
+        &mut self,
+        now: u64,
+        depth: usize,
+        schedules: &mut [StreamSchedule],
+        assigned: &mut [RunQueue<'k, K, I>],
+        report: &mut ServeReport,
+    ) -> Result<()>
+    where
+        K: Kernel,
+        I: Iterator,
+    {
+        let backends = assigned.len();
+        let mut budget = backends * depth;
+        while budget > 0 {
+            budget -= 1;
+            let projections: Vec<u64> = (0..backends)
+                .map(|i| self.projection(i, now, schedules, assigned))
+                .collect();
+            let Some(donor) = (0..backends)
+                .filter(|&i| !assigned[i].is_empty())
+                .max_by_key(|&i| (projections[i], i))
+            else {
+                return Ok(());
+            };
+            let plan = {
+                let (ticket, _) = assigned[donor].back().expect("donor has a queued job");
+                // The dispatch rule, donor excluded: the strategy sees the
+                // backends that can serve the job and have room.
+                let views: Vec<BackendView> = (0..backends)
+                    .filter(|&i| i != donor && ticket.eligible(i) && assigned[i].len() < depth)
+                    .map(|i| self.backend_view(i, ticket, now, schedules, assigned))
+                    .collect();
+                if views.is_empty() {
+                    return Ok(());
+                }
+                let plan = self.placement.place(&self.job_view(ticket), &views);
+                self.check_plan(&plan, ticket)?;
+                let target = plan.backend;
+                // A plan pointing back at the donor or at a full backend
+                // steals nothing.  Otherwise only steal if the move
+                // strictly improves the pair: the target (with the job, at
+                // the job's cost *on the target*) must still finish before
+                // the donor (whose projection includes the job) does today.
+                if target == donor
+                    || assigned[target].len() >= depth
+                    || projections[target] + self.est_cost(ticket, target) >= projections[donor]
+                {
+                    return Ok(());
+                }
+                plan
+            };
+            let (ticket, _) = assigned[donor].pop_back().expect("donor checked non-empty");
+            if let Some(directive) = plan.prefetch {
+                self.stage_prefetch(
+                    directive.backend,
+                    ticket.kernel,
+                    now,
+                    schedules,
+                    &mut report.fleet,
+                );
+            }
+            assigned[plan.backend].push_back((ticket, now));
+            report.steals += 1;
         }
         Ok(())
+    }
+
+    /// Lower bound on an array's per-window cycles for `ticket`'s
+    /// program: the best modelled window of a *fixed-function* offload
+    /// backend the job is priced on.  Dedicated silicon is never slower
+    /// than the reconfigurable array at its own kernel (Sec. 2: ~3 k
+    /// engine cycles vs 5–7 k array cycles for the 256-pt FFT), so a cold
+    /// array estimate below the accelerator's modelled window is certainly
+    /// wrong.  The CPU's modelled window is *not* a bound — beating the
+    /// CPU is the array's whole point.
+    fn accel_floor<K, I>(&self, ticket: &Ticket<'_, K, I>) -> u64 {
+        ticket
+            .pricing
+            .per_backend
+            .iter()
+            .zip(&self.backends)
+            .filter(|(_, backend)| backend.kind() == BackendKind::FftAccel)
+            .filter_map(|(price, _)| price.window_cycles)
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// Estimated compute cycles of one window of `ticket`'s program *on
+    /// backend `backend`*: the backend's own modelled per-window cost
+    /// first (offload backends priced at admission — the same model
+    /// placement ranked the backend by, so projections stay consistent
+    /// with the dispatch decision), else the key's learned mean on that
+    /// backend's kind, else the kind-wide learned mean, else — for
+    /// arrays only — the program's reload footprint as a cold-start
+    /// proxy.  Consulting the model first is what keeps a cold FFT-heavy
+    /// run queue from projecting a near-zero horizon: the engine's
+    /// modelled cycles price its queue even before any job has
+    /// completed, while an engine-capable key's footprint (zero config
+    /// words) would price it at 1 cycle per window.  The cold
+    /// array fallbacks (kind mean, footprint) are additionally floored
+    /// by [`Self::accel_floor`] so a crumb-dominated array mean cannot
+    /// underprice an accelerator-class kernel on the array.
+    fn per_window_estimate_on<K, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
+        if let Some(modelled) = ticket.pricing.per_backend[backend].window_cycles {
+            return modelled.max(1);
+        }
+        let kind = self.backends[backend].kind();
+        if let Some(mean) = self.estimates.learned_mean(kind, &ticket.key) {
+            return mean;
+        }
+        let floor = match kind {
+            BackendKind::Array => self.accel_floor(ticket),
+            _ => 0,
+        };
+        if let Some(mean) = self.estimates.kind_mean(kind) {
+            return mean.max(floor);
+        }
+        match kind {
+            BackendKind::Array => (ticket.pricing.config_words as u64).max(1).max(floor),
+            _ => 1,
+        }
+    }
+
+    /// Estimated compute cost of a queued job on the backend it is queued
+    /// on (its window hint times the per-window estimate; an opaque
+    /// hint-less stream estimates free — the estimator corrects itself
+    /// once the job has actually run).
+    fn est_cost<K, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
+        ticket.windows_hint as u64 * self.per_window_estimate_on(ticket, backend)
+    }
+
+    /// Projected compute horizon of one backend: its schedule's compute
+    /// backlog (clamped to `now`) plus the estimated cost of every job
+    /// queued on it.
+    fn projection<K, I>(
+        &self,
+        backend: usize,
+        now: u64,
+        schedules: &[StreamSchedule],
+        assigned: &[RunQueue<'_, K, I>],
+    ) -> u64 {
+        schedules[backend].free_at(Engine::Compute).max(now)
+            + assigned[backend]
+                .iter()
+                .map(|(t, _)| self.est_cost(t, backend))
+                .sum::<u64>()
+    }
+
+    /// One backend's [`BackendView`] over the *projected* backlogs — what
+    /// placement sees at dispatch and steal time.  Reload and per-window
+    /// pricing come from the ticket's admission-time pricing.
+    fn backend_view<K, I>(
+        &self,
+        backend: usize,
+        ticket: &Ticket<'_, K, I>,
+        now: u64,
+        schedules: &[StreamSchedule],
+        assigned: &[RunQueue<'_, K, I>],
+    ) -> BackendView {
+        let b = &self.backends[backend];
+        let price = ticket.pricing.per_backend[backend];
+        BackendView {
+            index: backend,
+            kind: b.kind(),
+            capabilities: b.capabilities(),
+            resident: b.is_resident(&ticket.key),
+            warm: b.is_warm(&ticket.key),
+            free_compute_at: self.projection(backend, now, schedules, assigned),
+            free_config_at: schedules[backend].free_at(Engine::ConfigLoad).max(now),
+            busy_compute: b.busy_compute(),
+            loaded_programs: b.loaded_programs(),
+            reload_cycles: price.reload_cycles,
+            window_cycles: price.window_cycles,
+            reload_energy_nj: price.reload_energy_nj,
+            window_energy_nj: price.window_energy_nj,
+        }
+    }
+
+    /// The [`JobView`] a ticket presents to the placement strategy.  The
+    /// hints fill the array columns a [`BackendView`] leaves open: the
+    /// key's learned array mean (else the array-wide mean, else the
+    /// footprint proxy) and that mean priced at the array's average
+    /// power.
+    fn job_view<'t, K, I>(&self, ticket: &'t Ticket<'_, K, I>) -> JobView<'t> {
+        let hint = self
+            .estimates
+            .learned_mean(BackendKind::Array, &ticket.key)
+            .unwrap_or_else(|| {
+                self.estimates
+                    .kind_mean(BackendKind::Array)
+                    .unwrap_or_else(|| (ticket.pricing.config_words as u64).max(1))
+                    .max(self.accel_floor(ticket))
+            });
+        JobView {
+            index: ticket.seq,
+            cache_key: &ticket.key,
+            windows: ticket.windows_hint,
+            config_words: ticket.pricing.config_words,
+            classes: ticket.pricing.classes,
+            window_cycles_hint: hint,
+            window_energy_hint_nj: EnergyModel::calibrated().array_window_nj(hint),
+            deadline: ticket.deadline,
+        }
     }
 
     /// Runs every job of the same shape on one fresh, unconstrained
@@ -2241,9 +2743,13 @@ mod tests {
     #[test]
     fn cost_aware_offloads_tiny_jobs_to_the_cpu_and_keeps_bulk_on_arrays() {
         let words = baked_words() as u64;
-        // Estimate of 2 host cycles per window: far below the array's
-        // cold-reload streaming, so a one-window job belongs on the CPU.
-        let kernel = BakedScaleKernel::new(5).with_cpu_offload(2);
+        // Before a key has run on an array, the pool prices an array
+        // window at the program's footprint (`words` cycles).  A host
+        // estimate of 1.5 × `words` per window therefore loses to the
+        // array once the one-off reload is amortised, yet beats a
+        // one-window job's reload plus window, so that job belongs on the
+        // CPU.
+        let kernel = BakedScaleKernel::new(5).with_cpu_offload(3 * words / 2);
         let tiny: Vec<Vec<i32>> = vec![vec![3, -4, 7]];
         let mut pool = Pool::with_sessions(constrained_sessions(1, 2 * baked_words()))
             .unwrap()
@@ -2262,9 +2768,9 @@ mod tests {
         assert_eq!(fleet.cold_reloads(), 0, "the CPU never reloads");
 
         // Enough windows that the modelled CPU total strictly exceeds the
-        // one-off array reload: the bulk job stays on the array (and its
-        // reload is prefetched), whatever the program's footprint.
-        let bulk: Vec<Vec<i32>> = (0..2 * words).map(|w| vec![w as i32, 1, 2]).collect();
+        // array's reload plus windows: the bulk job stays on the array
+        // (and its reload is prefetched).
+        let bulk: Vec<Vec<i32>> = (0..4).map(|w| vec![w, 1, 2]).collect();
         let (outputs, fleet) = pool
             .run_batch([(&kernel, bulk.iter().map(Vec::as_slice))])
             .unwrap();
@@ -2304,5 +2810,175 @@ mod tests {
                 pool.placement_name()
             );
         }
+    }
+
+    /// A ticket with explicit admission prices, as the estimator tests
+    /// need — never materialised, so the empty windows iterator is fine.
+    fn priced_ticket<'k>(
+        kernel: &'k BakedScaleKernel,
+        key: &str,
+        config_words: usize,
+        windows_hint: usize,
+        per_backend: Vec<BackendPrice>,
+    ) -> Ticket<'k, BakedScaleKernel, std::iter::Empty<Vec<i32>>> {
+        Ticket {
+            seq: 0,
+            kernel,
+            windows: std::iter::empty(),
+            key: key.to_string(),
+            pricing: JobPricing {
+                classes: 0,
+                config_words,
+                per_backend,
+            },
+            windows_hint,
+            tenant: 0,
+            arrival: 0,
+            priority: 0,
+            deadline: None,
+        }
+    }
+
+    #[test]
+    fn cold_fft_queue_projects_the_engines_modelled_horizon() {
+        // Regression: an engine-capable key has a zero config-word
+        // footprint, and the old cold-start fallback (footprint proxy for
+        // every backend) priced its windows at 1 cycle each — a queued
+        // FFT job projected a near-zero horizon, starving the stealing
+        // pass of drift it should have seen.  The fix consults the placed
+        // backend's modelled per-window cycles first.
+        let pool = Pool::new(1).with_backend(FftBackend::new());
+        let kernel = BakedScaleKernel::new(2);
+        let modelled = 3_523;
+        let ticket = priced_ticket(
+            &kernel,
+            "fft-512",
+            0, // engine-capable: no config footprint
+            4,
+            vec![
+                BackendPrice::INELIGIBLE,
+                BackendPrice {
+                    reload_cycles: Some(0),
+                    window_cycles: Some(modelled),
+                    reload_energy_nj: Some(0),
+                    window_energy_nj: Some(43_000),
+                },
+            ],
+        );
+        // Cold pool: no learned estimates anywhere.
+        assert_eq!(pool.per_window_estimate_on(&ticket, 1), modelled);
+        assert_eq!(pool.est_cost(&ticket, 1), 4 * modelled);
+        assert!(
+            pool.est_cost(&ticket, 1) > 1_000,
+            "a cold FFT-heavy queue no longer projects a near-zero horizon"
+        );
+    }
+
+    #[test]
+    fn cold_array_keys_keep_the_footprint_proxy() {
+        let pool = Pool::new(1);
+        let kernel = BakedScaleKernel::new(2);
+        let ticket = priced_ticket(
+            &kernel,
+            "arrayish",
+            57,
+            2,
+            vec![BackendPrice {
+                reload_cycles: Some(57),
+                window_cycles: None,
+                reload_energy_nj: Some(100),
+                window_energy_nj: None,
+            }],
+        );
+        assert_eq!(pool.per_window_estimate_on(&ticket, 0), 57);
+    }
+
+    #[test]
+    fn estimator_means_stay_separated_by_backend_kind() {
+        // Regression: the global-mean fallback used to pool observed
+        // cycles across every key regardless of which substrate they ran
+        // on, so one engine job (thousands of cycles per window) would
+        // poison the projection of every light array crumb, and vice
+        // versa.  Means are now tracked and pooled per backend kind.
+        let mut pool = Pool::new(1).with_backend(FftBackend::new());
+        pool.estimates
+            .learn(BackendKind::Array, "k".to_string(), 10_000, 10);
+        pool.estimates
+            .learn(BackendKind::FftAccel, "k".to_string(), 70_000, 20);
+        assert_eq!(
+            pool.estimates.learned_mean(BackendKind::Array, "k"),
+            Some(1_000)
+        );
+        assert_eq!(
+            pool.estimates.learned_mean(BackendKind::FftAccel, "k"),
+            Some(3_500)
+        );
+        assert_eq!(pool.estimates.learned_mean(BackendKind::Cpu, "k"), None);
+
+        // The kind-wide fallback pools same-kind entries only.
+        pool.estimates
+            .learn(BackendKind::Array, "other".to_string(), 2_000, 10);
+        assert_eq!(pool.estimates.kind_mean(BackendKind::Array), Some(600));
+        assert_eq!(pool.estimates.kind_mean(BackendKind::FftAccel), Some(3_500));
+        assert_eq!(pool.estimates.kind_mean(BackendKind::Cpu), None);
+
+        // An unseen key on the array prices at the array mean, untouched
+        // by the engine's much heavier observations.
+        let kernel = BakedScaleKernel::new(2);
+        let ticket = priced_ticket(
+            &kernel,
+            "fresh",
+            40,
+            1,
+            vec![
+                BackendPrice {
+                    reload_cycles: Some(40),
+                    window_cycles: None,
+                    reload_energy_nj: Some(80),
+                    window_energy_nj: None,
+                },
+                BackendPrice::INELIGIBLE,
+            ],
+        );
+        assert_eq!(pool.per_window_estimate_on(&ticket, 0), 600);
+    }
+
+    #[test]
+    fn accelerator_model_floors_cold_array_estimates() {
+        // An accelerator-capable key's cold array fallbacks (kind-wide
+        // mean, footprint proxy) can be dominated by light crumb
+        // programs; the dedicated engine's modelled window is a lower
+        // bound for the array running the same kernel, so cold array
+        // estimates are floored by it.
+        let mut pool = Pool::new(1).with_backend(FftBackend::new());
+        let kernel = BakedScaleKernel::new(2);
+        let modelled = 3_523;
+        let prices = vec![
+            BackendPrice {
+                reload_cycles: Some(800),
+                window_cycles: None,
+                reload_energy_nj: Some(1_000),
+                window_energy_nj: None,
+            },
+            BackendPrice {
+                reload_cycles: Some(0),
+                window_cycles: Some(modelled),
+                reload_energy_nj: Some(0),
+                window_energy_nj: Some(43_000),
+            },
+        ];
+        let ticket = priced_ticket(&kernel, "fft-256", 800, 1, prices);
+        // Cold pool: the footprint proxy (800) would underprice the
+        // array — the engine's modelled window floors it.
+        assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
+        // A crumb-dominated array-wide mean is floored the same way.
+        pool.estimates
+            .learn(BackendKind::Array, "crumb".to_string(), 3_000, 10);
+        assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
+        // A learned mean for the key itself is a measurement: trusted
+        // as-is, even above the floor.
+        pool.estimates
+            .learn(BackendKind::Array, "fft-256".to_string(), 40_000, 10);
+        assert_eq!(pool.per_window_estimate_on(&ticket, 0), 4_000);
     }
 }

@@ -179,7 +179,9 @@ pub struct ArrayReport {
     /// attribution key heterogeneous fleets aggregate by
     /// ([`FleetReport::per_kind`]).
     pub kind: BackendKind,
-    /// Jobs the placement strategy routed to this backend.
+    /// Jobs that started on this backend (counted when the route is
+    /// recorded, so a job stolen before it started counts only where it
+    /// ran).
     pub jobs: u64,
     /// The backend's aggregated run accounting: `wall_cycles`/`busy` come
     /// from replaying the backend's own [`crate::pipeline::StreamSchedule`],
@@ -265,7 +267,9 @@ impl BackendKindStats {
 /// `busy().total()` equals the sum of the per-array spans.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FleetReport {
-    /// Total jobs fanned out (a job is one `(kernel, windows)` workload).
+    /// Jobs that started executing (a job is one `(kernel, windows)`
+    /// workload; it counts once its route is recorded, so an aborted run
+    /// counts only the jobs it started).
     pub jobs: u64,
     /// Per-backend accounting, indexed by backend.
     pub arrays: Vec<ArrayReport>,

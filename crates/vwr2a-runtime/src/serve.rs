@@ -22,14 +22,14 @@
 //!    deadline, or [`WeightedFair`] deficit-round-robin across tenants so
 //!    one chatty tenant cannot starve the rest.  The pool's
 //!    [`Placement`](crate::pool::Placement) strategy then chooses the
-//!    backend — CGRA array, FFT engine or host CPU, over *projected*
-//!    backlogs (schedule horizon plus the estimated cost of jobs already
-//!    queued there) and the per-backend reload/window pricing computed
-//!    once at admission ([`Pool::price_job`](crate::pool::Pool)) — and
-//!    any [`PlacementPlan`] prefetch directive stages the job's reload
-//!    speculatively from the dispatch cycle on.  A job is only ever
-//!    committed to a backend that can actually serve it; when every such
-//!    backend is depth-full the job waits in the queue.
+//!    backend — CGRA array, FFT engine or host CPU — among those that can
+//!    serve the job *and* have room, over *projected* backlogs (schedule
+//!    horizon plus the estimated cost of jobs already queued there) and
+//!    the per-backend reload/window pricing computed once at admission.
+//!    Any [`PlacementPlan`](crate::pool::PlacementPlan) prefetch directive
+//!    stages the job's reload speculatively from the dispatch cycle on,
+//!    on the backend that will run the job.  When every backend that can
+//!    serve the job is depth-full, the job waits in the queue.
 //! 3. **Stealing** — placement decisions go stale: backlog estimates are
 //!    learned online, so a backend can drift ahead of the fleet with jobs
 //!    still queued behind it.  The stealing pass re-routes queued (not
@@ -40,11 +40,15 @@
 //!    capability classes — a CGRA-only job is never stolen onto the FFT
 //!    engine, nor an FFT-only job onto an array.
 //! 4. **Reporting** — each completed job yields a
-//!    [`JobLatency`] split into queueing and
+//!    [`JobLatency`](crate::report::JobLatency) split into queueing and
 //!    service cycles plus a deadline verdict; the run's
 //!    [`ServeReport`] derives p50/p95/p99
 //!    percentiles, per-tenant totals, the deadline-miss count and the
 //!    steal count on top of the usual fleet accounting.
+//!
+//! The loop itself is the pool's one executor: a [`Pool`] batch runs it
+//! with every job arriving at cycle 0, in submission order, each job
+//! running as soon as it is committed, and no stealing or lookahead.
 //!
 //! Outputs are **bit-identical** to running every job serially in
 //! submission order ([`Pool::run_serial_reference`]) for every policy,
@@ -87,17 +91,12 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
-use vwr2a_core::timeline::Engine;
-use vwr2a_energy::EnergyModel;
-
-use crate::backend::{run_window_on, BackendKind};
-use crate::error::{Result, RuntimeError};
-use crate::pipeline::StreamSchedule;
-use crate::pool::{BackendPrice, BackendView, JobView, PlacementPlan, Pool};
-use crate::report::{FleetReport, JobLatency, JobRoute, PlannerStats, ServeReport};
+use crate::error::Result;
+use crate::pool::{Dispatch, Pool};
+use crate::report::ServeReport;
 use crate::session::Kernel;
 
 /// Identifies the tenant a [`ServeJob`] belongs to.  Tenants are the unit
@@ -184,7 +183,8 @@ pub struct QueuedJob<'a> {
 /// The policy is consulted once per dispatch with the current cycle and
 /// the full admission queue (never empty), and returns the index of the
 /// chosen job in that slice.  An out-of-range index aborts the run with
-/// [`RuntimeError::Sched`] (the server stays valid and reusable).
+/// [`RuntimeError::Sched`](crate::RuntimeError::Sched) (the server stays
+/// valid and reusable).
 /// Policies may keep state across calls (deficit counters, aging) but
 /// must be deterministic so serving experiments are reproducible.
 pub trait SchedPolicy: fmt::Debug + Send {
@@ -367,34 +367,6 @@ impl SchedPolicy for WeightedFair {
     }
 }
 
-/// One admitted-but-not-yet-started job inside the serve loop.
-struct Ticket<'k, K, I> {
-    seq: usize,
-    kernel: &'k K,
-    windows: I,
-    key: String,
-    config_words: usize,
-    /// Capability classes of the job
-    /// ([`crate::backend::Offload::classes`]).
-    classes: u32,
-    /// Per-backend cycles-and-joules pricing, computed once at admission.
-    /// A `None` reload marks a backend that cannot serve this job;
-    /// dispatch and stealing never commit the job there.
-    prices: Vec<BackendPrice>,
-    windows_hint: usize,
-    tenant: TenantId,
-    arrival: u64,
-    priority: u8,
-    deadline: Option<u64>,
-}
-
-impl<K, I> Ticket<'_, K, I> {
-    /// `true` if backend `index` can serve this job at all.
-    fn eligible(&self, index: usize) -> bool {
-        self.prices[index].eligible()
-    }
-}
-
 /// Default for how many dispatched jobs a backend may hold while still
 /// busy ([`Server::with_depth`] overrides it).  Jobs in this run queue are
 /// *committed but not started* — stealable until the backend actually
@@ -418,20 +390,12 @@ pub struct Server {
     /// Per-backend run-queue depth (committed-but-unstarted jobs).  A
     /// deeper queue gives the placement strategy room to express a
     /// preference (e.g. queueing behind a busy engine because it is
-    /// cheaper in joules) where a shallow queue forces the objective-blind
-    /// least-projected fallback the moment a backend fills.
+    /// cheaper in joules), where a shallow queue hides a backend from
+    /// placement the moment it fills.
     depth: usize,
     /// Whether the whole-queue lookahead planner is active (see
     /// [`Server::with_lookahead`]).
     lookahead: bool,
-    /// Online per-program cost model: cumulative `(compute_cycles,
-    /// windows)` keyed by *backend kind and* cache key, learned from
-    /// every completed job.  The kind in the key keeps the substrates'
-    /// very different per-window costs from polluting each other's means
-    /// (a CGRA window and an FFT-engine window of the same program differ
-    /// by orders of magnitude).  Backs the projected backlogs that
-    /// placement and stealing reason over.
-    estimates: HashMap<(BackendKind, String), (u64, u64)>,
 }
 
 impl Server {
@@ -443,7 +407,6 @@ impl Server {
             stealing: true,
             depth: DISPATCH_DEPTH,
             lookahead: false,
-            estimates: HashMap::new(),
         }
     }
 
@@ -575,12 +538,12 @@ impl Server {
     /// `sink` with its job's submission index as soon as it is computed.
     ///
     /// Jobs are admitted at their arrival cycles, dispatched by the
-    /// server's [`SchedPolicy`] and placed by the pool's [`Placement`](crate::pool::Placement)
-    /// strategy; the stealing pass (if enabled) re-routes queued jobs
-    /// away from backends whose backlog drifted ahead of the fleet.  The
-    /// returned [`ServeReport`] carries the
-    /// run's fleet accounting, per-job latencies (in submission order),
-    /// and the steal count.
+    /// server's [`SchedPolicy`] and placed by the pool's
+    /// [`Placement`](crate::pool::Placement) strategy; the stealing pass
+    /// (if enabled) re-routes queued jobs away from backends whose backlog
+    /// drifted ahead of the fleet.  The returned [`ServeReport`] carries
+    /// the run's fleet accounting, per-job latencies (in submission
+    /// order), and the steal count.
     ///
     /// # Errors
     ///
@@ -588,6 +551,8 @@ impl Server {
     /// policy returns an out-of-range queue index.  The first error
     /// aborts the run; completed work is still folded into
     /// [`Pool::stats`], and the server stays valid and reusable.
+    ///
+    /// [`RuntimeError::Sched`]: crate::RuntimeError::Sched
     pub fn run_stream<'k, K, J, W, F>(&mut self, jobs: J, sink: F) -> Result<ServeReport>
     where
         K: Kernel + 'k,
@@ -596,640 +561,22 @@ impl Server {
         W::Item: Borrow<K::Input>,
         F: FnMut(usize, K::Output) -> Result<()>,
     {
-        let backends = self.pool.arrays();
-        let mut pending: VecDeque<Ticket<'k, K, W::IntoIter>> = VecDeque::new();
-        for (seq, job) in jobs.into_iter().enumerate() {
-            let key = job.kernel.cache_key();
-            // Admission prices the job against every backend once; the
-            // ticket carries the pricing through dispatch and stealing.
-            // A job no backend can serve fails here, before any work.
-            let pricing = self.pool.price_job(job.kernel, &key)?;
-            let windows = job.windows.into_iter();
-            let windows_hint = windows.size_hint().0;
-            pending.push_back(Ticket {
-                seq,
-                kernel: job.kernel,
-                windows,
-                key,
-                config_words: pricing.config_words,
-                classes: pricing.classes,
-                prices: pricing.per_backend,
-                windows_hint,
-                tenant: job.tenant,
-                arrival: job.arrival_cycle,
-                priority: job.priority,
-                deadline: job.deadline_cycle,
-            });
-        }
-        // Admission happens in arrival order, stable on ties (submission
-        // order), regardless of how the caller interleaved the stream.
-        pending
-            .make_contiguous()
-            .sort_by_key(|t| (t.arrival, t.seq));
-
-        let mut schedules: Vec<StreamSchedule> =
-            (0..backends).map(|_| StreamSchedule::new()).collect();
-        let mut wave = self.pool.blank_wave();
-        let mut latencies: Vec<JobLatency> = Vec::new();
-        let mut steals = 0u64;
-        let mut plan = PlannerStats::default();
-
-        let averted_before = self.pool.evictions_averted();
-        let result = self.serve_loop(
-            pending,
-            sink,
-            &mut wave,
-            &mut schedules,
-            &mut latencies,
-            &mut steals,
-            &mut plan,
-        );
-        if self.lookahead {
-            // The queue is drained (or the run aborted): clear the
-            // needed-soon announcement so later pool waves see an
-            // unshielded fleet, and account what the shield redirected.
-            self.pool.set_needed_soon(&HashSet::new());
-            plan.evictions_averted = self.pool.evictions_averted() - averted_before;
-        }
-        for (array, schedule) in wave.arrays.iter_mut().zip(schedules) {
-            let timeline = schedule.finish();
-            array.report.wall_cycles = timeline.wall_cycles();
-            array.report.busy = timeline.occupancy();
-        }
-        // The run's accounting survives an abort: the sessions did the
-        // work, so the fleet statistics must show it.
-        self.pool.absorb_stats(&wave);
-        latencies.sort_unstable_by_key(|l| l.job);
-        result.map(|()| ServeReport {
-            fleet: wave,
-            latencies,
-            steals,
-            plan,
-        })
-    }
-
-    /// The learned per-window mean for `key` on backends of `kind`
-    /// (`None` before any job of that key has completed on that kind).
-    fn learned_mean(&self, kind: BackendKind, key: &str) -> Option<u64> {
-        self.estimates
-            .get(&(kind, key.to_string()))
-            .and_then(|&(cycles, windows)| cycles.checked_div(windows))
-            .map(|mean| mean.max(1))
-    }
-
-    /// The learned per-window mean over *every* program seen on backends
-    /// of `kind` — the same-substrate cold-start fallback.
-    fn kind_mean(&self, kind: BackendKind) -> Option<u64> {
-        let (cycles, windows) = self
-            .estimates
-            .iter()
-            .filter(|((k, _), _)| *k == kind)
-            .fold((0u64, 0u64), |acc, (_, &(c, w))| (acc.0 + c, acc.1 + w));
-        cycles.checked_div(windows).map(|mean| mean.max(1))
-    }
-
-    /// Lower bound on an array's per-window cycles for `ticket`'s
-    /// program: the best modelled window of a *fixed-function* offload
-    /// backend the job is priced on.  Dedicated silicon is never slower
-    /// than the reconfigurable array at its own kernel (Sec. 2: ~3 k
-    /// engine cycles vs 5–7 k array cycles for the 256-pt FFT), so a cold
-    /// array estimate below the accelerator's modelled window is certainly
-    /// wrong.  The CPU's modelled window is *not* a bound — beating the
-    /// CPU is the array's whole point.
-    fn accel_floor<K: Kernel, I>(&self, ticket: &Ticket<'_, K, I>) -> u64 {
-        ticket
-            .prices
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.pool.backend(i).kind() == BackendKind::FftAccel)
-            .filter_map(|(_, price)| price.window_cycles)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Estimated compute cycles of one window of `ticket`'s program *on
-    /// backend `backend`*: the backend's own modelled per-window cost
-    /// first (offload backends priced at admission — the same model
-    /// placement ranked the backend by, so projections stay consistent
-    /// with the dispatch decision), else the key's learned mean on that
-    /// backend's kind, else the kind-wide learned mean, else — for
-    /// arrays only — the program's reload footprint as a cold-start
-    /// proxy.  Consulting the model first is what keeps a cold FFT-heavy
-    /// run queue from projecting a near-zero horizon: the engine's
-    /// modelled cycles price its queue even before any job has
-    /// completed, where the old footprint proxy priced an engine-capable
-    /// key (zero config footprint) at 1 cycle per window.  The cold
-    /// array fallbacks (kind mean, footprint) are additionally floored
-    /// by [`Self::accel_floor`] so a crumb-dominated array mean cannot
-    /// underprice an accelerator-class kernel on the array.
-    fn per_window_estimate_on<K: Kernel, I>(
-        &self,
-        ticket: &Ticket<'_, K, I>,
-        backend: usize,
-    ) -> u64 {
-        if let Some(modelled) = ticket.prices[backend].window_cycles {
-            return modelled.max(1);
-        }
-        let kind = self.pool.backend(backend).kind();
-        if let Some(mean) = self.learned_mean(kind, &ticket.key) {
-            return mean;
-        }
-        let floor = match kind {
-            BackendKind::Array => self.accel_floor(ticket),
-            _ => 0,
+        let dispatch = Dispatch {
+            policy: Some(self.policy.as_mut()),
+            stealing: self.stealing,
+            depth: self.depth,
+            lookahead: self.lookahead,
         };
-        if let Some(mean) = self.kind_mean(kind) {
-            return mean.max(floor);
-        }
-        match kind {
-            BackendKind::Array => (ticket.config_words as u64).max(1).max(floor),
-            _ => 1,
-        }
-    }
-
-    /// Estimated compute cost of a queued job on the backend it is queued
-    /// on (its window hint times the per-window estimate; an opaque
-    /// hint-less stream estimates free — the estimator corrects itself
-    /// once the job has actually run).
-    fn est_cost<K: Kernel, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
-        ticket.windows_hint as u64 * self.per_window_estimate_on(ticket, backend)
-    }
-
-    /// Projected compute horizon of one backend: its schedule's compute
-    /// backlog (clamped to `now`) plus the estimated cost of every job
-    /// queued on it.
-    fn projection<K: Kernel, I>(
-        &self,
-        backend: usize,
-        now: u64,
-        schedules: &[StreamSchedule],
-        assigned: &[VecDeque<(Ticket<'_, K, I>, u64)>],
-    ) -> u64 {
-        schedules[backend].free_at(Engine::Compute).max(now)
-            + assigned[backend]
-                .iter()
-                .map(|(t, _)| self.est_cost(t, backend))
-                .sum::<u64>()
-    }
-
-    /// One backend's [`BackendView`] over the *projected* backlogs — what
-    /// placement sees at dispatch and steal time.  Reload and per-window
-    /// pricing come from the ticket's admission-time pricing, so the view
-    /// carries the same eligibility mask batch fan-outs see.
-    fn backend_view<K: Kernel, I>(
-        &self,
-        backend: usize,
-        ticket: &Ticket<'_, K, I>,
-        now: u64,
-        schedules: &[StreamSchedule],
-        assigned: &[VecDeque<(Ticket<'_, K, I>, u64)>],
-    ) -> BackendView {
-        let b = self.pool.backend(backend);
-        BackendView {
-            index: backend,
-            kind: b.kind(),
-            capabilities: b.capabilities(),
-            resident: b.is_resident(&ticket.key),
-            warm: b.is_warm(&ticket.key),
-            free_compute_at: self.projection(backend, now, schedules, assigned),
-            free_config_at: schedules[backend].free_at(Engine::ConfigLoad).max(now),
-            busy_compute: b.busy_compute(),
-            loaded_programs: b.loaded_programs(),
-            reload_cycles: ticket.prices[backend].reload_cycles,
-            window_cycles: ticket.prices[backend].window_cycles,
-            reload_energy_nj: ticket.prices[backend].reload_energy_nj,
-            window_energy_nj: ticket.prices[backend].window_energy_nj,
-        }
-    }
-
-    /// The [`JobView`] a ticket presents to the placement strategy.  The
-    /// hints fill the array columns a [`BackendView`] leaves open: the
-    /// key's learned array mean (else the array-wide mean, else the
-    /// footprint proxy) and that mean priced at the array's average
-    /// power.
-    fn job_view<'t, K: Kernel, I>(&self, ticket: &'t Ticket<'_, K, I>) -> JobView<'t> {
-        let hint = self
-            .learned_mean(BackendKind::Array, &ticket.key)
-            .unwrap_or_else(|| {
-                self.kind_mean(BackendKind::Array)
-                    .unwrap_or_else(|| (ticket.config_words as u64).max(1))
-                    .max(self.accel_floor(ticket))
-            });
-        JobView {
-            index: ticket.seq,
-            cache_key: &ticket.key,
-            windows: ticket.windows_hint,
-            config_words: ticket.config_words,
-            classes: ticket.classes,
-            window_cycles_hint: hint,
-            window_energy_hint_nj: EnergyModel::calibrated().array_window_nj(hint),
-            deadline: ticket.deadline,
-        }
-    }
-
-    /// The event loop of [`Server::run_stream`]: admits, dispatches,
-    /// steals and executes until the stream drains, recording into
-    /// `wave`/`schedules`/`latencies` as it goes so the caller can
-    /// salvage the accounting of an aborted run.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_loop<'k, K, I, F>(
-        &mut self,
-        mut pending: VecDeque<Ticket<'k, K, I>>,
-        mut sink: F,
-        wave: &mut FleetReport,
-        schedules: &mut [StreamSchedule],
-        latencies: &mut Vec<JobLatency>,
-        steals: &mut u64,
-        planner: &mut PlannerStats,
-    ) -> Result<()>
-    where
-        K: Kernel,
-        I: Iterator,
-        I::Item: Borrow<K::Input>,
-        F: FnMut(usize, K::Output) -> Result<()>,
-    {
-        let backends = self.pool.arrays();
-        let mut queue: Vec<Ticket<'k, K, I>> = Vec::new();
-        let mut assigned: Vec<VecDeque<(Ticket<'k, K, I>, u64)>> =
-            (0..backends).map(|_| VecDeque::new()).collect();
-        let mut now = 0u64;
-
-        loop {
-            // Admit every job that has arrived by `now`.
-            while pending.front().is_some_and(|t| t.arrival <= now) {
-                queue.push(pending.pop_front().unwrap());
-            }
-
-            // Whether this iteration committed or materialised any job —
-            // the guard against re-dispatching in place at the same cycle
-            // forever when the only backends with queue room cannot serve
-            // the jobs that are waiting.
-            let mut progressed = false;
-
-            // Dispatch: while the queue has jobs and some backend has
-            // room, the policy picks the job and placement picks the
-            // backend.  A job whose every *eligible* backend is depth-full
-            // parks for this pass (room elsewhere is no use to it), so the
-            // loop strictly consumes the queue and terminates.
-            let mut parked: Vec<Ticket<'k, K, I>> = Vec::new();
-            while !queue.is_empty() && assigned.iter().any(|a| a.len() < self.depth) {
-                let views: Vec<QueuedJob<'_>> = queue
-                    .iter()
-                    .map(|t| QueuedJob {
-                        seq: t.seq,
-                        tenant: t.tenant,
-                        arrival_cycle: t.arrival,
-                        priority: t.priority,
-                        deadline_cycle: t.deadline,
-                        windows: t.windows_hint,
-                        cache_key: &t.key,
-                    })
-                    .collect();
-                let index = self.policy.select(now, &views);
-                if index >= queue.len() {
-                    return Err(RuntimeError::Sched {
-                        index,
-                        queued: queue.len(),
-                    });
-                }
-                let ticket = queue.remove(index);
-                let plan = {
-                    let views: Vec<BackendView> = (0..backends)
-                        .map(|i| self.backend_view(i, &ticket, now, schedules, &assigned))
-                        .collect();
-                    let job = self.job_view(&ticket);
-                    self.pool.strategy().place(&job, &views)
-                };
-                let preferred = plan.backend;
-                if preferred >= backends {
-                    return Err(RuntimeError::Placement {
-                        index: preferred,
-                        arrays: backends,
-                    });
-                }
-                let chosen = if ticket.eligible(preferred) && assigned[preferred].len() < self.depth
-                {
-                    preferred
-                } else {
-                    // The preferred backend's run queue is full (or the
-                    // strategy pointed at a backend that cannot serve the
-                    // job): fall back to the least-projected *eligible*
-                    // backend with room.  The stealing pass can still
-                    // re-route the job before it starts.
-                    match (0..backends)
-                        .filter(|&i| ticket.eligible(i) && assigned[i].len() < self.depth)
-                        .min_by_key(|&i| (self.projection(i, now, schedules, &assigned), i))
-                    {
-                        Some(i) => i,
-                        None => {
-                            // Every backend this job can run on is full.
-                            parked.push(ticket);
-                            continue;
-                        }
-                    }
-                };
-                if let Some(directive) = plan.prefetch {
-                    if directive.backend >= backends {
-                        return Err(RuntimeError::Placement {
-                            index: directive.backend,
-                            arrays: backends,
-                        });
-                    }
-                    self.pool.stage_prefetch(
-                        directive.backend,
-                        ticket.kernel,
-                        now,
-                        schedules,
-                        wave,
-                    );
-                }
-                wave.jobs += 1;
-                wave.arrays[chosen].jobs += 1;
-                let head_key = ticket.key.clone();
-                assigned[chosen].push_back((ticket, now));
-                progressed = true;
-                // Affinity batching: queued jobs sharing the head job's
-                // program ride along onto the same backend, back to back,
-                // while its run queue has room — the reload (if any)
-                // amortises over the whole run, and deeper riders become
-                // warm launches behind the head.  Riders keep their queue
-                // order; the head was dispatched on the policy's
-                // authority, so fairness is charged where it matters (the
-                // policy saw the head; the riders save everyone cycles).
-                if self.lookahead {
-                    let mut riders = 0u64;
-                    while assigned[chosen].len() < self.depth {
-                        let Some(next) = queue
-                            .iter()
-                            .position(|t| t.key == head_key && t.eligible(chosen))
-                        else {
-                            break;
-                        };
-                        let rider = queue.remove(next);
-                        wave.jobs += 1;
-                        wave.arrays[chosen].jobs += 1;
-                        assigned[chosen].push_back((rider, now));
-                        riders += 1;
-                    }
-                    if riders > 0 {
-                        planner.affinity_runs += 1;
-                        planner.batched_jobs += riders;
-                    }
-                }
-            }
-            queue.extend(parked);
-
-            // Steal: re-route queued jobs away from the backend whose
-            // projected backlog drifted furthest ahead of the fleet.
-            if self.stealing {
-                self.steal_pass(now, schedules, &mut assigned, wave, steals);
-            }
-
-            // Eviction co-planning: announce, per backend, the programs
-            // of the jobs committed to *that* backend as needed-soon, so
-            // neither a sibling's prefetch nor a cold load victimises a
-            // program this backend's run queue is about to use.  The set
-            // is per-backend on purpose: a global announce would shield
-            // replicas on arrays that will never launch them, redirecting
-            // evictions onto programs those arrays actually need (and
-            // starving the speculative prefetches below, which refuse to
-            // evict shielded residents).  Runs after stealing, against
-            // each job's final backend.
-            if self.lookahead {
-                for (i, run_queue) in assigned.iter().enumerate() {
-                    let needed: HashSet<String> =
-                        run_queue.iter().map(|(t, _)| t.key.clone()).collect();
-                    self.pool.set_needed_soon_on(i, needed);
-                }
-            }
-
-            // Pipelined prefetch: stage the program of every job *waiting*
-            // in an array's run queue on the configuration-load lane,
-            // where it overlaps the compute of the jobs ahead of it (and,
-            // behind a backlog, costs zero wall cycles — a hidden reload).
-            // Runs after stealing so the stage lands on each job's final
-            // backend.  Best-effort, like every prefetch: a stage the
-            // session cannot satisfy is skipped and the job's own launch
-            // pays the reload.
-            if self.lookahead {
-                for (i, run_queue) in assigned.iter().enumerate() {
-                    if self.pool.backend(i).kind() != BackendKind::Array {
-                        continue;
-                    }
-                    for (ticket, _) in run_queue {
-                        let (kernel, key) = (ticket.kernel, &ticket.key);
-                        if self.pool.backend(i).is_warm(key) {
-                            continue;
-                        }
-                        self.pool.stage_prefetch(i, kernel, now, schedules, wave);
-                        if self.pool.backend(i).is_warm(key) {
-                            planner.planned_prefetches += 1;
-                        }
-                    }
-                }
-            }
-
-            // Execute: materialise the front job of every backend whose
-            // compute engine has caught up with the clock.
-            for i in 0..backends {
-                while !assigned[i].is_empty() && schedules[i].free_at(Engine::Compute) <= now {
-                    let (ticket, assign_cycle) = assigned[i].pop_front().unwrap();
-                    let kind = self.pool.backend(i).kind();
-                    // The route is final only now: stealing may have moved
-                    // the ticket since dispatch.
-                    wave.routes.push(JobRoute {
-                        job: ticket.seq,
-                        backend: i,
-                        kind,
-                        energy_nj: 0,
-                    });
-                    let mut first_compute: Option<u64> = None;
-                    let mut completed = assign_cycle;
-                    let mut compute_cycles = 0u64;
-                    let mut count = 0u64;
-                    for window in ticket.windows {
-                        let (output, phases, window_nj) = run_window_on(
-                            self.pool.backend_mut(i),
-                            ticket.kernel,
-                            &ticket.key,
-                            window.borrow(),
-                            &mut wave.arrays[i].report,
-                        )?;
-                        // Attribute the window's measured joules to the
-                        // job as they land, so even an aborted run's
-                        // routes price the work actually done.
-                        wave.routes
-                            .last_mut()
-                            .expect("route pushed above")
-                            .energy_nj += window_nj;
-                        let spans = schedules[i].push_at(phases, assign_cycle);
-                        first_compute.get_or_insert(spans.compute.start);
-                        completed = spans.irq.end;
-                        compute_cycles += phases.compute;
-                        count += 1;
-                        sink(ticket.seq, output)?;
-                    }
-                    // Learn the kernel's observed cost *on this kind of
-                    // backend* — offload substrates included, so their
-                    // queued jobs project real horizons too.
-                    let entry = self.estimates.entry((kind, ticket.key)).or_insert((0, 0));
-                    entry.0 += compute_cycles;
-                    entry.1 += count;
-                    // The host knows the job is done once the last
-                    // window's completion interrupt was serviced.
-                    let service_start = first_compute.unwrap_or(completed);
-                    latencies.push(JobLatency {
-                        job: ticket.seq,
-                        tenant: ticket.tenant,
-                        queue_cycles: service_start - ticket.arrival,
-                        service_cycles: completed - service_start,
-                        total: completed - ticket.arrival,
-                        deadline_met: ticket.deadline.is_none_or(|d| completed <= d),
-                    });
-                    progressed = true;
-                }
-            }
-
-            // Re-dispatch at the same cycle if this iteration made
-            // progress and left room for still-queued jobs.  The progress
-            // guard matters in a heterogeneous fleet: room on a backend
-            // the queued jobs cannot run on is not progress, and looping
-            // on it would spin forever at the same cycle.
-            if progressed && !queue.is_empty() && assigned.iter().any(|a| a.len() < self.depth) {
-                continue;
-            }
-            if pending.is_empty() && queue.is_empty() && assigned.iter().all(VecDeque::is_empty) {
-                return Ok(());
-            }
-            // Advance to the next event: an arrival, or a backend's
-            // compute engine catching up with its front job.  Both are
-            // strictly ahead of `now` (admission drained arrivals <= now;
-            // execution drained backends free at <= now).
-            let next_arrival = pending.front().map(|t| t.arrival);
-            let next_free = (0..backends)
-                .filter(|&i| !assigned[i].is_empty())
-                .map(|i| schedules[i].free_at(Engine::Compute))
-                .min();
-            now = match (next_arrival, next_free) {
-                (Some(a), Some(f)) => a.min(f),
-                (Some(a), None) => a,
-                (None, Some(f)) => f,
-                (None, None) => unreachable!("drained stream handled above"),
-            };
-        }
-    }
-
-    /// The work-stealing pass: while the most backlogged backend still
-    /// has queued (unstarted) jobs, try to move its *last-committed* job
-    /// to a backend that would finish it earlier, re-consulting [`Placement`](crate::pool::Placement)
-    /// so prefetch directives fire on the new target.  Every move must
-    /// strictly improve the donor/target pair's projected finish, must
-    /// respect the job's capability classes (the thief has to be able to
-    /// serve it), and the pass is bounded, so it terminates.
-    fn steal_pass<'k, K, I>(
-        &mut self,
-        now: u64,
-        schedules: &mut [StreamSchedule],
-        assigned: &mut [VecDeque<(Ticket<'k, K, I>, u64)>],
-        wave: &mut FleetReport,
-        steals: &mut u64,
-    ) where
-        K: Kernel,
-        I: Iterator,
-    {
-        let backends = assigned.len();
-        let mut budget = backends * self.depth;
-        while budget > 0 {
-            budget -= 1;
-            let projections: Vec<u64> = (0..backends)
-                .map(|i| self.projection(i, now, schedules, assigned))
-                .collect();
-            let Some(donor) = (0..backends)
-                .filter(|&i| !assigned[i].is_empty())
-                .max_by_key(|&i| (projections[i], i))
-            else {
-                return;
-            };
-            let (plan, eligible) = {
-                let (ticket, _) = assigned[donor].back().expect("donor has a queued job");
-                let views: Vec<BackendView> = (0..backends)
-                    .filter(|&i| i != donor)
-                    .map(|i| self.backend_view(i, ticket, now, schedules, assigned))
-                    .collect();
-                if views.is_empty() {
-                    return; // single-backend pool: nowhere to steal to
-                }
-                let job = self.job_view(ticket);
-                let eligible: Vec<bool> = (0..backends).map(|i| ticket.eligible(i)).collect();
-                (self.pool.strategy().place(&job, &views), eligible)
-            };
-            let target = if plan.backend != donor
-                && plan.backend < backends
-                && eligible[plan.backend]
-                && assigned[plan.backend].len() < self.depth
-            {
-                plan.backend
-            } else {
-                // The strategy pointed back at the donor (or out of the
-                // masked view, or at a backend the job cannot run on):
-                // fall back to the least-projected eligible backend with
-                // room.
-                match (0..backends)
-                    .filter(|&i| i != donor && eligible[i] && assigned[i].len() < self.depth)
-                    .min_by_key(|&i| (projections[i], i))
-                {
-                    Some(t) => t,
-                    None => return,
-                }
-            };
-            // Only steal if the move strictly improves the pair: the
-            // target (with the job, at the job's cost *on the target*)
-            // must still finish before the donor (whose projection
-            // includes the job) does today.
-            let cost = {
-                let (ticket, _) = assigned[donor].back().expect("donor has a queued job");
-                self.est_cost(ticket, target)
-            };
-            if projections[target] + cost >= projections[donor] {
-                return;
-            }
-            let (ticket, _) = assigned[donor].pop_back().expect("donor checked non-empty");
-            if let Some(directive) = Self::steal_prefetch_target(&plan, donor, backends, target) {
-                self.pool
-                    .stage_prefetch(directive, ticket.kernel, now, schedules, wave);
-            }
-            // The job now counts on the thief backend.
-            wave.arrays[donor].jobs -= 1;
-            wave.arrays[target].jobs += 1;
-            assigned[target].push_back((ticket, now));
-            *steals += 1;
-        }
-    }
-
-    /// Where a stolen job's prefetch directive should fire: the plan's
-    /// directive if it names a valid non-donor backend, else the actual
-    /// steal target.  [`Pool::stage_prefetch`] itself skips backends with
-    /// no configuration memory, so no capability check is needed here.
-    fn steal_prefetch_target(
-        plan: &PlacementPlan,
-        donor: usize,
-        backends: usize,
-        target: usize,
-    ) -> Option<usize> {
-        let directive = plan.prefetch?;
-        if directive.backend < backends && directive.backend != donor {
-            Some(directive.backend)
-        } else {
-            Some(target)
-        }
+        self.pool.serve(jobs, sink, dispatch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::Session;
+    use crate::report::PlannerStats;
     use crate::testing::BakedScaleKernel;
+    use crate::RuntimeError;
 
     fn windows(count: usize, seed: i32) -> Vec<Vec<i32>> {
         (0..count)
@@ -1721,8 +1068,8 @@ mod tests {
 
         // 2 arrays + the FFT engine; plain BakedScale jobs are CGRA-only,
         // so the FFT backend must stay untouched no matter how saturated
-        // the arrays get — dispatch, fallback and stealing all filter by
-        // the job's capability classes.
+        // the arrays get — dispatch and stealing both filter by the job's
+        // capability classes.
         let kernel = BakedScaleKernel::new(3);
         let ws = windows(2, 0);
         let jobs: Vec<(&BakedScaleKernel, Vec<Vec<i32>>)> =
@@ -1753,6 +1100,43 @@ mod tests {
         );
         assert_eq!(report.fleet.arrays[2].jobs, 0);
         assert_eq!(report.fleet.arrays[2].report.invocations, 0);
+    }
+
+    #[test]
+    fn a_placement_pinned_to_an_incapable_backend_is_a_capability_error() {
+        use crate::backend::FftBackend;
+        use crate::pool::{BackendView, JobView, Placement, PlacementPlan};
+
+        // Dispatch follows the batch path's error rule: a plan naming a
+        // backend that cannot serve the job fails as a typed error rather
+        // than being re-routed behind the strategy's back.
+        #[derive(Debug)]
+        struct PinEngine;
+        impl Placement for PinEngine {
+            fn name(&self) -> &'static str {
+                "pin-engine"
+            }
+            fn place(&self, _job: &JobView<'_>, _backends: &[BackendView]) -> PlacementPlan {
+                PlacementPlan::run_on(2)
+            }
+        }
+        let kernel = BakedScaleKernel::new(3);
+        let ws = windows(1, 0);
+        let pool = Pool::new(2)
+            .with_backend(FftBackend::new())
+            .with_placement(PinEngine);
+        let mut server = Server::new(pool);
+        let err = server
+            .run_batch([ServeJob::new(&kernel, ws.iter().map(Vec::as_slice), 0, 0)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::Capability {
+                kernel: "baked-scale".to_string(),
+                backend: "fft".to_string(),
+            }
+        );
+        assert_eq!(server.pool().stats().jobs, 0, "nothing ran");
     }
 
     #[test]
@@ -1819,185 +1203,6 @@ mod tests {
         let pool = server.into_pool();
         assert_eq!(pool.stats().jobs, 3);
         assert_eq!(pool.stats().invocations(), 6);
-    }
-
-    /// A ticket with explicit admission prices, as the estimator tests
-    /// need — never materialised, so the empty windows iterator is fine.
-    fn priced_ticket<'k>(
-        kernel: &'k BakedScaleKernel,
-        key: &str,
-        config_words: usize,
-        windows_hint: usize,
-        prices: Vec<BackendPrice>,
-    ) -> Ticket<'k, BakedScaleKernel, std::iter::Empty<Vec<i32>>> {
-        Ticket {
-            seq: 0,
-            kernel,
-            windows: std::iter::empty(),
-            key: key.to_string(),
-            config_words,
-            classes: 0,
-            prices,
-            windows_hint,
-            tenant: 0,
-            arrival: 0,
-            priority: 0,
-            deadline: None,
-        }
-    }
-
-    #[test]
-    fn cold_fft_queue_projects_the_engines_modelled_horizon() {
-        // Regression: an engine-capable key has a zero config-word
-        // footprint, and the old cold-start fallback (footprint proxy for
-        // every backend) priced its windows at 1 cycle each — a queued
-        // FFT job projected a near-zero horizon, starving the stealing
-        // pass of drift it should have seen.  The fix consults the placed
-        // backend's modelled per-window cycles first.
-        let server = Server::new(
-            Pool::with_sessions(vec![Session::new()])
-                .unwrap()
-                .with_backend(crate::backend::FftBackend::new()),
-        );
-        let kernel = BakedScaleKernel::new(2);
-        let modelled = 3_523;
-        let ticket = priced_ticket(
-            &kernel,
-            "fft-512",
-            0, // engine-capable: no config footprint
-            4,
-            vec![
-                BackendPrice::INELIGIBLE,
-                BackendPrice {
-                    reload_cycles: Some(0),
-                    window_cycles: Some(modelled),
-                    reload_energy_nj: Some(0),
-                    window_energy_nj: Some(43_000),
-                },
-            ],
-        );
-        // Cold server: no learned estimates anywhere.
-        assert_eq!(server.per_window_estimate_on(&ticket, 1), modelled);
-        assert_eq!(server.est_cost(&ticket, 1), 4 * modelled);
-        assert!(
-            server.est_cost(&ticket, 1) > 1_000,
-            "a cold FFT-heavy queue no longer projects a near-zero horizon"
-        );
-    }
-
-    #[test]
-    fn cold_array_keys_keep_the_footprint_proxy() {
-        let server = Server::new(Pool::new(1));
-        let kernel = BakedScaleKernel::new(2);
-        let ticket = priced_ticket(
-            &kernel,
-            "arrayish",
-            57,
-            2,
-            vec![BackendPrice {
-                reload_cycles: Some(57),
-                window_cycles: None,
-                reload_energy_nj: Some(100),
-                window_energy_nj: None,
-            }],
-        );
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 57);
-    }
-
-    #[test]
-    fn estimator_means_stay_separated_by_backend_kind() {
-        // Regression: the global-mean fallback used to pool observed
-        // cycles across every key regardless of which substrate they ran
-        // on, so one engine job (thousands of cycles per window) would
-        // poison the projection of every light array crumb, and vice
-        // versa.  Means are now tracked and pooled per backend kind.
-        let mut server = Server::new(
-            Pool::with_sessions(vec![Session::new()])
-                .unwrap()
-                .with_backend(crate::backend::FftBackend::new()),
-        );
-        server
-            .estimates
-            .insert((BackendKind::Array, "k".to_string()), (10_000, 10));
-        server
-            .estimates
-            .insert((BackendKind::FftAccel, "k".to_string()), (70_000, 20));
-        assert_eq!(server.learned_mean(BackendKind::Array, "k"), Some(1_000));
-        assert_eq!(server.learned_mean(BackendKind::FftAccel, "k"), Some(3_500));
-        assert_eq!(server.learned_mean(BackendKind::Cpu, "k"), None);
-
-        // The kind-wide fallback pools same-kind entries only.
-        server
-            .estimates
-            .insert((BackendKind::Array, "other".to_string()), (2_000, 10));
-        assert_eq!(server.kind_mean(BackendKind::Array), Some(600));
-        assert_eq!(server.kind_mean(BackendKind::FftAccel), Some(3_500));
-        assert_eq!(server.kind_mean(BackendKind::Cpu), None);
-
-        // An unseen key on the array prices at the array mean, untouched
-        // by the engine's much heavier observations.
-        let kernel = BakedScaleKernel::new(2);
-        let ticket = priced_ticket(
-            &kernel,
-            "fresh",
-            40,
-            1,
-            vec![
-                BackendPrice {
-                    reload_cycles: Some(40),
-                    window_cycles: None,
-                    reload_energy_nj: Some(80),
-                    window_energy_nj: None,
-                },
-                BackendPrice::INELIGIBLE,
-            ],
-        );
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 600);
-    }
-
-    #[test]
-    fn accelerator_model_floors_cold_array_estimates() {
-        // An accelerator-capable key's cold array fallbacks (kind-wide
-        // mean, footprint proxy) can be dominated by light crumb
-        // programs; the dedicated engine's modelled window is a lower
-        // bound for the array running the same kernel, so cold array
-        // estimates are floored by it.
-        let mut server = Server::new(
-            Pool::with_sessions(vec![Session::new()])
-                .unwrap()
-                .with_backend(crate::backend::FftBackend::new()),
-        );
-        let kernel = BakedScaleKernel::new(2);
-        let modelled = 3_523;
-        let prices = vec![
-            BackendPrice {
-                reload_cycles: Some(800),
-                window_cycles: None,
-                reload_energy_nj: Some(1_000),
-                window_energy_nj: None,
-            },
-            BackendPrice {
-                reload_cycles: Some(0),
-                window_cycles: Some(modelled),
-                reload_energy_nj: Some(0),
-                window_energy_nj: Some(43_000),
-            },
-        ];
-        let ticket = priced_ticket(&kernel, "fft-256", 800, 1, prices);
-        // Cold server: the footprint proxy (800) would underprice the
-        // array — the engine's modelled window floors it.
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), modelled);
-        // A crumb-dominated array-wide mean is floored the same way.
-        server
-            .estimates
-            .insert((BackendKind::Array, "crumb".to_string()), (3_000, 10));
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), modelled);
-        // A learned mean for the key itself is a measurement: trusted
-        // as-is, even above the floor.
-        server
-            .estimates
-            .insert((BackendKind::Array, "fft-256".to_string()), (40_000, 10));
-        assert_eq!(server.per_window_estimate_on(&ticket, 0), 4_000);
     }
 
     #[test]

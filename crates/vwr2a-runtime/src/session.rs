@@ -987,8 +987,8 @@ impl Session {
     /// Runs one invocation, folding its counts into `report` (except the
     /// schedule-dependent `wall_cycles`/`busy`, which the caller derives
     /// from the returned [`WindowPhases`]).  Shared by the session's own
-    /// stream executor and the pool's fan-out, which replays the phases on
-    /// per-array schedules.
+    /// stream executor and the pool's executor, which replays the phases
+    /// on per-array schedules.
     pub(crate) fn run_into<K: Kernel>(
         &mut self,
         kernel: &K,
