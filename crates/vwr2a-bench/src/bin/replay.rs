@@ -17,6 +17,22 @@
 //! additionally enforces the >= 10x host speed-up target.  `--windows N`
 //! overrides the stream length.
 //!
+//! Two gate cells follow the stream, in smoke and full runs alike:
+//!
+//! * **Churn** — 6 FIR programs through 2-program configuration memories
+//!   on a 2-array `Pool`, so most jobs evict.  Traces are keyed by program
+//!   content and shared across the fleet, so they survive evictions and
+//!   reloads on either array: the cell fails unless interpreted launches
+//!   equal the number of distinct (program, SRF-parameter) pairs — one per
+//!   FIR program, whose launches all use the same line pointers.
+//! * **FFT-256** — a complex FFT stream on one array.  The stage program's
+//!   interleave passes bump their output pointers in-kernel, and stages
+//!   alternate between a ping and a pong parameter set: the cell fails
+//!   unless every stage launch after the first two replays.
+//!
+//! Both cells also require outputs and modelled reports bit-identical to
+//! their replay-off (or serial-reference) counterparts.
+//!
 //! `--baseline PATH` regresses the measured replay-on host time per
 //! window against the `host_us_per_window_on` recorded in a checked-in
 //! `BENCH_replay.json`: the run fails if it exceeds the baseline by more
@@ -26,9 +42,21 @@
 //! replay path re-interpreting warm windows), not single-digit drift.
 //! The scheduled soak CI job uses this.
 
-use vwr2a_bench::{cycles_to_us, run_fir_replay_stream, ReplayMeasurement};
+use vwr2a_bench::{cycles_to_us, run_fir_replay_stream, time_host, ReplayMeasurement};
+use vwr2a_core::geometry::Geometry;
+use vwr2a_dsp::fir::design_lowpass;
+use vwr2a_dsp::fixed::Q15;
+use vwr2a_kernels::fft::FftKernel;
+use vwr2a_kernels::fir::FirKernel;
+use vwr2a_kernels::Spectrum;
+use vwr2a_runtime::pool::Pool;
+use vwr2a_runtime::testing::constrained_sessions;
+use vwr2a_runtime::{Kernel, Session};
 
 const N: usize = 256;
+
+/// Distinct FIR programs of the churn cell.
+const CHURN_PROGRAMS: usize = 6;
 
 /// How many times slower than the recorded baseline the measured
 /// per-window host time may be before `--baseline` fails the run.
@@ -60,6 +88,109 @@ fn best_of(repeats: usize, n: usize, windows: usize, replay: bool) -> ReplayMeas
         }
     }
     best
+}
+
+/// Runs the churn cell over `jobs` two-window jobs; `Err` names the
+/// failed gate.
+fn churn_cell(jobs: usize) -> Result<(), String> {
+    let kernels: Vec<FirKernel> = (0..CHURN_PROGRAMS)
+        .map(|k| {
+            let taps: Vec<i32> = design_lowpass(11, 0.06 + 0.04 * k as f64)
+                .expect("valid filter design")
+                .iter()
+                .map(|&v| Q15::from_f64(v).0 as i32)
+                .collect();
+            FirKernel::new(&taps, N).expect("valid kernel")
+        })
+        .collect();
+    let job_list: Vec<(&FirKernel, Vec<Vec<i32>>)> = (0..jobs)
+        .map(|j| {
+            let windows = (0..2)
+                .map(|w| {
+                    (0..N as i32)
+                        .map(|i| (i * 37 + 11 * (j + w) as i32) % 4001 - 2000)
+                        .collect()
+                })
+                .collect();
+            (&kernels[j % CHURN_PROGRAMS], windows)
+        })
+        .collect();
+    let as_jobs = || {
+        job_list
+            .iter()
+            .map(|(k, ws)| (*k, ws.iter().map(Vec::as_slice)))
+    };
+    let words = kernels[0]
+        .program(&Geometry::paper())
+        .expect("FIR program builds")
+        .config_words();
+    let mut pool = Pool::with_sessions(constrained_sessions(2, 2 * words)).expect("array fleet");
+    let ((outputs, fleet), host_us) = time_host(|| pool.run_batch(as_jobs()).expect("churn runs"));
+    let (serial, _) = Pool::run_serial_reference(as_jobs()).expect("serial reference runs");
+
+    let launches: u64 = fleet.arrays.iter().map(|a| a.report.launches()).sum();
+    let evictions: u64 = fleet.arrays.iter().map(|a| a.report.evictions).sum();
+    let interpreted = launches - fleet.replayed();
+    println!(
+        "Churn: {jobs} jobs of {CHURN_PROGRAMS} FIR programs on 2 arrays x 2-program memories: \
+         {evictions} evictions, {interpreted}/{launches} launches interpreted \
+         ({CHURN_PROGRAMS} distinct program/parameter pairs), {host_us:.0} host us"
+    );
+    if outputs != serial {
+        return Err("churn outputs differ from the serial reference".into());
+    }
+    if evictions == 0 {
+        return Err("churn cell evicted nothing".into());
+    }
+    if interpreted != CHURN_PROGRAMS as u64 {
+        return Err(format!(
+            "churn interpreted {interpreted} launches, expected one per distinct \
+             program/parameter pair ({CHURN_PROGRAMS})"
+        ));
+    }
+    Ok(())
+}
+
+/// Runs the FFT-256 cell over `windows` windows; `Err` names the failed
+/// gate.
+fn fft_cell(windows: usize) -> Result<(), String> {
+    let kernel = FftKernel::new(N).expect("supported FFT length");
+    let inputs: Vec<Spectrum> = (0..windows)
+        .map(|w| {
+            let re = (0..N as i32)
+                .map(|i| ((i * 53 + 7 * w as i32) % 2001 - 1000) << 6)
+                .collect();
+            let im = (0..N as i32)
+                .map(|i| ((i * 29 + 3 * w as i32) % 1501 - 750) << 6)
+                .collect();
+            Spectrum::new(re, im)
+        })
+        .collect();
+    let run = |replay: bool| {
+        let mut session = Session::new();
+        session.set_replay(replay);
+        time_host(|| session.run_batch(&kernel, inputs.iter()).expect("FFT runs"))
+    };
+    let ((out_off, off), off_us) = run(false);
+    let ((out_on, mut on), on_us) = run(true);
+    let launches = on.launches();
+    let replayed = on.replayed;
+    println!(
+        "FFT-{N}: {windows} windows, {replayed}/{launches} stage launches replayed, \
+         host {off_us:.0} -> {on_us:.0} us ({:.1}x)",
+        off_us / on_us
+    );
+    on.replayed = 0;
+    if out_on != out_off || on != off {
+        return Err("FFT replay changed an output bit or a modelled number".into());
+    }
+    if replayed + 2 != launches {
+        return Err(format!(
+            "FFT replayed {replayed}/{launches} stage launches, expected all but the \
+             first ping and pong launch"
+        ));
+    }
+    Ok(())
 }
 
 fn main() {
@@ -156,6 +287,17 @@ fn main() {
     }
     if !smoke && speedup < 10.0 {
         eprintln!("FAIL: host speed-up {speedup:.1}x below the 10x target");
+        std::process::exit(1);
+    }
+
+    println!();
+    // Both cells run (and print) before either can fail the run.
+    let cells = [
+        churn_cell(4 * CHURN_PROGRAMS),
+        fft_cell(if smoke { 8 } else { 40 }),
+    ];
+    if let Some(failure) = cells.into_iter().find_map(Result::err) {
+        eprintln!("FAIL: {failure}");
         std::process::exit(1);
     }
 

@@ -14,7 +14,7 @@ use crate::dma::{Dma, DmaConfig};
 use crate::error::{CoreError, Result};
 use crate::geometry::Geometry;
 use crate::program::KernelProgram;
-use crate::replay::{ReplayScratch, ReplayTrace, TraceRecorder};
+use crate::replay::{ReplayCache, ReplayScratch, ReplayTrace, TraceRecorder};
 use crate::spm::Spm;
 use crate::stats::RunStats;
 use crate::timeline::{Engine, LaunchSpans, Span, Timeline};
@@ -49,6 +49,10 @@ pub const DEFAULT_CYCLE_LIMIT: u64 = 50_000_000;
 /// # Ok(())
 /// # }
 /// ```
+///
+/// Cloning an accelerator copies its architectural state but shares its
+/// [`ReplayCache`]: the clone and the original record into, and replay
+/// from, one store of traces.
 #[derive(Debug, Clone)]
 pub struct Vwr2a {
     geometry: Geometry,
@@ -62,6 +66,8 @@ pub struct Vwr2a {
     replay_enabled: bool,
     /// Lifetime count of launches served from the replay cache.
     replays: u64,
+    /// Where stored kernels find (and record) their replay traces.
+    replay_cache: ReplayCache,
     /// Reused per-launch `running` flags (one per column used).
     running_scratch: Vec<bool>,
     /// Reused replay-executor pending-write buffers.
@@ -106,6 +112,7 @@ impl Vwr2a {
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             replay_enabled: true,
             replays: 0,
+            replay_cache: ReplayCache::new(),
             running_scratch: Vec::new(),
             replay_scratch: ReplayScratch::default(),
         })
@@ -190,6 +197,24 @@ impl Vwr2a {
     /// Number of launches served from the replay cache since construction.
     pub fn replays(&self) -> u64 {
         self.replays
+    }
+
+    /// The store this accelerator's replay traces live in.
+    pub fn replay_cache(&self) -> &ReplayCache {
+        &self.replay_cache
+    }
+
+    /// Records into, and replays from, `cache` from now on — how a fleet
+    /// shares one store across its arrays, so a program recorded on one
+    /// array replays on the others.  Resident kernels are re-keyed into
+    /// `cache`; traces they recorded in the previous store stay there.
+    pub fn share_replay_cache(&mut self, cache: &ReplayCache) {
+        self.replay_cache = cache.clone();
+        let resident: Vec<KernelId> = self.config_mem.kernel_ids().collect();
+        for id in resident {
+            self.config_mem
+                .bind_traces(id, &self.replay_cache, self.geometry);
+        }
     }
 
     /// Writes one kernel parameter into a column's SRF, as the host CPU does
@@ -312,7 +337,10 @@ impl Vwr2a {
     /// Returns validation errors or [`CoreError::ConfigMemoryFull`].
     pub fn load_kernel(&mut self, kernel: &KernelProgram) -> Result<KernelId> {
         kernel.validate(&self.geometry)?;
-        self.config_mem.store(kernel)
+        let id = self.config_mem.store(kernel)?;
+        self.config_mem
+            .bind_traces(id, &self.replay_cache, self.geometry);
+        Ok(id)
     }
 
     /// Removes a kernel previously stored with [`Vwr2a::load_kernel`],
@@ -442,10 +470,11 @@ impl Vwr2a {
     }
 
     /// Common body of the stored-kernel launch paths: serve the launch
-    /// from the replay cache when a recorded trace's guards match the live
-    /// SRF state, otherwise interpret through the per-slot decode cache —
-    /// recording a fresh trace as a side effect so the *next* matching
-    /// launch replays.
+    /// from the replay cache when a trace recorded for this program (on
+    /// this array or any array sharing its [`ReplayCache`]) has guards
+    /// matching the live SRF state, otherwise interpret through the
+    /// per-slot decode cache — recording a fresh trace as a side effect so
+    /// the *next* matching launch replays.
     fn launch_at(
         &mut self,
         id: KernelId,
@@ -462,8 +491,8 @@ impl Vwr2a {
         let record = self.replay_enabled;
         let (stats, spans, trace) =
             self.execute_recorded(&kernel, config_words, timeline, not_before, record)?;
-        if let Some(trace) = trace {
-            self.config_mem.push_trace(id, Arc::new(trace));
+        if let (Some(trace), Some(traces)) = (trace, self.config_mem.traces(id)) {
+            traces.push(Arc::new(trace));
         }
         Ok((stats, spans))
     }
@@ -474,19 +503,12 @@ impl Vwr2a {
     /// interpreter so it reports [`CoreError::CycleLimitExceeded`] exactly
     /// as an uncached launch would.
     fn find_trace(&self, id: KernelId, config_words: usize) -> Option<Arc<ReplayTrace>> {
-        'candidate: for trace in self.config_mem.traces(id).iter().rev() {
-            if config_words as u64 + trace.exec_cycles > self.cycle_limit {
-                continue;
-            }
-            for guard in &trace.guards {
-                match self.columns[guard.column].srf().read(guard.index) {
-                    Ok(value) if value == guard.value => {}
-                    _ => continue 'candidate,
-                }
-            }
-            return Some(Arc::clone(trace));
-        }
-        None
+        self.config_mem.traces(id)?.find(|trace| {
+            config_words as u64 + trace.exec_cycles <= self.cycle_limit
+                && trace.guards.iter().all(|guard| {
+                    self.columns[guard.column].srf().read(guard.index) == Ok(guard.value)
+                })
+        })
     }
 
     /// Replays a recorded trace: the schedule runs as a straight-line pass
@@ -507,9 +529,9 @@ impl Vwr2a {
         }
         let mut start = 0usize;
         for segment in &trace.segments {
-            let ops = &trace.ops[start..start + segment.len];
-            start += segment.len;
-            self.columns[segment.column].replay_segment(
+            let ops = &trace.ops[start..start + segment.len as usize];
+            start += segment.len as usize;
+            self.columns[segment.column as usize].replay_segment(
                 ops,
                 &mut self.spm,
                 &mut self.replay_scratch,
@@ -1016,23 +1038,201 @@ mod tests {
         assert_eq!(accel.replays(), 4, "reverted guard hits the older trace");
     }
 
+    /// Runs `kernel` (loaded fresh) on a replay-on and a replay-off
+    /// accelerator with identical state, asserting identical stats, SPM
+    /// and columns, and returns whether the replay-on launch replayed.
+    fn launch_both(on: &mut Vwr2a, off: &mut Vwr2a, kernel: &KernelProgram) -> bool {
+        let before = on.replays();
+        let id_on = on.load_kernel(kernel).unwrap();
+        let id_off = off.load_kernel(kernel).unwrap();
+        assert_eq!(
+            on.run_kernel(id_on).unwrap(),
+            off.run_kernel(id_off).unwrap()
+        );
+        assert_eq!(on.spm(), off.spm());
+        for c in 0..on.geometry().columns {
+            assert_eq!(on.column(c).unwrap(), off.column(c).unwrap());
+        }
+        on.unload_kernel(id_on).unwrap();
+        off.unload_kernel(id_off).unwrap();
+        on.replays() > before
+    }
+
+    /// A replay-on and a replay-off accelerator with the same SPM seed and
+    /// SRF parameters.
+    fn lockstep(geometry: Geometry) -> (Vwr2a, Vwr2a) {
+        let mut on = Vwr2a::with_geometry(geometry).unwrap();
+        let mut off = Vwr2a::with_geometry(geometry).unwrap();
+        off.set_replay_enabled(false);
+        let input: Vec<i32> = (0..geometry.vwr_words as i32).map(|i| i << 16).collect();
+        for accel in [&mut on, &mut off] {
+            accel.dma_to_spm(&input, 0).unwrap();
+            accel.write_srf(0, 0, 1 << 15).unwrap();
+            accel.write_srf(0, 1, 3 << 16).unwrap();
+        }
+        (on, off)
+    }
+
     #[test]
-    fn unload_discards_replay_state_with_the_slot() {
+    fn a_reloaded_program_replays_on_its_first_launch() {
+        let (mut on, mut off) = lockstep(Geometry::paper());
         let kernel = vector_scale_kernel(0);
-        let mut accel = Vwr2a::new();
-        accel.write_srf(0, 0, 1 << 15).unwrap();
-        let id = accel.load_kernel(&kernel).unwrap();
-        accel.run_kernel(id).unwrap();
-        assert!(!accel.config_mem().traces(id).is_empty());
-        accel.unload_kernel(id).unwrap();
-        assert!(accel.config_mem().traces(id).is_empty());
-        // Reloading into the reused slot starts from a clean cache.
-        let fresh = accel.load_kernel(&kernel).unwrap();
-        assert_eq!(fresh.slot(), id.slot());
-        assert!(accel.config_mem().traces(fresh).is_empty());
-        accel.run_kernel(fresh).unwrap();
-        accel.run_kernel_warm(fresh).unwrap();
-        assert_eq!(accel.replays(), 1);
+        assert!(
+            !launch_both(&mut on, &mut off, &kernel),
+            "first sight records"
+        );
+        // Unloaded in between: the trace outlives the slot.
+        assert!(launch_both(&mut on, &mut off, &kernel));
+    }
+
+    #[test]
+    fn a_different_program_in_a_reused_slot_never_replays_the_old_trace() {
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        let scale_by_srf0 = vector_scale_kernel(0);
+        assert!(!launch_both(&mut on, &mut off, &scale_by_srf0));
+        // Same name and length, different configuration words (reads
+        // SRF[1]): same slot, new content, so it must interpret.
+        let scale_by_srf1 = vector_scale_kernel(1);
+        assert!(!launch_both(&mut on, &mut off, &scale_by_srf1));
+        assert!(launch_both(&mut on, &mut off, &scale_by_srf1));
+        assert_eq!(on.replay_cache().programs(), 2);
+    }
+
+    #[test]
+    fn two_geometries_never_share_a_trace() {
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        let mut wide = Geometry::paper();
+        wide.vwr_words = 256;
+        let (mut wide_on, mut wide_off) = lockstep(wide);
+        wide_on.share_replay_cache(on.replay_cache());
+        let kernel = vector_scale_kernel(0);
+        assert!(!launch_both(&mut on, &mut off, &kernel));
+        // The same words resolve to other VWR words on a wider array.
+        assert!(!launch_both(&mut wide_on, &mut wide_off, &kernel));
+        assert!(launch_both(&mut wide_on, &mut wide_off, &kernel));
+        assert_eq!(on.replay_cache().programs(), 2);
+    }
+
+    #[test]
+    fn a_trace_recorded_on_one_accelerator_replays_on_another_sharing_its_cache() {
+        let (mut first, mut off) = lockstep(Geometry::paper());
+        let (mut second, _) = lockstep(Geometry::paper());
+        let kernel = vector_scale_kernel(0);
+        assert!(!launch_both(&mut first, &mut off, &kernel));
+        // A fresh accelerator has a store of its own...
+        assert!(!second.replay_cache().same_store(first.replay_cache()));
+        // ...until it shares the first one's: then it replays at once.
+        second.share_replay_cache(first.replay_cache());
+        assert!(launch_both(&mut second, &mut off, &kernel));
+        // Clones share the store too.
+        let mut clone = second.clone();
+        assert!(clone.replay_cache().same_store(first.replay_cache()));
+        assert!(launch_both(&mut clone, &mut off, &kernel));
+    }
+
+    #[test]
+    fn sharing_a_cache_re_keys_resident_kernels() {
+        let (mut first, _) = lockstep(Geometry::paper());
+        let (mut second, _) = lockstep(Geometry::paper());
+        let kernel = vector_scale_kernel(0);
+        let id = first.load_kernel(&kernel).unwrap();
+        first.run_kernel(id).unwrap();
+        // Loaded before the share, launched after: it finds the trace.
+        let resident = second.load_kernel(&kernel).unwrap();
+        second.share_replay_cache(first.replay_cache());
+        second.run_kernel(resident).unwrap();
+        assert_eq!(second.replays(), 1);
+    }
+
+    #[test]
+    fn the_cache_bound_drops_the_least_recently_loaded_program() {
+        use crate::replay::PROGRAMS_PER_CACHE;
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        let kernel = vector_scale_kernel(0);
+        let filler = |i: usize| {
+            let col = ColumnProgram::new(vec![Row::new(4).lcu(LcuInstr::Exit)]).unwrap();
+            KernelProgram::new(format!("filler-{i}"), vec![col]).unwrap()
+        };
+        let load_fillers = |accel: &mut Vwr2a, range: std::ops::Range<usize>| {
+            for i in range {
+                let id = accel.load_kernel(&filler(i)).unwrap();
+                accel.unload_kernel(id).unwrap();
+            }
+        };
+        assert!(!launch_both(&mut on, &mut off, &kernel));
+        load_fillers(&mut on, 0..PROGRAMS_PER_CACHE - 1);
+        assert_eq!(on.replay_cache().programs(), PROGRAMS_PER_CACHE);
+        // Reloading refreshes the program, so the next newcomer drops
+        // filler 0 instead.
+        assert!(launch_both(&mut on, &mut off, &kernel));
+        load_fillers(&mut on, PROGRAMS_PER_CACHE..PROGRAMS_PER_CACHE + 1);
+        assert!(launch_both(&mut on, &mut off, &kernel));
+        assert_eq!(on.replay_cache().programs(), PROGRAMS_PER_CACHE);
+        // A full cache's worth of newer programs drops it.
+        load_fillers(&mut on, 100..100 + PROGRAMS_PER_CACHE);
+        assert!(!launch_both(&mut on, &mut off, &kernel));
+        assert_eq!(on.replay_cache().programs(), PROGRAMS_PER_CACHE);
+    }
+
+    #[test]
+    fn an_oversized_geometry_falls_back_to_interpretation() {
+        // 2^17-word VWRs: RC 3 writes VWR word 3 * 2^15, past the u16
+        // word field of a trace op.
+        let mut huge = Geometry::paper();
+        huge.vwr_words = 1 << 17;
+        huge.spm_bytes = 4 << 17;
+        let (mut on, mut off) = lockstep(huge);
+        let col = ColumnProgram::new(vec![
+            Row::new(4).rc(3, RcInstr::mov(RcDst::Vwr(VwrId::C), RcSrc::Srf(0))),
+            Row::new(4).lsu(LsuInstr::StoreVwr {
+                vwr: VwrId::C,
+                line: LsuAddr::Imm(0),
+            }),
+            Row::new(4).lcu(LcuInstr::Exit),
+        ])
+        .unwrap();
+        let kernel = KernelProgram::new("huge", vec![col]).unwrap();
+        for _ in 0..2 {
+            assert!(!launch_both(&mut on, &mut off, &kernel));
+        }
+        assert_eq!(on.spm().read_word(3 << 15).unwrap(), 1 << 15);
+        assert_eq!(on.replay_cache().traces(), 0);
+    }
+
+    #[test]
+    fn an_in_kernel_pointer_bump_replays_guarded_on_its_launch_value() {
+        // The FFT interleave pass's shape: store through SRF[6], bump it,
+        // store through it again.
+        let col = ColumnProgram::new(vec![
+            Row::new(4).lsu(LsuInstr::LoadVwr {
+                vwr: VwrId::A,
+                line: LsuAddr::Imm(0),
+            }),
+            Row::new(4).lsu(LsuInstr::StoreVwr {
+                vwr: VwrId::A,
+                line: LsuAddr::Srf(6),
+            }),
+            Row::new(4).lsu(LsuInstr::AddSrf { srf: 6, imm: 1 }),
+            Row::new(4).lsu(LsuInstr::StoreVwr {
+                vwr: VwrId::A,
+                line: LsuAddr::Srf(6),
+            }),
+            Row::new(4).lcu(LcuInstr::Exit),
+        ])
+        .unwrap();
+        let kernel = KernelProgram::new("bump", vec![col]).unwrap();
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        for (line, replays) in [(2, false), (2, true), (4, false), (2, true), (4, true)] {
+            for accel in [&mut on, &mut off] {
+                accel.write_srf(0, 6, line).unwrap();
+            }
+            assert_eq!(
+                launch_both(&mut on, &mut off, &kernel),
+                replays,
+                "line {line}"
+            );
+            assert_eq!(on.read_srf(0, 6).unwrap(), line + 1);
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@ use crate::geometry::{Geometry, VwrId};
 use crate::isa::lcu::{LcuInstr, LcuSrc, LCU_REGISTERS};
 use crate::isa::lsu::{LsuAddr, LsuInstr};
 use crate::isa::mxcu::MxcuInstr;
-use crate::isa::rc::{RcDst, RcSrc};
+use crate::isa::rc::{RcDst, RcInstr, RcSrc};
 use crate::program::ColumnProgram;
-use crate::replay::ReplayScratch;
-use crate::replay::{ColumnFinish, ReplayDst, ReplayOp, ReplaySrc, TraceRecorder};
+use crate::replay::{
+    narrow, ColumnFinish, ReplayDst, ReplayOp, ReplayScratch, ReplaySrc, SrfWrite, TraceRecorder,
+};
 use crate::shuffle;
 use crate::spm::Spm;
 use crate::srf::Srf;
@@ -27,24 +28,62 @@ use serde::{Deserialize, Serialize};
 
 /// Resolves an RC operand source into its replay form: all multiplexing
 /// (slice offset, MXCU index, neighbour selection) is folded in so the
-/// replayed op only performs the data read.
-fn replay_src(src: RcSrc, i: usize, slice_words: usize, k: usize, num_rcs: usize) -> ReplaySrc {
-    match src {
+/// replayed op only performs the data read.  `None` if an index overflows
+/// the narrow trace encoding.
+fn replay_src(
+    src: RcSrc,
+    i: usize,
+    slice_words: usize,
+    k: usize,
+    num_rcs: usize,
+) -> Option<ReplaySrc> {
+    Some(match src {
         RcSrc::Zero => ReplaySrc::Const(0),
         RcSrc::Imm(v) => ReplaySrc::Const(v as i32),
-        RcSrc::Reg(r) => ReplaySrc::Reg {
-            rc: i,
-            reg: r as usize,
+        RcSrc::Reg(reg) => ReplaySrc::Reg {
+            rc: narrow(i)?,
+            reg,
         },
         RcSrc::Vwr(v) => ReplaySrc::VwrWord {
-            vwr: v.index(),
-            word: i * slice_words + k,
+            vwr: narrow(v.index())?,
+            word: narrow(i * slice_words + k)?,
         },
-        RcSrc::Srf(s) => ReplaySrc::Srf(s as usize),
-        RcSrc::RcAbove => ReplaySrc::Prev((i + num_rcs - 1) % num_rcs),
-        RcSrc::RcBelow => ReplaySrc::Prev((i + 1) % num_rcs),
-        RcSrc::SelfPrev => ReplaySrc::Prev(i),
-    }
+        RcSrc::Srf(s) => ReplaySrc::Srf(s),
+        RcSrc::RcAbove => ReplaySrc::Prev(narrow((i + num_rcs - 1) % num_rcs)?),
+        RcSrc::RcBelow => ReplaySrc::Prev(narrow((i + 1) % num_rcs)?),
+        RcSrc::SelfPrev => ReplaySrc::Prev(narrow(i)?),
+    })
+}
+
+/// Resolves the instruction of RC `i` into its replay op (see
+/// [`replay_src`]).
+fn replay_rc(
+    instr: &RcInstr,
+    i: usize,
+    slice_words: usize,
+    k: usize,
+    num_rcs: usize,
+) -> Option<ReplayOp> {
+    let src = |src| replay_src(src, i, slice_words, k, num_rcs);
+    let dst = match instr.dst {
+        RcDst::None => ReplayDst::None,
+        RcDst::Reg(reg) => ReplayDst::Reg {
+            rc: narrow(i)?,
+            reg,
+        },
+        RcDst::Vwr(v) => ReplayDst::VwrWord {
+            vwr: narrow(v.index())?,
+            word: narrow(i * slice_words + k)?,
+        },
+        RcDst::Srf(s) => ReplayDst::Srf(s),
+    };
+    Some(ReplayOp::Rc {
+        rc: narrow(i)?,
+        op: instr.op,
+        a: src(instr.src_a)?,
+        b: src(instr.src_b)?,
+        dst,
+    })
 }
 
 /// Architectural state of one reconfigurable cell.
@@ -278,7 +317,7 @@ impl Column {
         let mut rc_reg_writes: Vec<(usize, usize, i32)> = Vec::new();
         let mut vwr_word_writes: Vec<(usize, usize, i32)> = Vec::new();
         let mut vwr_line_writes: Vec<(usize, Vec<i32>)> = Vec::new();
-        let mut srf_writes: Vec<(usize, i32)> = Vec::new();
+        let mut srf_writes: Vec<(usize, i32, SrfWrite)> = Vec::new();
         let mut new_results = prev_results.clone();
         let mut new_mxcu_idx = self.mxcu_idx;
         let mut new_lcu_regs = self.lcu_regs;
@@ -332,38 +371,23 @@ impl Column {
                 counters.rc_multiplies += 1;
             }
             new_results[i] = result;
-            let replay_dst = match instr.dst {
-                RcDst::None => ReplayDst::None,
+            match instr.dst {
+                RcDst::None => {}
                 RcDst::Reg(r) => {
                     counters.rc_reg_writes += 1;
                     rc_reg_writes.push((i, r as usize, result));
-                    ReplayDst::Reg {
-                        rc: i,
-                        reg: r as usize,
-                    }
                 }
                 RcDst::Vwr(v) => {
                     counters.vwr_word_writes += 1;
                     vwr_word_writes.push((v.index(), i * slice_words + k, result));
-                    ReplayDst::VwrWord {
-                        vwr: v.index(),
-                        word: i * slice_words + k,
-                    }
                 }
                 RcDst::Srf(s) => {
                     counters.srf_writes += 1;
-                    srf_writes.push((s as usize, result));
-                    ReplayDst::Srf(s as usize)
+                    srf_writes.push((s as usize, result, SrfWrite::Data));
                 }
-            };
+            }
             if let Some(r) = rec.as_deref_mut() {
-                r.push_op(ReplayOp::Rc {
-                    rc: i,
-                    op: instr.op,
-                    a: replay_src(instr.src_a, i, slice_words, k, num_rcs),
-                    b: replay_src(instr.src_b, i, slice_words, k, num_rcs),
-                    dst: replay_dst,
-                });
+                r.push_op(replay_rc(instr, i, slice_words, k, num_rcs));
             }
         }
 
@@ -379,10 +403,10 @@ impl Column {
                 counters.vwr_line_transfers += 1;
                 vwr_line_writes.push((vwr.index(), data));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::LoadVwrLine {
-                        vwr: vwr.index(),
-                        line: addr,
-                    });
+                    r.push_op(narrow(addr).map(|line| ReplayOp::LoadVwrLine {
+                        vwr: vwr.index() as u8,
+                        line,
+                    }));
                 }
             }
             LsuInstr::StoreVwr { vwr, line } => {
@@ -399,10 +423,10 @@ impl Column {
                 counters.spm_line_writes += 1;
                 counters.vwr_line_transfers += 1;
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::StoreVwrLine {
-                        vwr: vwr.index(),
-                        line: addr,
-                    });
+                    r.push_op(narrow(addr).map(|line| ReplayOp::StoreVwrLine {
+                        vwr: vwr.index() as u8,
+                        line,
+                    }));
                 }
             }
             LsuInstr::LoadSrf { srf, word } => {
@@ -410,12 +434,9 @@ impl Column {
                 let value = spm.read_word(addr)?;
                 counters.spm_word_reads += 1;
                 counters.srf_writes += 1;
-                srf_writes.push((srf as usize, value));
+                srf_writes.push((srf as usize, value, SrfWrite::Data));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::LoadSrfWord {
-                        srf: srf as usize,
-                        word: addr,
-                    });
+                    r.push_op(narrow(addr).map(|word| ReplayOp::LoadSrfWord { srf, word }));
                 }
             }
             LsuInstr::StoreSrf { srf, word } => {
@@ -425,22 +446,23 @@ impl Column {
                 spm.write_word(addr, value)?;
                 counters.spm_word_writes += 1;
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::StoreSrfWord {
-                        srf: srf as usize,
-                        word: addr,
-                    });
+                    r.push_op(narrow(addr).map(|word| ReplayOp::StoreSrfWord { srf, word }));
                 }
             }
             LsuInstr::AddSrf { srf, imm } => {
                 counters.srf_reads += 1;
                 counters.srf_writes += 1;
-                let value = self.srf.read(srf as usize)?.wrapping_add(imm as i32);
-                srf_writes.push((srf as usize, value));
+                let prior = self.srf.read(srf as usize)?;
+                srf_writes.push((
+                    srf as usize,
+                    prior.wrapping_add(imm as i32),
+                    SrfWrite::Add { prior },
+                ));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::AddSrf {
-                        srf: srf as usize,
+                    r.push_op(Some(ReplayOp::AddSrf {
+                        srf,
                         imm: imm as i32,
-                    });
+                    }));
                 }
             }
             LsuInstr::Shuffle(op) => {
@@ -451,7 +473,7 @@ impl Column {
                 counters.vwr_line_transfers += 3;
                 vwr_line_writes.push((VwrId::C.index(), out));
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::Shuffle { op });
+                    r.push_op(Some(ReplayOp::Shuffle { op }));
                 }
             }
         }
@@ -486,14 +508,14 @@ impl Column {
             }
             MxcuInstr::StoreIdxSrf(s) => {
                 counters.srf_writes += 1;
-                srf_writes.push((s as usize, self.mxcu_idx as i32));
+                srf_writes.push((s as usize, self.mxcu_idx as i32, SrfWrite::Index));
                 // The index value is schedule-determined, so the write
                 // replays as a constant store.
                 if let Some(r) = rec.as_deref_mut() {
-                    r.push_op(ReplayOp::WriteSrfConst {
-                        srf: s as usize,
+                    r.push_op(Some(ReplayOp::WriteSrfConst {
+                        srf: s,
                         value: self.mxcu_idx as i32,
-                    });
+                    }));
                 }
             }
         }
@@ -553,8 +575,8 @@ impl Column {
                 });
             }
         }
-        for (idx, (s, _)) in srf_writes.iter().enumerate() {
-            if srf_writes[idx + 1..].iter().any(|(s2, _)| s2 == s) {
+        for (idx, (s, _, _)) in srf_writes.iter().enumerate() {
+            if srf_writes[idx + 1..].iter().any(|(s2, _, _)| s2 == s) {
                 return Err(CoreError::WriteConflict {
                     cycle,
                     resource: format!("SRF register {s}"),
@@ -576,13 +598,13 @@ impl Column {
         for (vwr, line) in vwr_line_writes {
             self.vwrs[vwr].load_line(&line)?;
         }
-        for (srf, value) in srf_writes {
+        for (srf, value, write) in srf_writes {
             self.srf.write(srf, value)?;
-            // Mark the entry as execution-written: a later control or
-            // addressing read of it would make the schedule data-dependent
-            // and must poison the trace.
+            // Classify the execution-written entry: a later control or
+            // addressing read of a data entry would make the schedule
+            // data-dependent and must poison the trace.
             if let Some(r) = rec.as_deref_mut() {
-                r.note_srf_write(srf);
+                r.note_srf_write(srf, write);
             }
         }
         for (rc, result) in self.rcs.iter_mut().zip(new_results) {
@@ -628,10 +650,12 @@ impl Column {
     fn replay_read(&self, src: ReplaySrc) -> Result<i32> {
         Ok(match src {
             ReplaySrc::Const(v) => v,
-            ReplaySrc::Reg { rc, reg } => self.rcs[rc].regs[reg],
-            ReplaySrc::VwrWord { vwr, word } => self.vwrs[vwr].read_word(word)?,
-            ReplaySrc::Srf(s) => self.srf.read(s)?,
-            ReplaySrc::Prev(rc) => self.rcs[rc].prev_result,
+            ReplaySrc::Reg { rc, reg } => self.rcs[usize::from(rc)].regs[usize::from(reg)],
+            ReplaySrc::VwrWord { vwr, word } => {
+                self.vwrs[usize::from(vwr)].read_word(usize::from(word))?
+            }
+            ReplaySrc::Srf(s) => self.srf.read(usize::from(s))?,
+            ReplaySrc::Prev(rc) => self.rcs[usize::from(rc)].prev_result,
         })
     }
 
@@ -663,22 +687,23 @@ impl Column {
                 }
                 ReplayOp::LoadVwrLine { vwr, line } => {
                     scratch.line_buf.clear();
-                    scratch.line_buf.extend_from_slice(spm.read_line(line)?);
+                    scratch
+                        .line_buf
+                        .extend_from_slice(spm.read_line(line as usize)?);
                     scratch.line_target = Some(vwr);
                 }
                 ReplayOp::StoreVwrLine { vwr, line } => {
-                    spm.write_line(line, self.vwrs[vwr].words())?;
+                    spm.write_line(line as usize, self.vwrs[usize::from(vwr)].words())?;
                 }
                 ReplayOp::LoadSrfWord { srf, word } => {
-                    scratch.srf.push((srf, spm.read_word(word)?));
+                    scratch.srf.push((srf, spm.read_word(word as usize)?));
                 }
                 ReplayOp::StoreSrfWord { srf, word } => {
-                    spm.write_word(word, self.srf.read(srf)?)?;
+                    spm.write_word(word as usize, self.srf.read(usize::from(srf))?)?;
                 }
                 ReplayOp::AddSrf { srf, imm } => {
-                    scratch
-                        .srf
-                        .push((srf, self.srf.read(srf)?.wrapping_add(imm)));
+                    let value = self.srf.read(usize::from(srf))?.wrapping_add(imm);
+                    scratch.srf.push((srf, value));
                 }
                 ReplayOp::WriteSrfConst { srf, value } => {
                     scratch.srf.push((srf, value));
@@ -692,26 +717,26 @@ impl Column {
                     );
                     scratch.line_buf.clear();
                     scratch.line_buf.extend_from_slice(&out);
-                    scratch.line_target = Some(VwrId::C.index());
+                    scratch.line_target = Some(VwrId::C.index() as u8);
                 }
             }
         }
         // Commit in interpreter order: RC registers, VWR words, VWR lines,
         // SRF entries, previous-result latches.
         for &(rc, reg, value) in &scratch.rc_reg {
-            self.rcs[rc].regs[reg] = value;
+            self.rcs[usize::from(rc)].regs[usize::from(reg)] = value;
         }
         for &(vwr, word, value) in &scratch.vwr_word {
-            self.vwrs[vwr].write_word(word, value)?;
+            self.vwrs[usize::from(vwr)].write_word(usize::from(word), value)?;
         }
         if let Some(vwr) = scratch.line_target.take() {
-            self.vwrs[vwr].load_line(&scratch.line_buf)?;
+            self.vwrs[usize::from(vwr)].load_line(&scratch.line_buf)?;
         }
         for &(srf, value) in &scratch.srf {
-            self.srf.write(srf, value)?;
+            self.srf.write(usize::from(srf), value)?;
         }
         for &(rc, value) in &scratch.prev {
-            self.rcs[rc].prev_result = value;
+            self.rcs[usize::from(rc)].prev_result = value;
         }
         scratch.rc_reg.clear();
         scratch.vwr_word.clear();

@@ -19,22 +19,25 @@
 //! long-lived runtime evict cold kernels under capacity pressure (see the
 //! `vwr2a-runtime` session) without ever confusing stale handles with live
 //! programs.
+//!
+//! Besides the encoded words, a slot holds two host-side handles that do
+//! not exist architecturally: the decoded program (so warm launches stop
+//! re-decoding configuration words), dropped with the slot, and the
+//! program's entry in the accelerator's [`crate::replay::ReplayCache`],
+//! resolved by content when the kernel is stored.  Replay traces are
+//! therefore not slot-scoped: they outlive an eviction, and a reload of the
+//! same program finds them again.
 
 use crate::error::{CoreError, Result};
+use crate::geometry::Geometry;
 use crate::isa::encode::{
     decode_lcu, decode_lsu, decode_mxcu, decode_rc, encode_lcu, encode_lsu, encode_mxcu, encode_rc,
     ConfigWord,
 };
 use crate::program::{ColumnProgram, KernelProgram, Row};
-use crate::replay::ReplayTrace;
+use crate::replay::{ProgramTraces, ReplayCache};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// Replay traces kept per slot.  A small FIFO window is enough to cover
-/// kernels whose hosts cycle through a few parameter snapshots (e.g. the
-/// per-block line pointers of a multi-block FIR pass or per-stage FFT
-/// twiddle bases) without letting a parameter sweep hoard memory.
-const TRACES_PER_SLOT: usize = 16;
 
 /// Generational handle to a kernel stored in the configuration memory.
 ///
@@ -78,14 +81,16 @@ impl std::fmt::Display for KernelId {
 /// Encoded words of one column, stored row-major: for each row, the LCU,
 /// LSU and MXCU words followed by one word per RC.  The RC count is kept
 /// per column so kernels whose columns differ in RC count decode correctly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 struct StoredColumn {
     words: Vec<ConfigWord>,
     rcs_per_column: usize,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct StoredKernel {
+/// A stored kernel's content — with the geometry, the key of its replay
+/// traces (see [`crate::replay`]).
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub(crate) struct StoredKernel {
     name: Arc<str>,
     columns: Vec<StoredColumn>,
     /// Total configuration words, cached so [`ConfigMemory::remove`] can
@@ -93,19 +98,15 @@ struct StoredKernel {
     words: usize,
 }
 
-/// One slot of the generational map.
-///
-/// Besides the encoded kernel, a slot carries two host-side caches that do
-/// not exist architecturally and are invalidated together with the handle
-/// on every `store`/`remove`/`clear` generation transition: the decoded
-/// [`KernelProgram`] (so warm launches stop re-decoding configuration
-/// words) and the recorded [`ReplayTrace`]s of the replay cache.
+/// One slot of the generational map: the stored kernel plus its two
+/// host-side handles (see the module docs), all dropped together on every
+/// `store`/`remove`/`clear` generation transition.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct Slot {
     generation: u32,
-    kernel: Option<StoredKernel>,
+    kernel: Option<Arc<StoredKernel>>,
     decoded: Option<Arc<KernelProgram>>,
-    traces: Vec<Arc<ReplayTrace>>,
+    traces: Option<Arc<ProgramTraces>>,
 }
 
 /// The configuration memory holding encoded kernels.
@@ -185,7 +186,7 @@ impl ConfigMemory {
         self.slots
             .get(id.slot())
             .filter(|s| s.generation == id.generation)
-            .and_then(|s| s.kernel.as_ref())
+            .and_then(|s| s.kernel.as_deref())
             .ok_or(CoreError::UnknownKernel {
                 slot: id.slot(),
                 generation: id.generation,
@@ -223,18 +224,18 @@ impl ConfigMemory {
                 rcs_per_column: col.rcs_per_column(),
             });
         }
-        let stored = StoredKernel {
+        let stored = Arc::new(StoredKernel {
             name: kernel.name.clone(),
             columns,
             words: needed,
-        };
+        });
         self.used_words += needed;
         let slot = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot];
                 s.kernel = Some(stored);
                 s.decoded = None;
-                s.traces.clear();
+                s.traces = None;
                 slot
             }
             None => {
@@ -242,7 +243,7 @@ impl ConfigMemory {
                     generation: 0,
                     kernel: Some(stored),
                     decoded: None,
-                    traces: Vec::new(),
+                    traces: None,
                 });
                 self.slots.len() - 1
             }
@@ -302,35 +303,27 @@ impl ConfigMemory {
         Ok(decoded)
     }
 
-    /// The recorded replay traces of a kernel, oldest first.  Empty for a
-    /// stale handle or a kernel with no recordings yet.
-    pub(crate) fn traces(&self, id: KernelId) -> &[Arc<ReplayTrace>] {
-        self.slots
-            .get(id.slot())
-            .filter(|s| s.generation == id.generation && s.kernel.is_some())
-            .map(|s| s.traces.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Caches a freshly recorded replay trace on the kernel's slot.  A
-    /// trace with the same guard set replaces the stale recording; the
-    /// per-slot window is FIFO-bounded.  Stale handles are ignored.
-    pub(crate) fn push_trace(&mut self, id: KernelId, trace: Arc<ReplayTrace>) {
-        let Some(slot) = self
+    /// Resolves a resident kernel's replay-trace handle in `cache`, keyed
+    /// by its content and `geometry`.  Stale handles are ignored.
+    pub(crate) fn bind_traces(&mut self, id: KernelId, cache: &ReplayCache, geometry: Geometry) {
+        if let Some(slot) = self
             .slots
             .get_mut(id.slot())
-            .filter(|s| s.generation == id.generation && s.kernel.is_some())
-        else {
-            return;
-        };
-        if let Some(existing) = slot.traces.iter_mut().find(|t| t.guards == trace.guards) {
-            *existing = trace;
-            return;
+            .filter(|s| s.generation == id.generation)
+        {
+            slot.traces = slot
+                .kernel
+                .as_ref()
+                .map(|kernel| cache.program(geometry, kernel));
         }
-        if slot.traces.len() == TRACES_PER_SLOT {
-            slot.traces.remove(0);
-        }
-        slot.traces.push(trace);
+    }
+
+    /// The replay-trace handle of a resident kernel, if one was bound.
+    pub(crate) fn traces(&self, id: KernelId) -> Option<&ProgramTraces> {
+        self.slots
+            .get(id.slot())
+            .filter(|s| s.generation == id.generation)
+            .and_then(|s| s.traces.as_deref())
     }
 
     /// Number of configuration words a stored kernel occupies (the kernel
@@ -368,7 +361,7 @@ impl ConfigMemory {
         let stored = slot.kernel.take().expect("filtered on occupancy");
         slot.generation = slot.generation.wrapping_add(1);
         slot.decoded = None;
-        slot.traces.clear();
+        slot.traces = None;
         self.used_words -= stored.words;
         self.free.push(id.slot());
         Ok(stored.words)
@@ -384,7 +377,7 @@ impl ConfigMemory {
                 self.free.push(i);
             }
             slot.decoded = None;
-            slot.traces.clear();
+            slot.traces = None;
         }
         self.used_words = 0;
     }

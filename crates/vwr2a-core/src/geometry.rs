@@ -62,7 +62,7 @@ impl VwrId {
 /// assert_eq!(g.spm_lines(), 64);         // 32 KiB / 4096-bit lines
 /// assert_eq!(g.slice_words(), 32);       // each RC sees a quarter of a VWR
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Geometry {
     /// Number of columns (the paper uses 2).
     pub columns: usize,

@@ -772,6 +772,31 @@ mod tests {
     }
 
     #[test]
+    fn stage_launches_replay_after_one_recording_per_ping_pong_parameter_set() {
+        // The interleave passes bump their output pointers (SRF[6]/[7])
+        // in-kernel; those schedule-derived addresses replay.  Stages
+        // alternate between two parameter sets (ping -> pong, pong ->
+        // ping), so only the first two stage launches of the stream record.
+        let n = 256;
+        let kernel = FftKernel::new(n).unwrap();
+        let windows: Vec<Spectrum> = (1..=3)
+            .map(|f| {
+                let (re, im, _) = q16_signal(n, f as f64);
+                Spectrum::new(re, im)
+            })
+            .collect();
+        let mut replay = Session::new();
+        let mut interp = Session::new();
+        interp.set_replay(false);
+        let (out_replay, rep_replay) = replay.run_batch(&kernel, windows.iter()).unwrap();
+        let (out_interp, rep_interp) = interp.run_batch(&kernel, windows.iter()).unwrap();
+        assert_eq!(out_replay, out_interp);
+        assert_eq!(rep_replay.counters, rep_interp.counters);
+        assert_eq!(rep_replay.launches(), 3 * n.trailing_zeros() as u64);
+        assert_eq!(rep_replay.replayed, rep_replay.launches() - 2);
+    }
+
+    #[test]
     fn five_hundred_twelve_point_complex_fft_runs_and_is_correct() {
         let n = 512;
         let (re, im, float) = q16_signal(n, 20.0);

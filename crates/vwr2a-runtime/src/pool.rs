@@ -797,15 +797,17 @@ impl Pool {
     /// Panics if `backends` is empty.
     pub fn with_backends(backends: Vec<Box<dyn Backend>>) -> Self {
         assert!(!backends.is_empty(), "a pool needs at least one backend");
-        let kinds: Vec<BackendKind> = backends.iter().map(|b| b.kind()).collect();
-        let footprints = backends.iter().map(|_| HashMap::new()).collect();
-        Self {
-            backends,
+        let mut pool = Self {
+            backends: Vec::with_capacity(backends.len()),
             placement: Box::new(CostAware::default()),
-            stats: FleetReport::for_kinds(&kinds),
-            footprints,
+            stats: FleetReport::for_kinds(&[]),
+            footprints: Vec::with_capacity(backends.len()),
             estimates: Estimator::default(),
+        };
+        for backend in backends {
+            pool.push_backend(backend);
         }
+        pool
     }
 
     /// Appends a backend to the fleet, builder-style — how the FFT engine
@@ -819,7 +821,19 @@ impl Pool {
     /// Appends a backend to the fleet.  Existing residency, accumulated
     /// statistics and the placement strategy are unaffected; the new
     /// backend starts idle.
-    pub fn push_backend(&mut self, backend: Box<dyn Backend>) {
+    ///
+    /// Every CGRA array of the fleet shares the first array's
+    /// [`ReplayCache`](vwr2a_core::replay::ReplayCache), so a program
+    /// recorded on one array replays on all of them.
+    pub fn push_backend(&mut self, mut backend: Box<dyn Backend>) {
+        let fleet_cache = self
+            .backends
+            .iter()
+            .find_map(|b| b.as_session())
+            .map(|s| s.accelerator().replay_cache().clone());
+        if let (Some(cache), Some(session)) = (fleet_cache, backend.as_session_mut()) {
+            session.accelerator_mut().share_replay_cache(&cache);
+        }
         let index = self.backends.len();
         self.stats.arrays.push(ArrayReport {
             array: index,
@@ -1722,7 +1736,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{CpuBackend, FftBackend, FftShape, Offload};
+    use crate::backend::{ArrayBackend, CpuBackend, FftBackend, FftShape, Offload};
     use crate::testing::{constrained_sessions, BakedScaleKernel};
     use vwr2a_core::geometry::Geometry;
 
@@ -2941,6 +2955,48 @@ mod tests {
             ],
         );
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), 600);
+    }
+
+    #[test]
+    fn every_array_of_the_fleet_shares_one_replay_cache() {
+        let words = baked_words();
+        let pool = Pool::with_sessions(constrained_sessions(2, 2 * words))
+            .unwrap()
+            .with_backend(FftBackend::new())
+            .with_backend(ArrayBackend::new(Session::new()));
+        let fleet = pool.array(0).accelerator().replay_cache();
+        for index in [1, 3] {
+            assert!(pool
+                .array(index)
+                .accelerator()
+                .replay_cache()
+                .same_store(fleet));
+        }
+        // A program recorded on one array replays wherever it lands next,
+        // even after evictions: 4 programs through two 1-program memories
+        // interpret once per program.
+        let kernels: Vec<BakedScaleKernel> = [2, 3, 5, 7]
+            .iter()
+            .map(|&f| BakedScaleKernel::new(f))
+            .collect();
+        let jobs = picked_jobs(&kernels, &[0, 1, 2, 3, 0, 1, 2, 3, 3, 2, 1, 0]);
+        let mut pool = Pool::with_sessions(constrained_sessions(2, words)).unwrap();
+        let (_, report) = pool
+            .run_batch(
+                jobs.iter()
+                    .map(|(k, ws)| (*k, ws.iter().map(Vec::as_slice))),
+            )
+            .unwrap();
+        let launches: u64 = report.arrays.iter().map(|a| a.report.launches()).sum();
+        assert!(
+            report
+                .arrays
+                .iter()
+                .map(|a| a.report.evictions)
+                .sum::<u64>()
+                > 0
+        );
+        assert_eq!(launches - report.replayed(), 4);
     }
 
     #[test]

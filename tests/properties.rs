@@ -339,12 +339,45 @@ fn cap_srf_accesses(mut instr: RcInstr) -> RcInstr {
     instr
 }
 
-/// Builds a single-column kernel around a random RC body: the VWR loads
-/// and the final store take their line addresses from `SRF[6]`/`SRF[7]`
+/// One body row of a random replay kernel.
+#[derive(Debug, Clone, Copy)]
+enum BodyRow {
+    /// An RC instruction (on RC `row % 4`).
+    Rc(RcInstr),
+    /// An in-kernel bump of a line pointer: a schedule-derived SRF write.
+    Bump { srf: u8, imm: i16 },
+    /// Move the MXCU index by `step`, then store it into an SRF entry:
+    /// another schedule-derived write.
+    StoreIdx { srf: u8, step: i16 },
+    /// Load word `entry` of the pointer table into an SRF entry: a data
+    /// write.
+    LoadSrf { srf: u8, entry: u16 },
+}
+
+/// SPM word address of an 8-word table of in-range line pointers that the
+/// replay property rewrites every step, so pointers the random kernels
+/// `LoadSrf` (data) usually address a valid line — and change between
+/// launches.
+const POINTER_TABLE: u16 = 8184;
+
+fn arb_body_row() -> impl Strategy<Value = BodyRow> {
+    prop_oneof![
+        arb_rc_instr().prop_map(BodyRow::Rc),
+        arb_rc_instr().prop_map(BodyRow::Rc),
+        (6u8..8, -2i16..3).prop_map(|(srf, imm)| BodyRow::Bump { srf, imm }),
+        (0u8..8, -3i16..4).prop_map(|(srf, step)| BodyRow::StoreIdx { srf, step }),
+        (4u8..8, 0u16..8).prop_map(|(srf, entry)| BodyRow::LoadSrf { srf, entry }),
+    ]
+}
+
+/// Builds a single-column kernel around a random body: the VWR loads and
+/// the final stores take their line addresses from `SRF[6]`/`SRF[7]`
 /// (addressing parameters the replay cache must guard), while the body's
-/// own SRF reads and writes land anywhere — including on those pointers,
-/// which exercises the recorder's write-then-consume poisoning.
-fn replay_kernel(name: &str, body: &[RcInstr]) -> vwr2a::core::KernelProgram {
+/// own SRF reads and writes land anywhere — including on those pointers.
+/// RC results and `LoadSrf` words written there exercise the recorder's
+/// write-then-consume poisoning; `AddSrf` bumps and `StoreIdxSrf` writes
+/// exercise the schedule-derived entries that replay.
+fn replay_kernel(name: &str, body: &[BodyRow]) -> vwr2a::core::KernelProgram {
     use vwr2a::core::builder::ColumnProgramBuilder;
     let mut b = ColumnProgramBuilder::new(4);
     b.push(b.row().lsu(LsuInstr::LoadVwr {
@@ -355,12 +388,28 @@ fn replay_kernel(name: &str, body: &[RcInstr]) -> vwr2a::core::KernelProgram {
         vwr: VwrId::B,
         line: LsuAddr::Imm(0),
     }));
-    for (i, instr) in body.iter().enumerate() {
-        b.push(b.row().rc(i % 4, cap_srf_accesses(*instr)));
+    for (i, row) in body.iter().enumerate() {
+        let row = match *row {
+            BodyRow::Rc(instr) => b.row().rc(i % 4, cap_srf_accesses(instr)),
+            BodyRow::Bump { srf, imm } => b.row().lsu(LsuInstr::AddSrf { srf, imm }),
+            BodyRow::StoreIdx { srf, step } => {
+                b.push(b.row().mxcu(MxcuInstr::AddIdx(step)));
+                b.row().mxcu(MxcuInstr::StoreIdxSrf(srf))
+            }
+            BodyRow::LoadSrf { srf, entry } => b.row().lsu(LsuInstr::LoadSrf {
+                srf,
+                word: LsuAddr::Imm(POINTER_TABLE + entry),
+            }),
+        };
+        b.push(row);
     }
     b.push(b.row().lsu(LsuInstr::StoreVwr {
         vwr: VwrId::C,
         line: LsuAddr::Srf(7),
+    }));
+    b.push(b.row().lsu(LsuInstr::StoreVwr {
+        vwr: VwrId::A,
+        line: LsuAddr::Srf(6),
     }));
     b.push_exit();
     vwr2a::core::KernelProgram::new(name.to_string(), vec![b.build().unwrap()]).unwrap()
@@ -530,11 +579,14 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    // A case costs well under a millisecond: run enough of them to reach
+    // the rare row combinations (a loaded pointer, then bumped, then
+    // addressed through).
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn replay_cache_is_invisible_under_random_kernels_params_and_evictions(
-        bodies in prop::collection::vec(prop::collection::vec(arb_rc_instr(), 4), 3),
+        bodies in prop::collection::vec(prop::collection::vec(arb_body_row(), 4), 3),
         body_lens in prop::collection::vec(1usize..5, 3),
         script in prop::collection::vec(
             (0usize..4, 0usize..8, -2_000i32..2_000, any::<bool>()),
@@ -542,24 +594,29 @@ proptest! {
         ),
         steps in 1usize..13,
     ) {
-        // The replay tentpole's honesty property: drive two accelerators —
-        // replay cache on (the default) and forced interpretation — through
-        // an identical random history of kernel loads, SRF parameter
-        // writes (including writes to the guarded line pointers, which must
-        // invalidate any trace recorded under the old value), launches and
-        // slot evictions.  After every step the two machines must agree on
-        // everything observable: the launch result, the lifetime activity
-        // counters, the whole SPM and the whole column state.  The cache
-        // may only ever change host wall-clock, never a modelled bit.
+        // The replay tentpole's honesty property: drive accelerators with
+        // the replay cache on (the default) and forced interpretation
+        // through an identical random history of kernel loads, SRF
+        // parameter writes (including writes to the guarded line pointers,
+        // which must invalidate any trace recorded under the old value),
+        // launches and slot evictions.  A third accelerator shares `on`'s
+        // cache, so it replays traces `on` recorded — across its own
+        // evictions and reloads.  After every step the machines must agree
+        // on everything observable: the launch result, the lifetime
+        // activity counters, the whole SPM and the whole column state.  The
+        // cache may only ever change host wall-clock, never a modelled bit.
         use vwr2a::core::config_mem::KernelId;
         use vwr2a::core::Vwr2a;
 
         let mut on = Vwr2a::new();
         let mut off = Vwr2a::new();
         off.set_replay_enabled(false);
+        let mut shared = Vwr2a::new();
+        shared.share_replay_cache(on.replay_cache());
         let seed: Vec<i32> = (0..256).map(|i| (i * 31 - 300) % 997).collect();
-        on.dma_to_spm(&seed, 0).unwrap();
-        off.dma_to_spm(&seed, 0).unwrap();
+        for accel in [&mut on, &mut off, &mut shared] {
+            accel.dma_to_spm(&seed, 0).unwrap();
+        }
 
         let kernels: Vec<_> = bodies
             .iter()
@@ -567,52 +624,59 @@ proptest! {
             .enumerate()
             .map(|(i, (body, &len))| replay_kernel(&format!("rand-{i}"), &body[..len]))
             .collect();
-        let mut ids: Vec<Option<(KernelId, KernelId)>> = vec![None; kernels.len()];
+        let mut ids: Vec<Option<[KernelId; 3]>> = vec![None; kernels.len()];
         let lines = on.spm().lines();
 
         for &(pick, srf, value, evict) in &script[..steps] {
             let pick = pick % kernels.len();
             if evict {
-                if let Some((a, b)) = ids[pick].take() {
-                    on.unload_kernel(a).unwrap();
-                    off.unload_kernel(b).unwrap();
+                if let Some(loaded) = ids[pick].take() {
+                    for (accel, id) in [&mut on, &mut off, &mut shared].into_iter().zip(loaded) {
+                        accel.unload_kernel(id).unwrap();
+                    }
                 }
             }
             // SRF 6/7 are the kernels' line pointers: keep those in range
             // so the launches make progress; the rest is free-form data.
-            let value = if srf >= 6 {
-                (value.unsigned_abs() as usize % lines) as i32
-            } else {
-                value
-            };
-            on.write_srf(0, srf, value).unwrap();
-            off.write_srf(0, srf, value).unwrap();
+            let pointer = (value.unsigned_abs() as usize % lines) as i32;
+            let value = if srf >= 6 { pointer } else { value };
+            for accel in [&mut on, &mut off, &mut shared] {
+                accel.write_srf(0, srf, value).unwrap();
+                accel
+                    .dma_to_spm(&[pointer], usize::from(POINTER_TABLE) + srf)
+                    .unwrap();
+            }
             if ids[pick].is_none() {
-                ids[pick] = Some((
-                    on.load_kernel(&kernels[pick]).unwrap(),
-                    off.load_kernel(&kernels[pick]).unwrap(),
-                ));
+                ids[pick] = Some([&mut on, &mut off, &mut shared]
+                    .map(|accel| accel.load_kernel(&kernels[pick]).unwrap()));
             }
-            let (id_on, id_off) = ids[pick].unwrap();
-            match (on.run_kernel(id_on), off.run_kernel(id_off)) {
-                (Ok(sa), Ok(sb)) => prop_assert_eq!(sa, sb),
-                // A random body may compute an out-of-range line pointer;
-                // then both machines must fail identically.
-                (Err(ea), Err(eb)) => {
-                    prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}"))
+            let [id_on, id_off, id_shared] = ids[pick].unwrap();
+            let expected = off.run_kernel(id_off);
+            for (accel, id) in [(&mut on, id_on), (&mut shared, id_shared)] {
+                match (accel.run_kernel(id), &expected) {
+                    (Ok(sa), Ok(sb)) => prop_assert_eq!(&sa, sb),
+                    // A random body may compute an out-of-range line
+                    // pointer; then every machine must fail identically.
+                    (Err(ea), Err(eb)) => {
+                        prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}"))
+                    }
+                    (ra, rb) => prop_assert!(
+                        false,
+                        "replay on/off diverged: {:?} vs {:?}",
+                        ra,
+                        rb
+                    ),
                 }
-                (ra, rb) => prop_assert!(
-                    false,
-                    "replay on/off diverged: {:?} vs {:?}",
-                    ra,
-                    rb
-                ),
+                prop_assert_eq!(accel.counters(), off.counters());
+                prop_assert_eq!(accel.spm(), off.spm());
+                prop_assert_eq!(accel.column(0).unwrap(), off.column(0).unwrap());
             }
-            prop_assert_eq!(on.counters(), off.counters());
-            prop_assert_eq!(on.spm(), off.spm());
-            prop_assert_eq!(on.column(0).unwrap(), off.column(0).unwrap());
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn pool_outputs_are_bit_identical_to_serial_execution(
