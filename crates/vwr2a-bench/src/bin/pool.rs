@@ -7,7 +7,7 @@
 //! programs each.  For every combination the table reports the fleet wall
 //! clock, compute occupancy, cold reloads, prefetched reloads (and how
 //! many of those were fully hidden inside compute backlogs) and
-//! evictions, for all four placement strategies.
+//! evictions, for all three placement strategies.
 //!
 //! The point the sweep makes: with more distinct programs than one array's
 //! configuration memory can hold, *where* a job runs decides whether its
@@ -15,9 +15,9 @@
 //! waits for it.  `CostAware` weighs each reload against the candidate
 //! arrays' backlogs and prefetches it off the launch's critical path, so
 //! no launch ever goes cold; `ResidencyAware` (PR 4's scheduler) places
-//! warm but reloads on the critical path; `RoundRobin` and `LeastLoaded`
-//! keep re-streaming configuration words, which sits on each array's
-//! critical path and drags the fleet occupancy down.
+//! warm but reloads on the critical path; `RoundRobin` keeps re-streaming
+//! configuration words, which sits on each array's critical path and
+//! drags the fleet occupancy down.
 //!
 //! A second table scales the *serving* layer to large fleets: a
 //! near-simultaneous burst of single-window jobs served by weighted-fair +
@@ -39,7 +39,7 @@ use vwr2a_core::geometry::Geometry;
 use vwr2a_dsp::fir::design_lowpass;
 use vwr2a_dsp::fixed::Q15;
 use vwr2a_kernels::fir::FirKernel;
-use vwr2a_runtime::pool::{CostAware, LeastLoaded, Placement, Pool, ResidencyAware, RoundRobin};
+use vwr2a_runtime::pool::{CostAware, Placement, Pool, ResidencyAware, RoundRobin};
 use vwr2a_runtime::testing::constrained_sessions;
 use vwr2a_runtime::{ArcPolicy, FleetReport, Kernel, ServeJob, ServeReport, Server, WeightedFair};
 
@@ -108,13 +108,12 @@ fn run_sweep(
     fleet
 }
 
-/// One sweep cell: the four strategies on the same job list.
+/// One sweep cell: the three strategies on the same job list.
 struct Cell {
     arrays: usize,
     mix: usize,
     cost_aware: FleetReport,
     residency: FleetReport,
-    least_loaded: FleetReport,
     round_robin: FleetReport,
 }
 
@@ -218,13 +217,11 @@ fn main() {
                 mix,
                 cost_aware: run_sweep(arrays, mix, jobs, windows_per_job, CostAware::default()),
                 residency: run_sweep(arrays, mix, jobs, windows_per_job, ResidencyAware),
-                least_loaded: run_sweep(arrays, mix, jobs, windows_per_job, LeastLoaded),
                 round_robin: run_sweep(arrays, mix, jobs, windows_per_job, RoundRobin),
             };
             for (name, fleet) in [
                 (CostAware::default().name(), &cell.cost_aware),
                 (ResidencyAware.name(), &cell.residency),
-                (LeastLoaded.name(), &cell.least_loaded),
                 (RoundRobin.name(), &cell.round_robin),
             ] {
                 println!(

@@ -5,8 +5,8 @@
 //! `residency` (configuration-memory pressure and eviction policies) and
 //! `streaming` (pipelined-overlap sweep) probe the runtime beyond the
 //! paper's tables and run in CI with `--smoke`.
-//! The shared measurement functions live here so that the Criterion benches
-//! exercise exactly the same code paths as the binaries.  Every VWR2A
+//! The shared measurement functions live here so that every binary
+//! exercises exactly the same code paths.  Every VWR2A
 //! measurement goes through a fresh [`Session`], matching the paper's
 //! isolated-kernel methodology (the configuration load is part of the
 //! measured cost exactly once).

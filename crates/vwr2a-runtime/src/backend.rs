@@ -1,27 +1,28 @@
-//! Heterogeneous execution backends behind a [`crate::pool::Pool`].
+//! The execution substrates behind a [`crate::pool::Pool`].
 //!
 //! The VWR2A paper places the CGRA inside a heterogeneous edge SoC, next
-//! to a Cortex-M4 host and fixed-function accelerators.  This module is
-//! that SoC's execution substrate seen through one interface: a
-//! [`Backend`] accepts `(kernel, windows)` jobs, reports residency and
-//! warmth, and executes windows onto its own [`crate::pipeline::
-//! StreamSchedule`]-backed timeline.  Three implementations ship:
+//! to a Cortex-M4 host and a fixed-function FFT engine.  [`Backend`] is
+//! that SoC's closed set of substrates, one variant each; every variant
+//! accepts `(kernel, windows)` jobs, reports residency and warmth, and
+//! executes windows onto its own [`crate::pipeline::StreamSchedule`]-backed
+//! timeline:
 //!
-//! * [`ArrayBackend`] — a CGRA array ([`Session`] + stream schedule),
+//! * [`Backend::Array`] — a CGRA array ([`Session`] + stream schedule),
 //!   with the full prefetch/eviction residency story;
-//! * [`FftBackend`] — the fixed-function FFT engine
-//!   ([`vwr2a_fftaccel::FftAccelerator`]), costed from its own cycle
-//!   model (setup + butterflies + IO) and accepting only FFT-shaped jobs;
-//! * [`CpuBackend`] — the Cortex-M4 host ISS, for tiny jobs where an
-//!   array's configuration-reload cost would dominate.
+//! * [`Backend::Fft`] — the fixed-function FFT engine ([`FftBackend`]),
+//!   costed from its own cycle model (setup + butterflies + IO) and
+//!   accepting only FFT-shaped jobs;
+//! * [`Backend::Cpu`] — the Cortex-M4 host ISS ([`CpuBackend`]), for tiny
+//!   jobs where an array's configuration-reload cost would dominate.
 //!
-//! A kernel advertises which backends besides the CGRA could serve it via
-//! [`crate::Kernel::offload`]; the pool's placement strategies match that
-//! against each backend's capability mask and route the job to whichever
-//! backend clears it cheapest in cycles.
+//! Every kernel runs on an array.  A kernel opens the offload backends
+//! through [`Kernel::offload`], and an offload backend serves a job
+//! exactly when its model prices one of the job's windows
+//! ([`Backend::window_cycles`] is `Some`).
 
 use std::fmt;
 use vwr2a_core::geometry::Geometry;
+use vwr2a_energy::EnergyModel;
 use vwr2a_fftaccel::FftAccelerator;
 use vwr2a_soc::cpu::Cpu;
 use vwr2a_soc::sram::Sram;
@@ -30,18 +31,6 @@ use crate::error::Result;
 use crate::pipeline::WindowPhases;
 use crate::report::RunReport;
 use crate::session::{Kernel, Session};
-
-/// Capability bit: the backend executes CGRA configuration-memory
-/// programs (every [`Kernel`] has one — see [`Kernel::program`]).
-pub const CAP_CGRA: u32 = 1 << 0;
-
-/// Capability bit: the backend executes FFT-shaped jobs on a
-/// fixed-function engine (kernels advertising [`Offload::fft`]).
-pub const CAP_FFT: u32 = 1 << 1;
-
-/// Capability bit: the backend executes jobs on the Cortex-M4 host CPU
-/// (kernels advertising [`Offload::cpu_cycles`]).
-pub const CAP_CPU: u32 = 1 << 2;
 
 /// What kind of execution substrate a [`Backend`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -62,6 +51,18 @@ impl BackendKind {
             BackendKind::Array => "array",
             BackendKind::FftAccel => "fft",
             BackendKind::Cpu => "cpu",
+        }
+    }
+
+    /// Estimated energy of `cycles` busy cycles on a backend of this kind,
+    /// in nanojoules, at the kind's calibrated average power
+    /// ([`EnergyModel`]) — how placement prices a window's joules.
+    pub(crate) fn window_nj(self, cycles: u64) -> u64 {
+        let model = EnergyModel::calibrated();
+        match self {
+            BackendKind::Array => model.array_window_nj(cycles),
+            BackendKind::FftAccel => model.fft_window_nj(cycles),
+            BackendKind::Cpu => model.cpu_window_nj(cycles),
         }
     }
 }
@@ -100,170 +101,136 @@ pub struct Offload {
     pub cpu_cycles: Option<u64>,
 }
 
-impl Offload {
-    /// The capability classes this kernel's jobs belong to, as a mask of
-    /// [`CAP_CGRA`] / [`CAP_FFT`] / [`CAP_CPU`] bits.  CGRA is always set.
-    pub fn classes(&self) -> u32 {
-        let mut mask = CAP_CGRA;
-        if self.fft.is_some() {
-            mask |= CAP_FFT;
-        }
-        if self.cpu_cycles.is_some() {
-            mask |= CAP_CPU;
-        }
-        mask
+/// One execution substrate under the pool's scheduler.
+///
+/// `From` impls for [`Session`], [`FftBackend`] and [`CpuBackend`] let
+/// [`crate::pool::Pool::with_backend`] take any of them directly.
+#[derive(Debug)]
+pub enum Backend {
+    /// A CGRA array.  Boxed: a session is several times larger than the
+    /// other variants.
+    Array(Box<Session>),
+    /// The fixed-function FFT engine.
+    Fft(FftBackend),
+    /// The Cortex-M4 host CPU.
+    Cpu(CpuBackend),
+}
+
+impl From<Session> for Backend {
+    fn from(session: Session) -> Self {
+        Backend::Array(Box::new(session))
     }
 }
 
-/// Mutable access to a backend's execution substrate, for the pool's
-/// generic per-window dispatch (the crate-private `run_window_on`).
-#[derive(Debug)]
-pub enum ExecHandle<'a> {
-    /// A CGRA array session.
-    Array(&'a mut Session),
-    /// The fixed-function FFT engine.
-    Fft(&'a mut FftBackend),
-    /// The Cortex-M4 host.
-    Cpu(&'a mut CpuBackend),
+impl From<FftBackend> for Backend {
+    fn from(fft: FftBackend) -> Self {
+        Backend::Fft(fft)
+    }
 }
 
-/// One execution substrate under the pool's scheduler.
-///
-/// The trait is object-safe — the pool stores `Vec<Box<dyn Backend>>` —
-/// so per-kernel work (program footprints, window execution) happens in
-/// generic pool code through [`ExecHandle`] and the crate-private
-/// `run_window_on` rather than on the trait itself.
-pub trait Backend: fmt::Debug + Send {
+impl From<CpuBackend> for Backend {
+    fn from(cpu: CpuBackend) -> Self {
+        Backend::Cpu(cpu)
+    }
+}
+
+impl Backend {
     /// What kind of substrate this is.
-    fn kind(&self) -> BackendKind;
+    pub fn kind(&self) -> BackendKind {
+        match self {
+            Backend::Array(_) => BackendKind::Array,
+            Backend::Fft(_) => BackendKind::FftAccel,
+            Backend::Cpu(_) => BackendKind::Cpu,
+        }
+    }
 
-    /// Capability mask of the jobs this backend can serve
-    /// ([`CAP_CGRA`] / [`CAP_FFT`] / [`CAP_CPU`]).
-    fn capabilities(&self) -> u32;
-
-    /// The CGRA array geometry, for backends that have one.  The pool
-    /// prices configuration reloads per backend through this — mixed
-    /// geometries across a fleet are legal.
-    fn geometry(&self) -> Option<&Geometry>;
+    /// The CGRA array geometry, for arrays.  The pool prices configuration
+    /// reloads per backend through this — mixed geometries across a fleet
+    /// are legal.
+    pub fn geometry(&self) -> Option<&Geometry> {
+        match self {
+            Backend::Array(session) => Some(session.accelerator().geometry()),
+            Backend::Fft(_) | Backend::Cpu(_) => None,
+        }
+    }
 
     /// `true` if the program behind `key` is resident on this backend
     /// (loaded in an array's configuration memory; the engine's current
-    /// programming for fixed-function backends).
-    fn is_resident(&self, key: &str) -> bool;
+    /// programming; never on the host CPU).
+    pub fn is_resident(&self, key: &str) -> bool {
+        match self {
+            Backend::Array(session) => session.is_resident_key(key),
+            Backend::Fft(fft) => fft.programmed.as_deref() == Some(key),
+            Backend::Cpu(_) => false,
+        }
+    }
 
-    /// `true` if a launch of `key` would pay no configuration reload.
-    fn is_warm(&self, key: &str) -> bool;
+    /// `true` if a launch of `key` would pay no configuration reload
+    /// (always on the host CPU, which has no configuration memory).
+    pub fn is_warm(&self, key: &str) -> bool {
+        match self {
+            Backend::Array(session) => session.is_warm_key(key),
+            Backend::Fft(_) => self.is_resident(key),
+            Backend::Cpu(_) => true,
+        }
+    }
 
-    /// Number of distinct programs resident on the backend.
-    fn loaded_programs(&self) -> usize;
-
-    /// Lifetime compute-busy cycles — the load metric behind
-    /// [`crate::pool::LeastLoaded`].
-    fn busy_compute(&self) -> u64;
+    /// Lifetime compute-busy cycles — the cross-wave load metric behind
+    /// [`crate::pool::BackendView::busy_compute`].
+    pub fn busy_compute(&self) -> u64 {
+        match self {
+            Backend::Array(session) => session.busy().compute,
+            Backend::Fft(fft) => fft.busy_compute,
+            Backend::Cpu(cpu) => cpu.busy_compute,
+        }
+    }
 
     /// Modelled cycles for one window of a job with the given offload
-    /// declaration, or `None` if this backend cannot serve the job (or
-    /// does not model per-window cost, like the arrays, whose cost comes
-    /// from observed execution instead).
-    fn window_cycles(&self, offload: &Offload) -> Option<u64>;
-
-    /// Modelled energy for one window of a job with the given offload
-    /// declaration, in nanojoules — `None` under the same conditions as
-    /// [`Backend::window_cycles`].  Offload backends derive it from their
-    /// own cycle model through the [`vwr2a_energy::EnergyModel`]
-    /// calibration; arrays return `None` (their estimate comes from the
-    /// pool's observed per-window cycles instead).
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        let _ = offload;
-        None
+    /// declaration, or `None` if this backend cannot serve the job — the
+    /// pool's one eligibility rule for offload backends.  Always `None`
+    /// for arrays, whose per-window cost comes from observed execution.
+    pub fn window_cycles(&self, offload: &Offload) -> Option<u64> {
+        match self {
+            Backend::Array(_) => None,
+            Backend::Fft(fft) => {
+                let shape = offload.fft?;
+                fft.accel.projected_cycles(shape.points, shape.real).ok()
+            }
+            Backend::Cpu(_) => offload.cpu_cycles,
+        }
     }
 
-    /// Mutable handle onto the substrate, for window execution.
-    fn exec(&mut self) -> ExecHandle<'_>;
-
-    /// The underlying [`Session`], for CGRA backends.
-    fn as_session(&self) -> Option<&Session> {
-        None
-    }
-
-    /// Mutable access to the underlying [`Session`], for CGRA backends.
-    fn as_session_mut(&mut self) -> Option<&mut Session> {
-        None
-    }
-}
-
-/// A CGRA array as a [`Backend`]: wraps a [`Session`], preserving the
-/// full residency story — warm relaunches, LRU (or custom) eviction and
-/// speculative configuration prefetch.
-#[derive(Debug)]
-pub struct ArrayBackend {
-    session: Session,
-}
-
-impl ArrayBackend {
-    /// Wraps a session.
-    pub fn new(session: Session) -> Self {
-        Self { session }
-    }
-
-    /// The wrapped session.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// Mutable access to the wrapped session.
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
+    /// Runs one window of `kernel` here, folding launch and cycle
+    /// accounting into `report`.  Returns the output, its per-engine phase
+    /// split (which the caller replays on the backend's stream schedule)
+    /// and the window's measured energy in nanojoules (the delta the
+    /// substrate priced into [`RunReport::energy_nj`], which the caller
+    /// attributes to the landed job's route).
+    //
+    // Out of line on purpose: the serve loop calls this once per window,
+    // and letting the match inline into the monomorphised loop lowered the
+    // median perfbench `windows_per_s` by 0.8 % (tenants), 2.4 % (burst)
+    // and 1.0 % (hetero) — 4 alternating pairs each on a 2-vCPU VM, a
+    // shift the size of the run-to-run noise.
+    #[inline(never)]
+    pub(crate) fn run_window<K: Kernel>(
+        &mut self,
+        kernel: &K,
+        key: &str,
+        input: &K::Input,
+        report: &mut RunReport,
+    ) -> Result<(K::Output, WindowPhases, u64)> {
+        let priced_before = report.energy_nj;
+        let (output, phases) = match self {
+            Backend::Array(session) => session.run_into(kernel, input, report),
+            Backend::Fft(fft) => fft.run_into(kernel, key, input, report),
+            Backend::Cpu(cpu) => cpu.run_into(kernel, input, report),
+        }?;
+        Ok((output, phases, report.energy_nj - priced_before))
     }
 }
 
-impl Backend for ArrayBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Array
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_CGRA
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        Some(self.session.accelerator().geometry())
-    }
-
-    fn is_resident(&self, key: &str) -> bool {
-        self.session.is_resident_key(key)
-    }
-
-    fn is_warm(&self, key: &str) -> bool {
-        self.session.is_warm_key(key)
-    }
-
-    fn loaded_programs(&self) -> usize {
-        self.session.loaded_programs()
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.session.free_compute_at()
-    }
-
-    fn window_cycles(&self, _offload: &Offload) -> Option<u64> {
-        None
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Array(&mut self.session)
-    }
-
-    fn as_session(&self) -> Option<&Session> {
-        Some(&self.session)
-    }
-
-    fn as_session_mut(&mut self) -> Option<&mut Session> {
-        Some(&mut self.session)
-    }
-}
-
-/// The fixed-function FFT engine as a [`Backend`].
+/// The fixed-function FFT engine ([`Backend::Fft`]).
 ///
 /// The engine has no configuration memory — it is programmed over the
 /// slave port before every run, which its cycle model charges as
@@ -309,7 +276,7 @@ impl FftBackend {
     ) -> Result<(K::Output, WindowPhases)> {
         let warm = self.programmed.as_deref() == Some(key);
         let (output, stats) = kernel.execute_fft(&self.accel, input)?;
-        report.energy_nj += vwr2a_energy::EnergyModel::calibrated().price_fft(&stats);
+        report.energy_nj += EnergyModel::calibrated().price_fft(&stats);
         self.programmed = Some(key.to_string());
         // The engine pays its register programming on every run; splitting
         // it onto the config lane lets it overlap the previous window's
@@ -340,51 +307,7 @@ impl Default for FftBackend {
     }
 }
 
-impl Backend for FftBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::FftAccel
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_FFT
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        None
-    }
-
-    fn is_resident(&self, key: &str) -> bool {
-        self.programmed.as_deref() == Some(key)
-    }
-
-    fn is_warm(&self, key: &str) -> bool {
-        self.is_resident(key)
-    }
-
-    fn loaded_programs(&self) -> usize {
-        usize::from(self.programmed.is_some())
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.busy_compute
-    }
-
-    fn window_cycles(&self, offload: &Offload) -> Option<u64> {
-        let shape = offload.fft?;
-        self.accel.projected_cycles(shape.points, shape.real).ok()
-    }
-
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        self.window_cycles(offload)
-            .map(|cycles| vwr2a_energy::EnergyModel::calibrated().fft_window_nj(cycles))
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Fft(self)
-    }
-}
-
-/// The Cortex-M4 host CPU as a [`Backend`].
+/// The Cortex-M4 host CPU ([`Backend::Cpu`]).
 ///
 /// The host has no configuration memory: every job is "warm" (a launch
 /// never pays a reload), which is exactly why tiny jobs — whose array
@@ -416,7 +339,7 @@ impl CpuBackend {
         report: &mut RunReport,
     ) -> Result<(K::Output, WindowPhases)> {
         let (output, stats) = kernel.execute_cpu(&mut self.cpu, &mut self.sram, input)?;
-        report.energy_nj += vwr2a_energy::EnergyModel::calibrated().price_cpu(&stats);
+        report.energy_nj += EnergyModel::calibrated().price_cpu(&stats);
         let phases = WindowPhases {
             stage: 0,
             config: 0,
@@ -435,71 +358,4 @@ impl Default for CpuBackend {
     fn default() -> Self {
         Self::new()
     }
-}
-
-impl Backend for CpuBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Cpu
-    }
-
-    fn capabilities(&self) -> u32 {
-        CAP_CPU
-    }
-
-    fn geometry(&self) -> Option<&Geometry> {
-        None
-    }
-
-    fn is_resident(&self, _key: &str) -> bool {
-        false
-    }
-
-    fn is_warm(&self, _key: &str) -> bool {
-        true
-    }
-
-    fn loaded_programs(&self) -> usize {
-        0
-    }
-
-    fn busy_compute(&self) -> u64 {
-        self.busy_compute
-    }
-
-    fn window_cycles(&self, offload: &Offload) -> Option<u64> {
-        offload.cpu_cycles
-    }
-
-    fn window_energy_nj(&self, offload: &Offload) -> Option<u64> {
-        offload
-            .cpu_cycles
-            .map(|cycles| vwr2a_energy::EnergyModel::calibrated().cpu_window_nj(cycles))
-    }
-
-    fn exec(&mut self) -> ExecHandle<'_> {
-        ExecHandle::Cpu(self)
-    }
-}
-
-/// Runs one window of `kernel` on `backend`, folding launch and cycle
-/// accounting into `report` and returning the output with its per-engine
-/// phase split (which the caller replays on the backend's stream
-/// schedule) and the window's measured energy in nanojoules (the delta
-/// each substrate's executor priced into [`RunReport::energy_nj`], which
-/// the caller attributes to the landed job's route).  The generic bridge
-/// between the pool's typed executor and the type-erased backend vector.
-pub(crate) fn run_window_on<K: Kernel>(
-    backend: &mut dyn Backend,
-    kernel: &K,
-    key: &str,
-    input: &K::Input,
-    report: &mut RunReport,
-) -> Result<(K::Output, WindowPhases, u64)> {
-    let priced_before = report.energy_nj;
-    let (output, phases) = match backend.exec() {
-        ExecHandle::Array(session) => session.run_into(kernel, input, report),
-        ExecHandle::Fft(fft) => fft.run_into(kernel, key, input, report),
-        ExecHandle::Cpu(cpu) => cpu.run_into(kernel, input, report),
-    }?;
-    Ok((output, phases, report.energy_nj - priced_before))
 }

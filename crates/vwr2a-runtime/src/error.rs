@@ -57,10 +57,11 @@ pub enum RuntimeError {
         /// Index of the backend whose geometry cannot build the program.
         array: usize,
     },
-    /// A job was routed to a backend that cannot serve it: the backend's
-    /// capability mask does not cover the kernel's execution classes (e.g.
-    /// a non-FFT job on the fixed-function FFT engine), or a kernel's
-    /// default offload hook was invoked without an implementation.
+    /// A job was routed to an offload backend that cannot serve it — the
+    /// backend's model prices no window of the job (e.g. a non-FFT job, or
+    /// an FFT length the engine rejects, on the fixed-function FFT engine)
+    /// — or no backend of an all-offload fleet can, or a kernel's default
+    /// offload hook was invoked without an implementation.
     Capability {
         /// Name of the kernel.
         kernel: String,

@@ -37,19 +37,20 @@
 //!   ([`StreamSchedule::prefetch`]), where it overlaps the compute
 //!   backlog instead of delaying the launch.
 //! * **Heterogeneous fleet scheduling** — a [`Pool`] owns N [`Backend`]s:
-//!   CGRA arrays ([`ArrayBackend`], each a full session), and optionally
+//!   CGRA arrays ([`Backend::Array`], each a full session), and optionally
 //!   the fixed-function FFT engine ([`FftBackend`]) and the Cortex-M4
 //!   host ([`CpuBackend`]).  A kernel advertises non-CGRA
-//!   implementations via [`Kernel::offload`]; a pluggable [`Placement`]
-//!   strategy returns a [`PlacementPlan`] (target backend + optional
-//!   [`PrefetchDirective`]) over capability-filtered [`BackendView`]s.
-//!   The default [`CostAware`] weighs each candidate's reload cost
-//!   against its compute backlog and modelled per-window cycles (or, by
+//!   implementations via [`Kernel::offload`], and an offload backend
+//!   serves a job when its model prices a window.  A pluggable
+//!   [`Placement`] strategy returns a [`PlacementPlan`] (target backend,
+//!   prefetch or not) over [`BackendView`]s of the backends that can
+//!   serve the job.  The default [`CostAware`] weighs each candidate's
+//!   reload cost against its compute backlog and per-window cycles (or, by
 //!   [`Objective`], its estimated joules and energy-delay product) —
 //!   prefetching would-be cold array reloads off the critical path,
 //!   sending FFT-shaped jobs to the engine and reload-dominated crumbs
-//!   to the CPU — next to the prefetch-less [`ResidencyAware`],
-//!   [`RoundRobin`] and [`LeastLoaded`] baselines.  [`Pool::run_batch`] /
+//!   to the CPU — next to the prefetch-less [`ResidencyAware`] and
+//!   [`RoundRobin`] baselines.  [`Pool::run_batch`] /
 //!   [`Pool::run_stream`] fan jobs across the fleet bit-identically to
 //!   serial execution and merge the per-backend schedules into one
 //!   [`FleetReport`] (with cold-reload, prefetch and hidden-reload
@@ -93,18 +94,15 @@ pub mod serve;
 pub mod session;
 pub mod testing;
 
-pub use backend::{
-    ArrayBackend, Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload, CAP_CGRA,
-    CAP_CPU, CAP_FFT,
-};
+pub use backend::{Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload};
 pub use error::{Result, RuntimeError};
 pub use pipeline::{StreamSchedule, WindowPhases};
 pub use policy::{
     ArcPolicy, EvictionPolicy, LfuPolicy, LruPolicy, NeverEvict, ResidentProgram, SizeAwareLru,
 };
 pub use pool::{
-    BackendView, CostAware, JobView, LeastLoaded, Objective, Placement, PlacementPlan, Pool,
-    PrefetchDirective, ResidencyAware, RoundRobin,
+    BackendView, CostAware, JobView, Objective, Placement, PlacementPlan, Pool, ResidencyAware,
+    RoundRobin,
 };
 pub use report::{
     ArrayReport, BackendKindStats, FleetReport, JobLatency, JobRoute, PlannerStats, RunReport,

@@ -4,27 +4,28 @@
 //!
 //! # The scheduling model
 //!
-//! A [`Pool`] owns N independent [`Backend`]s — CGRA arrays (each a full
-//! [`Session`] with its own `Vwr2a`, configuration memory and eviction
-//! policy, see [`crate::backend::ArrayBackend`]), and optionally the
-//! fixed-function FFT engine ([`crate::backend::FftBackend`]) and the
-//! Cortex-M4 host ([`crate::backend::CpuBackend`]).  A *job* is one
-//! `(kernel, windows)` workload: a kernel plus the window stream to run
-//! through it.  [`Pool::run_batch`] / [`Pool::run_stream`] place each job
-//! on one backend via the pool's [`Placement`] strategy and execute its
-//! windows there on the backend's own pipelined [`StreamSchedule`]
-//! (staging overlapped with compute, exactly like
-//! [`Session::run_stream`]).
+//! A [`Pool`] owns N [`Backend`]s — CGRA arrays (each a full [`Session`]
+//! with its own `Vwr2a`, configuration memory and eviction policy), and
+//! optionally the fixed-function FFT engine
+//! ([`crate::backend::FftBackend`]) and the Cortex-M4 host
+//! ([`crate::backend::CpuBackend`]).  A *job* is one `(kernel, windows)`
+//! workload: a kernel plus the window stream to run through it.
+//! [`Pool::run_batch`] / [`Pool::run_stream`] place each job on one
+//! backend via the pool's [`Placement`] strategy and execute its windows
+//! there on the backend's own pipelined [`StreamSchedule`] (staging
+//! overlapped with compute, exactly like [`Session::run_stream`]).
 //!
 //! The pool has one executor, the serve loop behind
 //! [`crate::serve::Server`].  A batch is an arrival-0 serve: every job
 //! arrives at cycle 0, dispatches in submission order and runs as soon as
 //! placement commits it (with no work stealing nothing could re-route it),
-//! and there is no lookahead.  Whenever a job dispatches, the
-//! strategy sees only the backends that can serve it *and* have room in
-//! their run queue — so its choice, and its prefetch, land where the job
-//! runs.  The same online cost estimator prices queued work for both
-//! paths.
+//! and there is no lookahead.  Every job is priced against every backend
+//! once, at admission: an array can serve it when the array's geometry
+//! builds its program, an offload backend when the backend's model prices
+//! one of its windows ([`Backend::window_cycles`]).  Whenever a job
+//! dispatches, the strategy sees only the backends that can serve it
+//! *and* have room in their run queue — so its choice, and its prefetch,
+//! land where the job runs.
 //!
 //! Placement is where the fleet either wins or loses: a kernel's program
 //! must be *resident* in an array's configuration memory to launch warm,
@@ -36,26 +37,23 @@
 //! fixed-function engine can run, a host-CPU routine for jobs too small to
 //! amortise an array reload — and the pool prices those backends from
 //! their own cycle models next to the arrays.  A strategy returns a
-//! [`PlacementPlan`]: the target backend, plus an optional
-//! [`PrefetchDirective`] that makes the pool stage the job's configuration
-//! words *speculatively* ([`Session::prefetch`]) on the target's
-//! [`StreamSchedule`] before the job's first window — the reload streams
-//! on the otherwise-idle configuration-load lane, overlapping the array's
-//! compute backlog, and the launch itself finds the program warm.  Four
-//! strategies ship with the pool:
+//! [`PlacementPlan`]: the target backend, and whether to stage the job's
+//! configuration words *speculatively* ([`Session::prefetch`]) on the
+//! target's [`StreamSchedule`] before the job's first window — the reload
+//! streams on the otherwise-idle configuration-load lane, overlapping the
+//! array's compute backlog, and the launch itself finds the program warm.
+//! Three strategies ship with the pool:
 //!
-//! * [`CostAware`] — the default: estimates, for every backend the job is
-//!   *eligible* on ([`BackendView::eligible`]), when the job would
-//!   complete — reload cost ([`BackendView::reload_cycles`]) against
-//!   compute backlog ([`BackendView::free_compute_at`]), plus the
-//!   backend's modelled per-window cycles
-//!   ([`BackendView::window_cycles`], the pool's estimate
-//!   [`JobView::window_cycles_hint`] for arrays) — and routes the job to
-//!   the cheapest completion, directing a prefetch whenever a chosen
-//!   *array* would otherwise reload cold.  On an all-array fleet this
-//!   reduces exactly to the reload-versus-backlog cost model; with
-//!   offload backends present it is what routes FFT jobs to the FFT
-//!   engine and reload-dominated crumbs to the CPU.
+//! * [`CostAware`] — the default: estimates, for every backend offered,
+//!   when the job would complete — reload cost
+//!   ([`BackendView::reload_cycles`]) against compute backlog
+//!   ([`BackendView::free_compute_at`]), plus the windows at
+//!   [`BackendView::window_cycles`] — and routes the job to the cheapest
+//!   completion, prefetching whenever a chosen *array* would otherwise
+//!   reload cold.  On an all-array fleet this reduces exactly to the
+//!   reload-versus-backlog cost model; with offload backends present it is
+//!   what routes FFT jobs to the FFT engine and reload-dominated crumbs to
+//!   the CPU.
 //! * [`ResidencyAware`] — PR 4's scheduler, kept as the prefetch-less
 //!   comparison point: prefer backends with the job's program resident,
 //!   tie-breaking on the earliest-free compute engine; replicate onto
@@ -63,9 +61,6 @@
 //! * [`RoundRobin`] — job *i* goes to backend *i mod E* of the E
 //!   offered, residency-blind.  The baseline the `pool` bench bin
 //!   compares against.
-//! * [`LeastLoaded`] — route to the eligible backend with the fewest
-//!   cumulative compute-busy cycles, balancing load without looking at
-//!   residency.
 //!
 //! Outputs are **bit-identical** to running every job serially on one
 //! session, for every strategy, with or without prefetch — placement only
@@ -115,7 +110,7 @@ use std::fmt;
 use vwr2a_core::timeline::Engine;
 use vwr2a_energy::EnergyModel;
 
-use crate::backend::{run_window_on, ArrayBackend, Backend, BackendKind};
+use crate::backend::{Backend, BackendKind};
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::StreamSchedule;
 use crate::report::{
@@ -137,33 +132,6 @@ pub struct JobView<'a> {
     /// The pool iterates windows lazily, so the true count is only known
     /// once the job has run.
     pub windows: usize,
-    /// Configuration-word footprint of the job's program on the first
-    /// array backend whose geometry can build it ([`Kernel::config_words`],
-    /// cached per cache key and backend by the pool) — the scalar reload
-    /// cost for strategies that do not price per backend.  Per-backend
-    /// pricing lives in [`BackendView::reload_cycles`]; in a
-    /// mixed-geometry fleet the two may differ.
-    pub config_words: usize,
-    /// Capability classes the job belongs to, as a mask of
-    /// [`crate::backend::CAP_CGRA`] / [`crate::backend::CAP_FFT`] /
-    /// [`crate::backend::CAP_CPU`] bits ([`crate::backend::Offload::classes`]).
-    pub classes: u32,
-    /// The pool's per-window compute estimate for this cache key on a
-    /// CGRA array — what [`CostAware`] compares against an offload
-    /// backend's modelled [`BackendView::window_cycles`].  It is the
-    /// key's mean observed array cycles per window; before the key has
-    /// run on an array, the mean over every key seen on the arrays; before
-    /// any array ran, the program's configuration-word footprint.  Both
-    /// cold-start values are raised to the FFT engine's modelled window
-    /// when the engine can serve the job (dedicated silicon is never
-    /// slower at its own kernel).  Always at least 1.
-    pub window_cycles_hint: u64,
-    /// Estimated energy of one window of this job on a CGRA array, in
-    /// nanojoules — [`JobView::window_cycles_hint`] priced at the
-    /// calibrated array power ([`vwr2a_energy::EnergyModel::
-    /// array_window_nj`]).  The array counterpart of
-    /// [`BackendView::window_energy_nj`].
-    pub window_energy_hint_nj: u64,
     /// Absolute deadline cycle of the job on the caller's timeline, when
     /// one exists — the serving layer passes each ticket's deadline so
     /// [`Objective::EnergyUnderDeadline`] can minimise joules among the
@@ -173,108 +141,72 @@ pub struct JobView<'a> {
 }
 
 /// What a [`Placement`] strategy sees about one backend of the pool at the
-/// moment a job is placed.
+/// moment a job is placed.  Placement only ever sees backends that can
+/// serve the job, so every price column is a real price.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackendView {
     /// Index of the backend in the pool.
     pub index: usize,
     /// What kind of execution substrate this backend is.
     pub kind: BackendKind,
-    /// The backend's capability mask ([`Backend::capabilities`]).
-    pub capabilities: u32,
     /// `true` if the job's program is resident on this backend
     /// ([`Backend::is_resident`]).
     pub resident: bool,
     /// `true` if a launch of the job here would pay no configuration
     /// reload ([`Backend::is_warm`]).
     pub warm: bool,
-    /// First cycle at which this backend's compute engine is free on its
-    /// current wave schedule
-    /// ([`StreamSchedule::free_at`](crate::pipeline::StreamSchedule::free_at)
-    /// on [`Engine::Compute`]).
+    /// First cycle at which this backend's compute engine is free: its
+    /// schedule's compute backlog plus the estimated cost of the jobs
+    /// already queued on it.
     pub free_compute_at: u64,
     /// First cycle at which this backend's configuration-load lane is free
-    /// on its current wave schedule ([`Engine::ConfigLoad`]): a prefetch
-    /// directed here streams no earlier than this, queueing behind the
-    /// wave's previous reloads — cost models that ignore it over-replicate
-    /// onto arrays whose configuration streamer is already the bottleneck.
+    /// ([`Engine::ConfigLoad`]): a prefetch directed here streams no
+    /// earlier than this, queueing behind earlier reloads — cost models
+    /// that ignore it over-replicate onto arrays whose configuration
+    /// streamer is already the bottleneck.
     pub free_config_at: u64,
     /// The backend's cumulative compute-busy cycles over its whole
     /// lifetime ([`Backend::busy_compute`]) — the cross-wave load metric.
     pub busy_compute: u64,
-    /// Distinct programs resident on the backend.
-    pub loaded_programs: usize,
-    /// Cycles a cold configuration reload of this job would stream *on
-    /// this backend* (per-geometry for arrays; `Some(0)` for offload
-    /// backends, which have no configuration memory) — or `None` if the
-    /// backend cannot serve this job at all: its capability mask misses
-    /// the job's classes, or its array geometry cannot build the program.
-    pub reload_cycles: Option<u64>,
-    /// The backend's own modelled cycles for one window of this job
-    /// ([`Backend::window_cycles`]; `None` for arrays, whose per-window
-    /// cost is estimated from observation — see
-    /// [`JobView::window_cycles_hint`]).
-    pub window_cycles: Option<u64>,
-    /// Estimated energy of streaming this job's cold configuration reload
-    /// on this backend, in nanojoules (`Some(0)` for offload backends,
-    /// which have no configuration memory; `None` when the backend cannot
-    /// serve the job — mirrors [`BackendView::reload_cycles`]).
-    pub reload_energy_nj: Option<u64>,
-    /// The backend's own modelled energy for one window of this job, in
-    /// nanojoules ([`Backend::window_energy_nj`]; `None` for arrays —
-    /// their estimate is [`JobView::window_energy_hint_nj`]).
-    pub window_energy_nj: Option<u64>,
-}
-
-impl BackendView {
-    /// `true` if this backend can serve the job being placed (see
-    /// [`BackendView::reload_cycles`]).  Routing a job to an ineligible
-    /// backend aborts the run with a typed error
-    /// ([`RuntimeError::MixedGeometry`] for arrays,
-    /// [`RuntimeError::Capability`] otherwise).
-    pub fn eligible(&self) -> bool {
-        self.reload_cycles.is_some()
-    }
-
-    /// The modelled per-window energy in microjoules
-    /// ([`BackendView::window_energy_nj`] scaled for display).
-    pub fn window_energy_uj(&self) -> Option<f64> {
-        self.window_energy_nj.map(|nj| nj as f64 / 1e3)
-    }
-}
-
-/// Directs the pool to stage a job's program speculatively before the
-/// job's first window runs (see [`PlacementPlan`]).
-///
-/// The pool executes the directive by calling [`Session::prefetch`] on the
-/// named backend's session and replaying the streamed cycles on that
-/// backend's [`StreamSchedule::prefetch`] lane — where they overlap the
-/// array's compute backlog instead of sitting on the launch's critical
-/// path.  Staging an already-warm program is a no-op, and a directive
-/// naming an offload backend (which has no configuration memory to stage
-/// into) is skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchDirective {
-    /// Backend whose session stages the program (normally the plan's
-    /// target; a strategy may warm a different array, e.g. to replicate a
-    /// hot program ahead of anticipated load).
-    pub backend: usize,
+    /// Cycles a cold configuration reload of this job would stream on
+    /// this backend (priced against an array's own geometry; `0` on
+    /// offload backends, which have no configuration memory).
+    pub reload_cycles: u64,
+    /// Estimated compute cycles of one window of this job here.  On an
+    /// offload backend, its own model ([`Backend::window_cycles`]).  On an
+    /// array, the pool's one array estimate: the key's mean observed array
+    /// cycles per window; before the key has run on an array, the mean over
+    /// every key seen on the arrays; before any array ran, the program's
+    /// configuration-word footprint.  Both cold-start values are raised to
+    /// the FFT engine's modelled window when the engine can serve the job
+    /// (dedicated silicon is never slower at its own kernel).
+    pub window_cycles: u64,
+    /// Energy of streaming this job's cold configuration reload here, in
+    /// nanojoules (`0` on offload backends).
+    pub reload_energy_nj: u64,
+    /// Estimated energy of one window of this job here, in nanojoules:
+    /// [`BackendView::window_cycles`] at the backend kind's calibrated
+    /// average power ([`vwr2a_energy::EnergyModel`]).
+    pub window_energy_nj: u64,
 }
 
 /// What a [`Placement`] strategy decides for one job: where it runs, and
 /// whether its configuration reload is staged speculatively first.
 ///
-/// Returned by [`Placement::place`].  Both the target backend and a
-/// directive's backend must be valid indices; an out-of-range index aborts
-/// the run with [`RuntimeError::Placement`] (the pool stays valid and
-/// reusable).
+/// Returned by [`Placement::place`].  The target must be a valid backend
+/// index; an out-of-range index aborts the run with
+/// [`RuntimeError::Placement`] (the pool stays valid and reusable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlacementPlan {
     /// Backend that runs the job's windows.
     pub backend: usize,
-    /// Optional speculative configuration staging executed before the
-    /// job's first window.
-    pub prefetch: Option<PrefetchDirective>,
+    /// Whether the pool stages the job's program on the target before the
+    /// job's first window: it calls [`Session::prefetch`] and replays the
+    /// streamed cycles on the target's [`StreamSchedule::prefetch`] lane,
+    /// where they overlap the array's compute backlog instead of sitting
+    /// on the launch's critical path.  Staging an already-warm program is
+    /// a no-op, and offload backends (no configuration memory) skip it.
+    pub prefetch: bool,
 }
 
 impl PlacementPlan {
@@ -283,7 +215,7 @@ impl PlacementPlan {
     pub fn run_on(backend: usize) -> Self {
         Self {
             backend,
-            prefetch: None,
+            prefetch: false,
         }
     }
 
@@ -293,7 +225,7 @@ impl PlacementPlan {
     pub fn with_prefetch(backend: usize) -> Self {
         Self {
             backend,
-            prefetch: Some(PrefetchDirective { backend }),
+            prefetch: true,
         }
     }
 }
@@ -321,7 +253,7 @@ pub trait Placement: fmt::Debug + Send {
     /// Short strategy name used in reports and bench tables.
     fn name(&self) -> &'static str;
 
-    /// Returns the plan for `job`: target backend plus optional prefetch.
+    /// Returns the plan for `job`: target backend, and whether to prefetch.
     ///
     /// `backends` is never empty.
     fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan;
@@ -333,7 +265,7 @@ pub trait Placement: fmt::Debug + Send {
 /// A job whose program is resident *somewhere* goes to the resident
 /// backend whose compute engine frees earliest (warm launch, no
 /// configuration streaming).  A program nobody holds yet goes to the
-/// earliest-free eligible backend overall — which both balances load and
+/// earliest-free backend offered — which both balances load and
 /// spreads distinct programs across the fleet, so the steady state keeps
 /// every program resident on "its" array instead of thrashing one
 /// configuration memory.  One refinement keeps affinity from starving the
@@ -407,7 +339,7 @@ pub enum Objective {
 
 /// Cost-based placement with speculative prefetch — the pool's default.
 ///
-/// For every eligible backend the strategy estimates when the job would
+/// For every backend offered the strategy estimates when the job would
 /// *complete*: first the earliest cycle its first window could start
 /// computing — the backend's compute backlog
 /// ([`BackendView::free_compute_at`]), or the reload's streaming time
@@ -415,24 +347,19 @@ pub enum Objective {
 /// on offload backends) when the program is not warm there — whichever
 /// ends later, because a prefetched reload streams *concurrently* with
 /// the backlog on the configuration-load lane; then the windows
-/// themselves, at the backend's modelled per-window cost
-/// ([`BackendView::window_cycles`]) or, for arrays, the pool's estimate
-/// for the kernel ([`JobView::window_cycles_hint`]).  It also
-/// estimates what the job would *cost in joules* there: the cold reload's
-/// streaming energy ([`BackendView::reload_energy_nj`]) plus windows at
-/// the backend's modelled per-window energy
-/// ([`BackendView::window_energy_nj`] /
-/// [`JobView::window_energy_hint_nj`]).  The [`Objective`] decides how
-/// the two estimates rank the candidates; under the default
+/// themselves, at [`BackendView::window_cycles`] each.  It also estimates
+/// what the job would *cost in joules* there: the cold reload's streaming
+/// energy ([`BackendView::reload_energy_nj`]) plus windows at
+/// [`BackendView::window_energy_nj`].  The [`Objective`] decides how the
+/// two estimates rank the candidates; under the default
 /// [`Objective::Cycles`] the job goes to the backend with the earliest
 /// completion (ties break on the earlier compute start, then the lower
 /// combined pressure `backlog + reload`, then lifetime compute load, then
 /// index — deterministic).  Whatever the objective, a chosen *array* that
-/// would otherwise reload on the launch's critical path gets a
-/// [`PrefetchDirective`].
+/// would otherwise reload on the launch's critical path gets a prefetch.
 ///
 /// On an all-array fleet every candidate prices windows at the same
-/// hint, so the completion term cancels and the choice reduces
+/// estimate, so the completion term cancels and the choice reduces
 /// exactly to the PR 5 cost model (reload versus backlog, prefetch the
 /// rest).  With offload backends present, the completion term is what
 /// sends an FFT-shaped job to the fixed-function engine when the arrays
@@ -468,8 +395,7 @@ impl Placement for CostAware {
     }
 
     fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-        let reload_price = |a: &BackendView| a.reload_cycles.unwrap_or(job.config_words as u64);
-        let reload = |a: &BackendView| if a.warm { 0 } else { reload_price(a) };
+        let reload = |a: &BackendView| if a.warm { 0 } else { a.reload_cycles };
         // Earliest estimated compute start on this backend: a prefetched
         // reload queues on the configuration-load lane (behind the wave's
         // earlier reloads) and streams concurrently with the compute
@@ -478,22 +404,14 @@ impl Placement for CostAware {
             let reload_done = if a.warm {
                 0
             } else {
-                a.free_config_at + reload_price(a)
+                a.free_config_at + a.reload_cycles
             };
             a.free_compute_at.max(reload_done)
         };
-        let completion = |a: &BackendView| {
-            let per_window = a.window_cycles.unwrap_or(job.window_cycles_hint);
-            ready_at(a) + job.windows as u64 * per_window
-        };
+        let completion = |a: &BackendView| ready_at(a) + job.windows as u64 * a.window_cycles;
         let energy = |a: &BackendView| {
-            let per_window = a.window_energy_nj.unwrap_or(job.window_energy_hint_nj);
-            let reload_nj = if a.warm {
-                0
-            } else {
-                a.reload_energy_nj.unwrap_or(0)
-            };
-            reload_nj + job.windows as u64 * per_window
+            let reload_nj = if a.warm { 0 } else { a.reload_energy_nj };
+            reload_nj + job.windows as u64 * a.window_energy_nj
         };
         // Energy × delay in u128: both factors are u64, the product must
         // not wrap for long backlogs.
@@ -555,71 +473,44 @@ impl Placement for RoundRobin {
     }
 }
 
-/// Load-balancing placement: route to the eligible backend with the
-/// fewest cumulative compute-busy cycles (ties to the lowest index).
-/// Ignores residency — useful as the "balanced but residency-blind"
-/// comparison point between [`RoundRobin`] and [`ResidencyAware`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LeastLoaded;
-
-impl Placement for LeastLoaded {
-    fn name(&self) -> &'static str {
-        "least-loaded"
-    }
-
-    fn place(&self, _job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-        PlacementPlan::run_on(
-            backends
-                .iter()
-                .min_by_key(|a| (a.busy_compute, a.index))
-                .map(|a| a.index)
-                .expect("placement sees at least one backend"),
-        )
-    }
-}
-
-/// One backend's admission-time price for a job — the cycles *and*
-/// joules columns that seed [`BackendView`].
+/// One backend's admission-time price for a job — the raw material of
+/// [`BackendView`]'s price columns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BackendPrice {
-    /// Cold-reload streaming cycles; `None` = the backend cannot serve
-    /// the job, `Some(0)` = eligible with no reload (offload backends).
-    reload_cycles: Option<u64>,
-    /// Modelled per-window cycles (offload backends; arrays use the
-    /// pool's learned estimate instead).
-    window_cycles: Option<u64>,
-    /// Energy of the cold reload in nanojoules (config-word streaming on
-    /// an array; `Some(0)` on eligible offload backends).
-    reload_energy_nj: Option<u64>,
-    /// Modelled per-window energy in nanojoules (offload backends).
-    window_energy_nj: Option<u64>,
+enum BackendPrice {
+    /// The backend cannot serve the job: an array whose geometry cannot
+    /// build the program, or an offload backend whose model prices no
+    /// window of it.
+    Ineligible,
+    /// An array: the cold reload's streaming cycles and nanojoules.  Its
+    /// windows are priced by the [`Estimator`] when the job is placed.
+    Array {
+        reload_cycles: u64,
+        reload_energy_nj: u64,
+    },
+    /// An offload backend: its modelled per-window cycles and nanojoules
+    /// (no reload — it has no configuration memory).
+    Offload {
+        window_cycles: u64,
+        window_energy_nj: u64,
+    },
 }
 
-impl BackendPrice {
-    /// The "cannot serve" price.
-    const INELIGIBLE: Self = Self {
-        reload_cycles: None,
-        window_cycles: None,
-        reload_energy_nj: None,
-        window_energy_nj: None,
-    };
-
-    /// Whether the backend can serve the job at all.
-    fn eligible(&self) -> bool {
-        self.reload_cycles.is_some()
-    }
-}
-
-/// Per-job, per-backend pricing computed once at admission: which
-/// backends can serve the job, and at what reload / per-window cost (the
-/// raw material of [`BackendView`]).
+/// Per-job, per-backend pricing computed once at admission.
 #[derive(Debug, Clone)]
 struct JobPricing {
-    /// Capability classes of the job ([`crate::backend::Offload::classes`]).
-    classes: u32,
     /// Scalar reload cost: the footprint on the first array backend whose
-    /// geometry builds the program (`0` in an all-offload fleet).
+    /// geometry builds the program (`0` in an all-offload fleet) — the
+    /// array estimate's cold-start proxy.
     config_words: usize,
+    /// Lower bound on the array estimate before the key has run on an
+    /// array: the FFT engine's modelled window when the engine can serve
+    /// the job, else `0`.  Dedicated silicon is never slower than the
+    /// reconfigurable array at its own kernel (Sec. 2: ~3 k engine cycles
+    /// vs 5–7 k array cycles for the 256-pt FFT), so a cold array estimate
+    /// below the engine's window is certainly wrong.  The CPU's modelled
+    /// window is *not* a bound — beating the CPU is the array's whole
+    /// point.
+    accel_floor: u64,
     /// Per backend, in pool order — see [`BackendPrice`].
     per_backend: Vec<BackendPrice>,
 }
@@ -627,25 +518,23 @@ struct JobPricing {
 /// Observed `(compute cycles, windows)` totals.
 type Observed = (u64, u64);
 
-/// The pool's online per-program cost model: cumulative compute cycles and
-/// windows keyed by *backend kind and* cache key, learned from every
-/// completed job.  The kind keeps the substrates' very different
-/// per-window costs from polluting each other's means (a CGRA window and
-/// an FFT-engine window of the same program differ by orders of
-/// magnitude).  Each kind also keeps the running total over all of its
-/// keys — the same-substrate cold-start fallback.  Backs the projected
-/// backlogs that placement and stealing reason over.
+/// The pool's online per-program cost model for the arrays: cumulative
+/// compute cycles and windows per cache key, learned from every job an
+/// array completed, plus the running total over all keys (the cold-start
+/// fallback).  Offload backends price windows from their own models, so
+/// only array observations are kept.  Backs the array columns of every
+/// [`BackendView`] and the projected backlogs stealing reasons over.
 #[derive(Debug, Default)]
 struct Estimator {
-    kinds: HashMap<BackendKind, (Observed, HashMap<String, Observed>)>,
+    total: Observed,
+    keys: HashMap<String, Observed>,
 }
 
 impl Estimator {
-    /// Folds one completed job's observed cost into the model.
-    fn learn(&mut self, kind: BackendKind, key: String, cycles: u64, windows: u64) {
-        let (total, keys) = self.kinds.entry(kind).or_default();
-        let entry = keys.entry(key).or_default();
-        for observed in [total, entry] {
+    /// Folds one array-completed job's observed cost into the model.
+    fn learn(&mut self, key: String, cycles: u64, windows: u64) {
+        let entry = self.keys.entry(key).or_default();
+        for observed in [&mut self.total, entry] {
             observed.0 += cycles;
             observed.1 += windows;
         }
@@ -656,19 +545,17 @@ impl Estimator {
         cycles.checked_div(windows).map(|mean| mean.max(1))
     }
 
-    /// The learned per-window mean for `key` on backends of `kind`
-    /// (`None` before any job of that key has completed on that kind).
-    fn learned_mean(&self, kind: BackendKind, key: &str) -> Option<u64> {
-        let (_, keys) = self.kinds.get(&kind)?;
-        keys.get(key).copied().and_then(Self::mean)
-    }
-
-    /// The learned per-window mean over *every* program seen on backends
-    /// of `kind` — the same-substrate cold-start fallback.
-    fn kind_mean(&self, kind: BackendKind) -> Option<u64> {
-        self.kinds
-            .get(&kind)
-            .and_then(|&(total, _)| Self::mean(total))
+    /// Estimated cycles of one array window of a job with cache key `key`:
+    /// the key's learned mean, else the mean over every key, else the
+    /// program's footprint — both cold-start values raised to the job's
+    /// [`JobPricing::accel_floor`].  Always at least 1.
+    fn array_window(&self, key: &str, pricing: &JobPricing) -> u64 {
+        if let Some(mean) = self.keys.get(key).copied().and_then(Self::mean) {
+            return mean;
+        }
+        Self::mean(self.total)
+            .unwrap_or_else(|| (pricing.config_words as u64).max(1))
+            .max(pricing.accel_floor)
     }
 }
 
@@ -692,7 +579,17 @@ struct Ticket<'k, K, I> {
 impl<K, I> Ticket<'_, K, I> {
     /// `true` if backend `index` can serve this job at all.
     fn eligible(&self, index: usize) -> bool {
-        self.pricing.per_backend[index].eligible()
+        self.pricing.per_backend[index] != BackendPrice::Ineligible
+    }
+
+    /// The [`JobView`] this ticket presents to the placement strategy.
+    fn view(&self) -> JobView<'_> {
+        JobView {
+            index: self.seq,
+            cache_key: &self.key,
+            windows: self.windows_hint,
+            deadline: self.deadline,
+        }
     }
 }
 
@@ -734,7 +631,7 @@ pub(crate) struct Dispatch<'a> {
 /// runnable example.
 #[derive(Debug)]
 pub struct Pool {
-    backends: Vec<Box<dyn Backend>>,
+    backends: Vec<Backend>,
     placement: Box<dyn Placement>,
     stats: FleetReport,
     /// Per-backend configuration-word footprints by [`Kernel::cache_key`]
@@ -743,8 +640,8 @@ pub struct Pool {
     /// geometry rather than once per job (the hook may build the whole
     /// program to count).
     footprints: Vec<HashMap<String, Option<usize>>>,
-    /// The learned per-program costs behind projected backlogs and
-    /// [`JobView::window_cycles_hint`].
+    /// The learned per-program array costs behind projected backlogs and
+    /// the array columns of [`BackendView`].
     estimates: Estimator,
 }
 
@@ -781,10 +678,7 @@ impl Pool {
     /// Panics if `sessions` is empty.
     pub fn with_sessions(sessions: Vec<Session>) -> Result<Self> {
         Ok(Self::with_backends(
-            sessions
-                .into_iter()
-                .map(|s| Box::new(ArrayBackend::new(s)) as Box<dyn Backend>)
-                .collect(),
+            sessions.into_iter().map(Backend::from).collect(),
         ))
     }
 
@@ -795,7 +689,7 @@ impl Pool {
     /// # Panics
     ///
     /// Panics if `backends` is empty.
-    pub fn with_backends(backends: Vec<Box<dyn Backend>>) -> Self {
+    pub fn with_backends(backends: Vec<Backend>) -> Self {
         assert!(!backends.is_empty(), "a pool needs at least one backend");
         let mut pool = Self {
             backends: Vec::with_capacity(backends.len()),
@@ -813,8 +707,8 @@ impl Pool {
     /// Appends a backend to the fleet, builder-style — how the FFT engine
     /// and the host CPU join an array pool.
     #[must_use]
-    pub fn with_backend(mut self, backend: impl Backend + 'static) -> Self {
-        self.push_backend(Box::new(backend));
+    pub fn with_backend(mut self, backend: impl Into<Backend>) -> Self {
+        self.push_backend(backend);
         self
     }
 
@@ -825,13 +719,13 @@ impl Pool {
     /// Every CGRA array of the fleet shares the first array's
     /// [`ReplayCache`](vwr2a_core::replay::ReplayCache), so a program
     /// recorded on one array replays on all of them.
-    pub fn push_backend(&mut self, mut backend: Box<dyn Backend>) {
+    pub fn push_backend(&mut self, backend: impl Into<Backend>) {
+        let mut backend = backend.into();
         let fleet_cache = self
-            .backends
-            .iter()
-            .find_map(|b| b.as_session())
+            .sessions()
+            .next()
             .map(|s| s.accelerator().replay_cache().clone());
-        if let (Some(cache), Some(session)) = (fleet_cache, backend.as_session_mut()) {
+        if let (Some(cache), Backend::Array(session)) = (fleet_cache, &mut backend) {
             session.accelerator_mut().share_replay_cache(&cache);
         }
         let index = self.backends.len();
@@ -868,36 +762,34 @@ impl Pool {
         self.backends.len()
     }
 
-    /// One backend of the fleet (kind, residency and capability
-    /// inspection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range.
-    pub fn backend(&self, index: usize) -> &dyn Backend {
-        self.backends[index].as_ref()
+    /// One backend of the fleet (kind and residency inspection), or
+    /// `None` if `index` is out of range.
+    pub fn backend(&self, index: usize) -> Option<&Backend> {
+        self.backends.get(index)
     }
 
     /// The session behind one CGRA-array backend (residency inspection,
-    /// tests).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of range or the backend is not an array.
-    pub fn array(&self, index: usize) -> &Session {
-        self.backends[index]
-            .as_session()
-            .expect("backend is a CGRA array")
+    /// tests), or `None` if `index` is out of range or the backend is not
+    /// an array.
+    pub fn array(&self, index: usize) -> Option<&Session> {
+        match self.backends.get(index)? {
+            Backend::Array(session) => Some(session),
+            Backend::Fft(_) | Backend::Cpu(_) => None,
+        }
+    }
+
+    /// The fleet's array sessions, in pool order.
+    fn sessions(&self) -> impl Iterator<Item = &Session> {
+        self.backends.iter().filter_map(|b| match b {
+            Backend::Array(session) => Some(&**session),
+            Backend::Fft(_) | Backend::Cpu(_) => None,
+        })
     }
 
     /// Evictions the needed-soon shield redirected, summed over the
     /// fleet's array sessions (see [`Session::evictions_averted`]).
     fn evictions_averted(&self) -> u64 {
-        self.backends
-            .iter()
-            .filter_map(|b| b.as_session())
-            .map(Session::evictions_averted)
-            .sum()
+        self.sessions().map(Session::evictions_averted).sum()
     }
 
     /// Accumulated fleet accounting over every wave run so far (per-backend
@@ -996,105 +888,99 @@ impl Pool {
     }
 
     /// Prices `kernel` against every backend of the fleet (see
-    /// [`JobPricing`]).  Errs if *no* backend can serve the job:
-    /// [`RuntimeError::MixedGeometry`] naming the first array whose
-    /// geometry failed, or [`RuntimeError::Capability`] when the fleet has
-    /// no backend matching the job's classes at all.
+    /// [`JobPricing`]).  An array can serve the job when its geometry
+    /// builds the program, an offload backend when its model prices a
+    /// window ([`Backend::window_cycles`]).  Errs if *no* backend can serve
+    /// the job, naming the first array (whose geometry failed) or, in an
+    /// all-offload fleet, the first backend.
     fn price_job<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<JobPricing> {
         let offload = kernel.offload();
-        let classes = offload.classes();
         let model = EnergyModel::calibrated();
         let mut per_backend = Vec::with_capacity(self.backends.len());
         let mut config_words = None;
-        let mut geometry_failure = None;
+        let mut accel_floor: Option<u64> = None;
         for index in 0..self.backends.len() {
-            let entry = match self.backends[index].kind() {
-                BackendKind::Array => {
-                    let words = self.footprint(index, kernel, key);
-                    if words.is_none() && geometry_failure.is_none() {
-                        geometry_failure = Some(index);
-                    }
-                    if config_words.is_none() {
-                        config_words = words;
-                    }
-                    BackendPrice {
-                        reload_cycles: words.map(|w| w as u64),
-                        window_cycles: None,
-                        reload_energy_nj: words.map(|w| model.array_reload_nj(w as u64)),
-                        window_energy_nj: None,
-                    }
-                }
-                _ => {
-                    if self.backends[index].capabilities() & classes == 0 {
-                        BackendPrice::INELIGIBLE
-                    } else {
-                        // An offload backend has no configuration memory:
-                        // eligibility and per-window cost both come from
-                        // its own model.
-                        let window = self.backends[index].window_cycles(&offload);
-                        BackendPrice {
-                            reload_cycles: window.map(|_| 0),
-                            window_cycles: window,
-                            reload_energy_nj: window.map(|_| 0),
-                            window_energy_nj: self.backends[index].window_energy_nj(&offload),
+            let price = if self.backends[index].kind() == BackendKind::Array {
+                match self.footprint(index, kernel, key) {
+                    Some(words) => {
+                        config_words.get_or_insert(words);
+                        BackendPrice::Array {
+                            reload_cycles: words as u64,
+                            reload_energy_nj: model.array_reload_nj(words as u64),
                         }
                     }
+                    None => BackendPrice::Ineligible,
+                }
+            } else {
+                let kind = self.backends[index].kind();
+                match self.backends[index].window_cycles(&offload) {
+                    Some(window_cycles) => {
+                        if kind == BackendKind::FftAccel {
+                            accel_floor =
+                                Some(accel_floor.map_or(window_cycles, |f| f.min(window_cycles)));
+                        }
+                        BackendPrice::Offload {
+                            window_cycles,
+                            window_energy_nj: kind.window_nj(window_cycles),
+                        }
+                    }
+                    None => BackendPrice::Ineligible,
                 }
             };
-            per_backend.push(entry);
+            per_backend.push(price);
         }
-        if !per_backend.iter().any(BackendPrice::eligible) {
-            return Err(match geometry_failure {
-                Some(array) => RuntimeError::MixedGeometry { array },
-                None => RuntimeError::Capability {
-                    kernel: kernel.name().to_string(),
-                    backend: self.backends[0].kind().label().to_string(),
-                },
-            });
+        if per_backend.iter().all(|p| *p == BackendPrice::Ineligible) {
+            let first_array = self
+                .backends
+                .iter()
+                .position(|b| b.kind() == BackendKind::Array);
+            return Err(self.cannot_serve(first_array.unwrap_or(0), kernel));
         }
         Ok(JobPricing {
-            classes,
             config_words: config_words.unwrap_or(0),
+            accel_floor: accel_floor.unwrap_or(0),
             per_backend,
         })
     }
 
-    /// Checks a dispatch plan before anything runs: the target and any
-    /// prefetch directive must name backends of the pool
-    /// ([`RuntimeError::Placement`]), and the target must be able to serve
-    /// the job ([`RuntimeError::MixedGeometry`] for an array,
-    /// [`RuntimeError::Capability`] otherwise).
+    /// The typed error for a job of `kernel` routed to backend `index`,
+    /// which cannot serve it: [`RuntimeError::MixedGeometry`] for an
+    /// array, [`RuntimeError::Capability`] otherwise.
+    fn cannot_serve<K: Kernel>(&self, index: usize, kernel: &K) -> RuntimeError {
+        match &self.backends[index] {
+            Backend::Array(_) => RuntimeError::MixedGeometry { array: index },
+            backend => RuntimeError::Capability {
+                kernel: kernel.name().to_string(),
+                backend: backend.kind().label().to_string(),
+            },
+        }
+    }
+
+    /// Checks a dispatch plan before anything runs: the target must name a
+    /// backend of the pool ([`RuntimeError::Placement`]) that can serve the
+    /// job ([`Pool::cannot_serve`]).
     fn check_plan<K: Kernel, I>(
         &self,
         plan: &PlacementPlan,
         ticket: &Ticket<'_, K, I>,
     ) -> Result<()> {
-        let arrays = self.backends.len();
-        let mut targets = std::iter::once(plan.backend).chain(plan.prefetch.map(|d| d.backend));
-        if let Some(index) = targets.find(|&index| index >= arrays) {
-            return Err(RuntimeError::Placement { index, arrays });
-        }
-        if ticket.eligible(plan.backend) {
-            Ok(())
-        } else if self.backends[plan.backend].kind() == BackendKind::Array {
-            Err(RuntimeError::MixedGeometry {
-                array: plan.backend,
-            })
-        } else {
-            Err(RuntimeError::Capability {
-                kernel: ticket.kernel.name().to_string(),
-                backend: self.backends[plan.backend].kind().label().to_string(),
-            })
+        match ticket.pricing.per_backend.get(plan.backend) {
+            None => Err(RuntimeError::Placement {
+                index: plan.backend,
+                arrays: self.backends.len(),
+            }),
+            Some(BackendPrice::Ineligible) => Err(self.cannot_serve(plan.backend, ticket.kernel)),
+            Some(_) => Ok(()),
         }
     }
 
-    /// Executes one [`PrefetchDirective`]: stages `kernel`'s program on
-    /// backend `target` no earlier than `not_before` (the dispatch cycle)
-    /// and folds the streamed cycles into `wave`.
+    /// Executes a plan's prefetch: stages `kernel`'s program on backend
+    /// `target` no earlier than `not_before` (the dispatch cycle) and folds
+    /// the streamed cycles into `wave`.
     ///
     /// Speculative staging is best-effort: a prefetch the target cannot
     /// satisfy (its configuration memory packed with pinned programs, say)
-    /// — or directed at an offload backend, which has no configuration
+    /// — or aimed at an offload backend, which has no configuration
     /// memory — is skipped, not fatal.  The job's own launch then pays the
     /// reload, and a genuine error resurfaces there, on the authoritative
     /// path.
@@ -1110,7 +996,7 @@ impl Pool {
         // fully hidden (the ConfigLoad lane leaves the compute lane
         // untouched either way).
         let backlog = schedules[target].free_at(Engine::Compute);
-        let Some(session) = self.backends[target].as_session_mut() else {
+        let Backend::Array(session) = &mut self.backends[target] else {
             return;
         };
         if let Ok(Some(staged)) = session.prefetch(kernel) {
@@ -1199,7 +1085,7 @@ impl Pool {
             // needed-soon announcement so later runs see an unshielded
             // fleet, and account what the shield redirected.
             for backend in &mut self.backends {
-                if let Some(session) = backend.as_session_mut() {
+                if let Backend::Array(session) = backend {
                     session.set_needed_soon(std::iter::empty());
                 }
             }
@@ -1287,29 +1173,22 @@ impl Pool {
                     }
                     None => queue.pop_front().expect("the queue is not empty"),
                 };
-                let open: Vec<BackendView> = (0..backends)
-                    .filter(|&i| ticket.eligible(i) && assigned[i].len() < depth)
-                    .map(|i| self.backend_view(i, &ticket, now, schedules, &assigned))
-                    .collect();
+                let open = self.views(&ticket, now, schedules, &assigned, |i| {
+                    assigned[i].len() < depth
+                });
                 if open.is_empty() {
                     parked.push(ticket);
                     continue;
                 }
-                let plan = self.placement.place(&self.job_view(&ticket), &open);
+                let plan = self.placement.place(&ticket.view(), &open);
                 self.check_plan(&plan, &ticket)?;
                 let chosen = plan.backend;
                 if assigned[chosen].len() >= depth {
                     parked.push(ticket);
                     continue;
                 }
-                if let Some(directive) = plan.prefetch {
-                    self.stage_prefetch(
-                        directive.backend,
-                        ticket.kernel,
-                        now,
-                        schedules,
-                        &mut report.fleet,
-                    );
+                if plan.prefetch {
+                    self.stage_prefetch(chosen, ticket.kernel, now, schedules, &mut report.fleet);
                 }
                 let head_key = dispatch.lookahead.then(|| ticket.key.clone());
                 assigned[chosen].push_back((ticket, now));
@@ -1364,7 +1243,7 @@ impl Pool {
                 // shielded residents).  Runs after stealing, against each
                 // job's final backend.
                 for (backend, run_queue) in self.backends.iter_mut().zip(&assigned) {
-                    if let Some(session) = backend.as_session_mut() {
+                    if let Backend::Array(session) = backend {
                         session.set_needed_soon(run_queue.iter().map(|(t, _)| t.key.clone()));
                     }
                 }
@@ -1418,8 +1297,7 @@ impl Pool {
                     let mut compute_cycles = 0u64;
                     let mut count = 0u64;
                     for window in ticket.windows {
-                        let (output, phases, window_nj) = run_window_on(
-                            self.backends[i].as_mut(),
+                        let (output, phases, window_nj) = self.backends[i].run_window(
                             ticket.kernel,
                             &ticket.key,
                             window.borrow(),
@@ -1436,11 +1314,11 @@ impl Pool {
                         count += 1;
                         sink(ticket.seq, output)?;
                     }
-                    // Learn the kernel's observed cost *on this kind of
-                    // backend* — offload substrates included, so their
-                    // queued jobs project real horizons too.
-                    self.estimates
-                        .learn(kind, ticket.key, compute_cycles, count);
+                    // Learn the kernel's observed array cost; offload
+                    // backends price windows from their own models.
+                    if kind == BackendKind::Array {
+                        self.estimates.learn(ticket.key, compute_cycles, count);
+                    }
                     // The host knows the job is done once the last
                     // window's completion interrupt was serviced.
                     let service_start = first_compute.unwrap_or(completed);
@@ -1490,8 +1368,8 @@ impl Pool {
     /// The work-stealing pass: while the most backlogged backend still
     /// has queued (unstarted) jobs, try to move its *last-committed* job
     /// to a backend that would finish it earlier, re-consulting
-    /// [`Placement`] under the dispatch rule (donor excluded) so prefetch
-    /// directives fire on the new target.  Every move must strictly
+    /// [`Placement`] under the dispatch rule (donor excluded) so a planned
+    /// prefetch fires on the new target.  Every move must strictly
     /// improve the donor/target pair's projected finish, and the pass is
     /// bounded, so it terminates.  A plan that cannot serve the job errs
     /// as at dispatch.
@@ -1524,14 +1402,13 @@ impl Pool {
                 let (ticket, _) = assigned[donor].back().expect("donor has a queued job");
                 // The dispatch rule, donor excluded: the strategy sees the
                 // backends that can serve the job and have room.
-                let views: Vec<BackendView> = (0..backends)
-                    .filter(|&i| i != donor && ticket.eligible(i) && assigned[i].len() < depth)
-                    .map(|i| self.backend_view(i, ticket, now, schedules, assigned))
-                    .collect();
+                let views = self.views(ticket, now, schedules, assigned, |i| {
+                    i != donor && assigned[i].len() < depth
+                });
                 if views.is_empty() {
                     return Ok(());
                 }
-                let plan = self.placement.place(&self.job_view(ticket), &views);
+                let plan = self.placement.place(&ticket.view(), &views);
                 self.check_plan(&plan, ticket)?;
                 let target = plan.backend;
                 // A plan pointing back at the donor or at a full backend
@@ -1548,9 +1425,9 @@ impl Pool {
                 plan
             };
             let (ticket, _) = assigned[donor].pop_back().expect("donor checked non-empty");
-            if let Some(directive) = plan.prefetch {
+            if plan.prefetch {
                 self.stage_prefetch(
-                    directive.backend,
+                    plan.backend,
                     ticket.kernel,
                     now,
                     schedules,
@@ -1563,59 +1440,20 @@ impl Pool {
         Ok(())
     }
 
-    /// Lower bound on an array's per-window cycles for `ticket`'s
-    /// program: the best modelled window of a *fixed-function* offload
-    /// backend the job is priced on.  Dedicated silicon is never slower
-    /// than the reconfigurable array at its own kernel (Sec. 2: ~3 k
-    /// engine cycles vs 5–7 k array cycles for the 256-pt FFT), so a cold
-    /// array estimate below the accelerator's modelled window is certainly
-    /// wrong.  The CPU's modelled window is *not* a bound — beating the
-    /// CPU is the array's whole point.
-    fn accel_floor<K, I>(&self, ticket: &Ticket<'_, K, I>) -> u64 {
-        ticket
-            .pricing
-            .per_backend
-            .iter()
-            .zip(&self.backends)
-            .filter(|(_, backend)| backend.kind() == BackendKind::FftAccel)
-            .filter_map(|(price, _)| price.window_cycles)
-            .min()
-            .unwrap_or(0)
-    }
-
     /// Estimated compute cycles of one window of `ticket`'s program *on
-    /// backend `backend`*: the backend's own modelled per-window cost
-    /// first (offload backends priced at admission — the same model
-    /// placement ranked the backend by, so projections stay consistent
-    /// with the dispatch decision), else the key's learned mean on that
-    /// backend's kind, else the kind-wide learned mean, else — for
-    /// arrays only — the program's reload footprint as a cold-start
-    /// proxy.  Consulting the model first is what keeps a cold FFT-heavy
-    /// run queue from projecting a near-zero horizon: the engine's
-    /// modelled cycles price its queue even before any job has
-    /// completed, while an engine-capable key's footprint (zero config
-    /// words) would price it at 1 cycle per window.  The cold
-    /// array fallbacks (kind mean, footprint) are additionally floored
-    /// by [`Self::accel_floor`] so a crumb-dominated array mean cannot
-    /// underprice an accelerator-class kernel on the array.
+    /// backend `backend`*: an offload backend's modelled per-window cost
+    /// (priced at admission — the same model placement ranked the backend
+    /// by, so projections stay consistent with the dispatch decision), else
+    /// the array estimate ([`Estimator::array_window`]).  Consulting the
+    /// model is what keeps a cold FFT-heavy run queue from projecting a
+    /// near-zero horizon: an engine-capable key's footprint (zero config
+    /// words) would price it at 1 cycle per window.
     fn per_window_estimate_on<K, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
-        if let Some(modelled) = ticket.pricing.per_backend[backend].window_cycles {
-            return modelled.max(1);
-        }
-        let kind = self.backends[backend].kind();
-        if let Some(mean) = self.estimates.learned_mean(kind, &ticket.key) {
-            return mean;
-        }
-        let floor = match kind {
-            BackendKind::Array => self.accel_floor(ticket),
-            _ => 0,
-        };
-        if let Some(mean) = self.estimates.kind_mean(kind) {
-            return mean.max(floor);
-        }
-        match kind {
-            BackendKind::Array => (ticket.pricing.config_words as u64).max(1).max(floor),
-            _ => 1,
+        match ticket.pricing.per_backend[backend] {
+            BackendPrice::Offload { window_cycles, .. } => window_cycles.max(1),
+            BackendPrice::Array { .. } | BackendPrice::Ineligible => {
+                self.estimates.array_window(&ticket.key, &ticket.pricing)
+            }
         }
     }
 
@@ -1644,61 +1482,58 @@ impl Pool {
                 .sum::<u64>()
     }
 
-    /// One backend's [`BackendView`] over the *projected* backlogs — what
-    /// placement sees at dispatch and steal time.  Reload and per-window
-    /// pricing come from the ticket's admission-time pricing.
-    fn backend_view<K, I>(
+    /// The [`BackendView`]s placement sees for `ticket` at dispatch and
+    /// steal time: one per backend that can serve the job and passes
+    /// `open`, over the *projected* backlogs.  Reload and offload window
+    /// prices come from the ticket's admission-time pricing; the array
+    /// window columns from one array estimate, computed here once.
+    fn views<K, I>(
         &self,
-        backend: usize,
         ticket: &Ticket<'_, K, I>,
         now: u64,
         schedules: &[StreamSchedule],
         assigned: &[RunQueue<'_, K, I>],
-    ) -> BackendView {
-        let b = &self.backends[backend];
-        let price = ticket.pricing.per_backend[backend];
-        BackendView {
-            index: backend,
-            kind: b.kind(),
-            capabilities: b.capabilities(),
-            resident: b.is_resident(&ticket.key),
-            warm: b.is_warm(&ticket.key),
-            free_compute_at: self.projection(backend, now, schedules, assigned),
-            free_config_at: schedules[backend].free_at(Engine::ConfigLoad).max(now),
-            busy_compute: b.busy_compute(),
-            loaded_programs: b.loaded_programs(),
-            reload_cycles: price.reload_cycles,
-            window_cycles: price.window_cycles,
-            reload_energy_nj: price.reload_energy_nj,
-            window_energy_nj: price.window_energy_nj,
-        }
-    }
-
-    /// The [`JobView`] a ticket presents to the placement strategy.  The
-    /// hints fill the array columns a [`BackendView`] leaves open: the
-    /// key's learned array mean (else the array-wide mean, else the
-    /// footprint proxy) and that mean priced at the array's average
-    /// power.
-    fn job_view<'t, K, I>(&self, ticket: &'t Ticket<'_, K, I>) -> JobView<'t> {
-        let hint = self
-            .estimates
-            .learned_mean(BackendKind::Array, &ticket.key)
-            .unwrap_or_else(|| {
-                self.estimates
-                    .kind_mean(BackendKind::Array)
-                    .unwrap_or_else(|| (ticket.pricing.config_words as u64).max(1))
-                    .max(self.accel_floor(ticket))
+        open: impl Fn(usize) -> bool,
+    ) -> Vec<BackendView> {
+        let array_window = self.estimates.array_window(&ticket.key, &ticket.pricing);
+        let array_window_nj = BackendKind::Array.window_nj(array_window);
+        let mut views = Vec::new();
+        for (index, price) in ticket.pricing.per_backend.iter().enumerate() {
+            let (reload_cycles, reload_energy_nj, window_cycles, window_energy_nj) = match *price {
+                BackendPrice::Ineligible => continue,
+                BackendPrice::Array {
+                    reload_cycles,
+                    reload_energy_nj,
+                } => (
+                    reload_cycles,
+                    reload_energy_nj,
+                    array_window,
+                    array_window_nj,
+                ),
+                BackendPrice::Offload {
+                    window_cycles,
+                    window_energy_nj,
+                } => (0, 0, window_cycles, window_energy_nj),
+            };
+            if !open(index) {
+                continue;
+            }
+            let backend = &self.backends[index];
+            views.push(BackendView {
+                index,
+                kind: backend.kind(),
+                resident: backend.is_resident(&ticket.key),
+                warm: backend.is_warm(&ticket.key),
+                free_compute_at: self.projection(index, now, schedules, assigned),
+                free_config_at: schedules[index].free_at(Engine::ConfigLoad).max(now),
+                busy_compute: backend.busy_compute(),
+                reload_cycles,
+                window_cycles,
+                reload_energy_nj,
+                window_energy_nj,
             });
-        JobView {
-            index: ticket.seq,
-            cache_key: &ticket.key,
-            windows: ticket.windows_hint,
-            config_words: ticket.pricing.config_words,
-            classes: ticket.pricing.classes,
-            window_cycles_hint: hint,
-            window_energy_hint_nj: EnergyModel::calibrated().array_window_nj(hint),
-            deadline: ticket.deadline,
         }
+        views
     }
 
     /// Runs every job of the same shape on one fresh, unconstrained
@@ -1736,7 +1571,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ArrayBackend, CpuBackend, FftBackend, FftShape, Offload};
+    use crate::backend::{CpuBackend, FftBackend, FftShape, Offload};
     use crate::testing::{constrained_sessions, BakedScaleKernel};
     use vwr2a_core::geometry::Geometry;
 
@@ -1812,8 +1647,6 @@ mod tests {
         assert_eq!(ra, serial);
         let (rr, _, serial) = run_mixed(&factors, &THREE_KERNEL_PICKS, RoundRobin);
         assert_eq!(rr, serial);
-        let (ll, _, serial) = run_mixed(&factors, &THREE_KERNEL_PICKS, LeastLoaded);
-        assert_eq!(ll, serial);
     }
 
     #[test]
@@ -2029,10 +1862,11 @@ mod tests {
         // arrays (the second program's reload is cheaper than queueing
         // behind the first job's backlog), and each repeat went back to
         // its warm array.
-        assert!(pool.array(0).is_resident(&kernels[0]));
-        assert!(pool.array(1).is_resident(&kernels[1]));
-        assert!(!pool.array(0).is_resident(&kernels[1]));
-        assert!(!pool.array(1).is_resident(&kernels[0]));
+        let (first, second) = (pool.array(0).unwrap(), pool.array(1).unwrap());
+        assert!(first.is_resident(&kernels[0]));
+        assert!(second.is_resident(&kernels[1]));
+        assert!(!first.is_resident(&kernels[1]));
+        assert!(!second.is_resident(&kernels[0]));
     }
 
     #[test]
@@ -2145,82 +1979,6 @@ mod tests {
         assert_eq!(pool.placement_name(), "residency-aware");
         pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
             .unwrap();
-    }
-
-    #[test]
-    fn rogue_prefetch_directive_fails_cleanly() {
-        // A directive naming a non-existent backend must abort like a
-        // rogue target — before any prefetch or window runs.
-        #[derive(Debug)]
-        struct RoguePrefetch;
-        impl Placement for RoguePrefetch {
-            fn name(&self) -> &'static str {
-                "rogue-prefetch"
-            }
-            fn place(&self, _job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
-                PlacementPlan {
-                    backend: 0,
-                    prefetch: Some(PrefetchDirective {
-                        backend: backends.len(),
-                    }),
-                }
-            }
-        }
-        let kernel = BakedScaleKernel::new(2);
-        let mut pool = Pool::new(2).with_placement(RoguePrefetch);
-        let ws = windows(1, 0);
-        let err = pool
-            .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                RuntimeError::Placement {
-                    index: 2,
-                    arrays: 2
-                }
-            ),
-            "expected Placement, got {err:?}"
-        );
-        assert_eq!(pool.stats().jobs, 0);
-        assert_eq!(pool.stats().prefetched(), 0);
-        // The pool recovers with the default strategy.
-        pool.set_placement(CostAware::default());
-        pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
-            .unwrap();
-    }
-
-    #[test]
-    fn prefetch_directives_may_warm_a_different_array() {
-        // A strategy can replicate a program onto another array ahead of
-        // anticipated load: the job runs on backend 0, the directive warms
-        // backend 1, and the next wave launches warm on either.
-        #[derive(Debug)]
-        struct WarmTheOther;
-        impl Placement for WarmTheOther {
-            fn name(&self) -> &'static str {
-                "warm-the-other"
-            }
-            fn place(&self, _job: &JobView<'_>, _backends: &[BackendView]) -> PlacementPlan {
-                PlacementPlan {
-                    backend: 0,
-                    prefetch: Some(PrefetchDirective { backend: 1 }),
-                }
-            }
-        }
-        let kernel = BakedScaleKernel::new(7);
-        let mut pool = Pool::new(2).with_placement(WarmTheOther);
-        let ws = windows(1, 0);
-        let (_, fleet) = pool
-            .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
-            .unwrap();
-        // Array 1 was warmed speculatively; array 0 ran the job cold (its
-        // own reload was not staged).
-        assert_eq!(fleet.prefetched(), 1);
-        assert_eq!(fleet.cold_reloads(), 1);
-        assert!(pool.array(0).is_warm(&kernel));
-        assert!(pool.array(1).is_warm(&kernel));
-        assert_eq!(pool.array(1).prefetches(), 1);
     }
 
     #[test]
@@ -2508,9 +2266,17 @@ mod tests {
     /// backends by construction, like the real FFT kernels in
     /// `vwr2a-kernels` (whose numerical equivalence is pinned there).
     #[derive(Debug)]
-    struct FftishKernel(BakedScaleKernel);
+    struct FftishKernel {
+        scale: BakedScaleKernel,
+        points: usize,
+    }
     impl FftishKernel {
-        const POINTS: usize = 256;
+        fn new(factor: i16, points: usize) -> Self {
+            Self {
+                scale: BakedScaleKernel::new(factor),
+                points,
+            }
+        }
     }
     impl Kernel for FftishKernel {
         type Input = [i32];
@@ -2519,25 +2285,25 @@ mod tests {
             "fftish"
         }
         fn cache_key(&self) -> String {
-            format!("fftish:{}", self.0.factor())
+            format!("fftish:{}", self.scale.factor())
         }
         fn resources(&self) -> crate::session::Resources {
-            self.0.resources()
+            self.scale.resources()
         }
         fn program(&self, g: &Geometry) -> Result<vwr2a_core::program::KernelProgram> {
-            self.0.program(g)
+            self.scale.program(g)
         }
         fn execute(
             &self,
             ctx: &mut crate::session::LaunchCtx<'_>,
             input: &[i32],
         ) -> Result<Vec<i32>> {
-            self.0.execute(ctx, input)
+            self.scale.execute(ctx, input)
         }
         fn offload(&self) -> Offload {
             Offload {
                 fft: Some(FftShape {
-                    points: Self::POINTS,
+                    points: self.points,
                     real: true,
                 }),
                 cpu_cycles: None,
@@ -2548,7 +2314,7 @@ mod tests {
             accel: &vwr2a_fftaccel::FftAccelerator,
             input: &[i32],
         ) -> Result<(Vec<i32>, vwr2a_fftaccel::FftAccelStats)> {
-            let samples: Vec<f64> = (0..Self::POINTS)
+            let samples: Vec<f64> = (0..self.points)
                 .map(|i| f64::from(input.get(i).copied().unwrap_or(0)))
                 .collect();
             let (_, stats) = accel
@@ -2556,7 +2322,7 @@ mod tests {
                 .map_err(|e| RuntimeError::invalid_input(e.to_string()))?;
             let out = input
                 .iter()
-                .map(|&v| v.wrapping_mul(i32::from(self.0.factor())))
+                .map(|&v| v.wrapping_mul(i32::from(self.scale.factor())))
                 .collect();
             Ok((out, stats))
         }
@@ -2564,7 +2330,6 @@ mod tests {
 
     #[test]
     fn objectives_rank_the_same_candidates_differently() {
-        use crate::backend::{CAP_CGRA, CAP_FFT};
         // One warm array and the FFT engine, deliberately priced so the
         // array finishes a touch sooner while the engine costs ~5x fewer
         // joules — the canonical trade the objectives disagree on.
@@ -2572,41 +2337,33 @@ mod tests {
             index: 0,
             cache_key: "k",
             windows: 2,
-            config_words: 100,
-            classes: CAP_CGRA | CAP_FFT,
-            window_cycles_hint: 1_000,
-            window_energy_hint_nj: 67_000,
             deadline: None,
         };
         let array = BackendView {
             index: 0,
             kind: BackendKind::Array,
-            capabilities: CAP_CGRA,
             resident: true,
             warm: true,
             free_compute_at: 0,
             free_config_at: 0,
             busy_compute: 0,
-            loaded_programs: 1,
-            reload_cycles: Some(100),
-            window_cycles: None,
-            reload_energy_nj: Some(500),
-            window_energy_nj: None,
+            reload_cycles: 100,
+            window_cycles: 1_000,
+            reload_energy_nj: 500,
+            window_energy_nj: 67_000,
         };
         let engine = BackendView {
             index: 1,
             kind: BackendKind::FftAccel,
-            capabilities: CAP_FFT,
             resident: false,
             warm: true,
             free_compute_at: 0,
             free_config_at: 0,
             busy_compute: 0,
-            loaded_programs: 0,
-            reload_cycles: Some(0),
-            window_cycles: Some(1_100),
-            reload_energy_nj: Some(0),
-            window_energy_nj: Some(13_000),
+            reload_cycles: 0,
+            window_cycles: 1_100,
+            reload_energy_nj: 0,
+            window_energy_nj: 13_000,
         };
         let views = [array, engine];
         let place =
@@ -2652,33 +2409,26 @@ mod tests {
 
     #[test]
     fn energy_objective_still_prefetches_cold_array_choices() {
-        use crate::backend::CAP_CGRA;
         // A cold array chosen by an energy objective must still get the
         // reload staged off the critical path, exactly like Cycles does.
         let job = JobView {
             index: 0,
             cache_key: "k",
             windows: 4,
-            config_words: 60,
-            classes: CAP_CGRA,
-            window_cycles_hint: 500,
-            window_energy_hint_nj: 30_000,
             deadline: None,
         };
         let cold = BackendView {
             index: 0,
             kind: BackendKind::Array,
-            capabilities: CAP_CGRA,
             resident: false,
             warm: false,
             free_compute_at: 0,
             free_config_at: 0,
             busy_compute: 0,
-            loaded_programs: 0,
-            reload_cycles: Some(60),
-            window_cycles: None,
-            reload_energy_nj: Some(300),
-            window_energy_nj: None,
+            reload_cycles: 60,
+            window_cycles: 500,
+            reload_energy_nj: 300,
+            window_energy_nj: 30_000,
         };
         for objective in [
             Objective::Cycles,
@@ -2688,16 +2438,13 @@ mod tests {
         ] {
             let plan = CostAware::with_objective(objective).place(&job, &[cold]);
             assert_eq!(plan.backend, 0);
-            assert!(
-                plan.prefetch.is_some(),
-                "{objective:?} must stage the cold reload"
-            );
+            assert!(plan.prefetch, "{objective:?} must stage the cold reload");
         }
     }
 
     #[test]
     fn fft_routed_jobs_execute_on_the_engine_and_stay_bit_identical() {
-        let kernel = FftishKernel(BakedScaleKernel::new(3));
+        let kernel = FftishKernel::new(3, 256);
         let ws = windows(2, 0);
         let mut pool = Pool::with_sessions(constrained_sessions(1, 2 * baked_words()))
             .unwrap()
@@ -2728,9 +2475,12 @@ mod tests {
         // same shape programmed (warm).  The engine's projection is exact.
         assert_eq!(fleet.cold_reloads(), 1);
         assert_eq!(fleet.warm_launches(), 1);
-        let projected = FftBackend::new().window_cycles(&kernel.offload()).unwrap();
+        let engine = pool.backend(1).unwrap();
+        let projected = engine.window_cycles(&kernel.offload()).unwrap();
         assert_eq!(fft_row.cycles, 2 * projected);
-        assert!(pool.backend(1).is_warm(&kernel.cache_key()));
+        assert!(engine.is_warm(&kernel.cache_key()));
+        assert!(pool.backend(2).is_none());
+        assert!(pool.array(1).is_none(), "the engine is not an array");
 
         // A kernel without an FFT offload pinned to the engine is a typed
         // capability error, and the pool stays reusable.
@@ -2752,6 +2502,90 @@ mod tests {
             .unwrap();
         assert_eq!(fleet.routes[0].backend, 0);
         assert_eq!(fleet.routes[0].kind, BackendKind::Array);
+    }
+
+    /// Delegates to a strategy, failing the test if placement is ever
+    /// offered a backend that is not an array.
+    #[derive(Debug)]
+    struct ArraysOnly(Box<dyn Placement>);
+    impl Placement for ArraysOnly {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn place(&self, job: &JobView<'_>, backends: &[BackendView]) -> PlacementPlan {
+            assert!(
+                backends.iter().all(|b| b.kind == BackendKind::Array),
+                "{} was offered {backends:?}",
+                self.0.name()
+            );
+            self.0.place(job, backends)
+        }
+    }
+
+    #[test]
+    fn fft_lengths_the_engine_rejects_are_never_offered_the_engine() {
+        // A 24-point transform is FFT-shaped, but the engine's model
+        // prices no window of it (not a power of two): the engine cannot
+        // serve the job, so no strategy ever sees it, and the job lands on
+        // an array bit-identically.
+        let kernel = FftishKernel::new(5, 24);
+        let engine = Backend::from(FftBackend::new());
+        assert_eq!(engine.window_cycles(&kernel.offload()), None);
+        let ws = windows(2, 0);
+        let (serial, _) =
+            Pool::run_serial_reference([(&kernel, ws.iter().map(Vec::as_slice))]).unwrap();
+        for placement in [
+            Box::new(CostAware::default()) as Box<dyn Placement>,
+            Box::new(ResidencyAware),
+            Box::new(RoundRobin),
+        ] {
+            let name = placement.name();
+            let mut pool = Pool::with_sessions(constrained_sessions(2, 2 * baked_words()))
+                .unwrap()
+                .with_backend(FftBackend::new())
+                .with_placement(ArraysOnly(placement));
+            let jobs = (0..3).map(|_| (&kernel, ws.iter().map(Vec::as_slice)));
+            let (outputs, fleet) = pool.run_batch(jobs).unwrap();
+            assert!(outputs.iter().all(|job| *job == serial[0]), "{name}");
+            assert!(
+                fleet
+                    .routes
+                    .iter()
+                    .all(|r| r.kind == BackendKind::Array && r.backend < 2),
+                "{name}: {:?}",
+                fleet.routes
+            );
+            assert_eq!(fleet.arrays[2].report.invocations, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn all_offload_fleets_reject_cgra_only_jobs_at_admission() {
+        let mut pool = Pool::with_backends(vec![FftBackend::new().into()]);
+        let plain = BakedScaleKernel::new(2);
+        let ws = windows(2, 0);
+        let err = pool
+            .run_batch([(&plain, ws.iter().map(Vec::as_slice))])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RuntimeError::Capability {
+                kernel: "baked-scale".to_string(),
+                backend: "fft".to_string(),
+            }
+        );
+        assert_eq!(pool.stats().jobs, 0, "nothing ran");
+        assert_eq!(pool.stats().invocations(), 0);
+        assert!(pool.array(0).is_none());
+        // The engine serves what its model prices.
+        let fftish = FftishKernel::new(3, 256);
+        let (outputs, fleet) = pool
+            .run_batch([(&fftish, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        let (serial, _) =
+            Pool::run_serial_reference([(&fftish, ws.iter().map(Vec::as_slice))]).unwrap();
+        assert_eq!(outputs, serial);
+        assert_eq!(fleet.routes[0].kind, BackendKind::FftAccel);
     }
 
     #[test]
@@ -2807,7 +2641,6 @@ mod tests {
         let ws = windows(1, 0);
         for placement in [
             Box::new(RoundRobin) as Box<dyn Placement>,
-            Box::new(LeastLoaded),
             Box::new(ResidencyAware),
         ] {
             let mut pool = Pool::with_sessions(constrained_sessions(2, 4 * baked_words()))
@@ -2831,20 +2664,15 @@ mod tests {
     fn priced_ticket<'k>(
         kernel: &'k BakedScaleKernel,
         key: &str,
-        config_words: usize,
         windows_hint: usize,
-        per_backend: Vec<BackendPrice>,
+        pricing: JobPricing,
     ) -> Ticket<'k, BakedScaleKernel, std::iter::Empty<Vec<i32>>> {
         Ticket {
             seq: 0,
             kernel,
             windows: std::iter::empty(),
             key: key.to_string(),
-            pricing: JobPricing {
-                classes: 0,
-                config_words,
-                per_backend,
-            },
+            pricing,
             windows_hint,
             tenant: 0,
             arrival: 0,
@@ -2867,17 +2695,18 @@ mod tests {
         let ticket = priced_ticket(
             &kernel,
             "fft-512",
-            0, // engine-capable: no config footprint
             4,
-            vec![
-                BackendPrice::INELIGIBLE,
-                BackendPrice {
-                    reload_cycles: Some(0),
-                    window_cycles: Some(modelled),
-                    reload_energy_nj: Some(0),
-                    window_energy_nj: Some(43_000),
-                },
-            ],
+            JobPricing {
+                config_words: 0, // engine-capable: no config footprint
+                accel_floor: modelled,
+                per_backend: vec![
+                    BackendPrice::Ineligible,
+                    BackendPrice::Offload {
+                        window_cycles: modelled,
+                        window_energy_nj: 43_000,
+                    },
+                ],
+            },
         );
         // Cold pool: no learned estimates anywhere.
         assert_eq!(pool.per_window_estimate_on(&ticket, 1), modelled);
@@ -2895,66 +2724,42 @@ mod tests {
         let ticket = priced_ticket(
             &kernel,
             "arrayish",
-            57,
             2,
-            vec![BackendPrice {
-                reload_cycles: Some(57),
-                window_cycles: None,
-                reload_energy_nj: Some(100),
-                window_energy_nj: None,
-            }],
+            JobPricing {
+                config_words: 57,
+                accel_floor: 0,
+                per_backend: vec![BackendPrice::Array {
+                    reload_cycles: 57,
+                    reload_energy_nj: 100,
+                }],
+            },
         );
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), 57);
     }
 
     #[test]
-    fn estimator_means_stay_separated_by_backend_kind() {
-        // Regression: the global-mean fallback used to pool observed
-        // cycles across every key regardless of which substrate they ran
-        // on, so one engine job (thousands of cycles per window) would
-        // poison the projection of every light array crumb, and vice
-        // versa.  Means are now tracked and pooled per backend kind.
-        let mut pool = Pool::new(1).with_backend(FftBackend::new());
-        pool.estimates
-            .learn(BackendKind::Array, "k".to_string(), 10_000, 10);
-        pool.estimates
-            .learn(BackendKind::FftAccel, "k".to_string(), 70_000, 20);
-        assert_eq!(
-            pool.estimates.learned_mean(BackendKind::Array, "k"),
-            Some(1_000)
-        );
-        assert_eq!(
-            pool.estimates.learned_mean(BackendKind::FftAccel, "k"),
-            Some(3_500)
-        );
-        assert_eq!(pool.estimates.learned_mean(BackendKind::Cpu, "k"), None);
+    fn engine_served_jobs_leave_the_array_estimator_unchanged() {
+        // Offload backends price windows from their own models, so only
+        // array observations feed the estimator: an engine-served job
+        // teaches it nothing, and the same key served on an array does.
+        let kernel = FftishKernel::new(3, 256);
+        let key = kernel.cache_key();
+        let ws = windows(2, 0);
+        let mut pool = Pool::new(1)
+            .with_backend(FftBackend::new())
+            .with_placement(Pin(1));
+        pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        assert_eq!(pool.stats().routes[0].kind, BackendKind::FftAccel);
+        assert_eq!(pool.estimates.total, (0, 0));
+        assert!(pool.estimates.keys.is_empty());
 
-        // The kind-wide fallback pools same-kind entries only.
-        pool.estimates
-            .learn(BackendKind::Array, "other".to_string(), 2_000, 10);
-        assert_eq!(pool.estimates.kind_mean(BackendKind::Array), Some(600));
-        assert_eq!(pool.estimates.kind_mean(BackendKind::FftAccel), Some(3_500));
-        assert_eq!(pool.estimates.kind_mean(BackendKind::Cpu), None);
-
-        // An unseen key on the array prices at the array mean, untouched
-        // by the engine's much heavier observations.
-        let kernel = BakedScaleKernel::new(2);
-        let ticket = priced_ticket(
-            &kernel,
-            "fresh",
-            40,
-            1,
-            vec![
-                BackendPrice {
-                    reload_cycles: Some(40),
-                    window_cycles: None,
-                    reload_energy_nj: Some(80),
-                    window_energy_nj: None,
-                },
-                BackendPrice::INELIGIBLE,
-            ],
-        );
-        assert_eq!(pool.per_window_estimate_on(&ticket, 0), 600);
+        pool.set_placement(Pin(0));
+        pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
+            .unwrap();
+        let array_compute = pool.stats().arrays[0].report.busy.compute;
+        assert_eq!(pool.estimates.total, (array_compute, 2));
+        assert_eq!(pool.estimates.keys[&key], (array_compute, 2));
     }
 
     #[test]
@@ -2963,11 +2768,12 @@ mod tests {
         let pool = Pool::with_sessions(constrained_sessions(2, 2 * words))
             .unwrap()
             .with_backend(FftBackend::new())
-            .with_backend(ArrayBackend::new(Session::new()));
-        let fleet = pool.array(0).accelerator().replay_cache();
+            .with_backend(Session::new());
+        let fleet = pool.array(0).unwrap().accelerator().replay_cache();
         for index in [1, 3] {
             assert!(pool
                 .array(index)
+                .unwrap()
                 .accelerator()
                 .replay_cache()
                 .same_store(fleet));
@@ -3001,7 +2807,7 @@ mod tests {
 
     #[test]
     fn accelerator_model_floors_cold_array_estimates() {
-        // An accelerator-capable key's cold array fallbacks (kind-wide
+        // An accelerator-capable key's cold array fallbacks (fleet-wide
         // mean, footprint proxy) can be dominated by light crumb
         // programs; the dedicated engine's modelled window is a lower
         // bound for the array running the same kernel, so cold array
@@ -3009,32 +2815,61 @@ mod tests {
         let mut pool = Pool::new(1).with_backend(FftBackend::new());
         let kernel = BakedScaleKernel::new(2);
         let modelled = 3_523;
-        let prices = vec![
-            BackendPrice {
-                reload_cycles: Some(800),
-                window_cycles: None,
-                reload_energy_nj: Some(1_000),
-                window_energy_nj: None,
+        let ticket = priced_ticket(
+            &kernel,
+            "fft-256",
+            1,
+            JobPricing {
+                config_words: 800,
+                accel_floor: modelled,
+                per_backend: vec![
+                    BackendPrice::Array {
+                        reload_cycles: 800,
+                        reload_energy_nj: 1_000,
+                    },
+                    BackendPrice::Offload {
+                        window_cycles: modelled,
+                        window_energy_nj: 43_000,
+                    },
+                ],
             },
-            BackendPrice {
-                reload_cycles: Some(0),
-                window_cycles: Some(modelled),
-                reload_energy_nj: Some(0),
-                window_energy_nj: Some(43_000),
-            },
-        ];
-        let ticket = priced_ticket(&kernel, "fft-256", 800, 1, prices);
+        );
         // Cold pool: the footprint proxy (800) would underprice the
         // array — the engine's modelled window floors it.
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
         // A crumb-dominated array-wide mean is floored the same way.
-        pool.estimates
-            .learn(BackendKind::Array, "crumb".to_string(), 3_000, 10);
+        pool.estimates.learn("crumb".to_string(), 3_000, 10);
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
         // A learned mean for the key itself is a measurement: trusted
         // as-is, even above the floor.
-        pool.estimates
-            .learn(BackendKind::Array, "fft-256".to_string(), 40_000, 10);
+        pool.estimates.learn("fft-256".to_string(), 40_000, 10);
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), 4_000);
+    }
+
+    #[test]
+    fn admission_prices_the_fft_floor_from_the_engine_model() {
+        // The floor comes from the engine's own model at admission; the
+        // CPU's modelled window never floors the arrays.
+        let mut pool = Pool::new(1)
+            .with_backend(FftBackend::new())
+            .with_backend(CpuBackend::new());
+        let kernel = FftishKernel::new(3, 256);
+        let pricing = pool.price_job(&kernel, &kernel.cache_key()).unwrap();
+        let modelled = Backend::from(FftBackend::new())
+            .window_cycles(&kernel.offload())
+            .unwrap();
+        assert_eq!(pricing.accel_floor, modelled);
+        assert_eq!(pricing.per_backend[2], BackendPrice::Ineligible);
+        let crumb = BakedScaleKernel::new(2).with_cpu_offload(10);
+        let pricing = pool.price_job(&crumb, &crumb.cache_key()).unwrap();
+        assert_eq!(pricing.accel_floor, 0);
+        assert_eq!(pricing.per_backend[1], BackendPrice::Ineligible);
+        assert!(matches!(
+            pricing.per_backend[2],
+            BackendPrice::Offload {
+                window_cycles: 10,
+                ..
+            }
+        ));
     }
 }

@@ -26,19 +26,19 @@
 //!    serve the job *and* have room, over *projected* backlogs (schedule
 //!    horizon plus the estimated cost of jobs already queued there) and
 //!    the per-backend reload/window pricing computed once at admission.
-//!    Any [`PlacementPlan`](crate::pool::PlacementPlan) prefetch directive
-//!    stages the job's reload speculatively from the dispatch cycle on,
-//!    on the backend that will run the job.  When every backend that can
-//!    serve the job is depth-full, the job waits in the queue.
+//!    A [`PlacementPlan`](crate::pool::PlacementPlan) that asks for a
+//!    prefetch stages the job's reload speculatively from the dispatch
+//!    cycle on, on the backend that will run the job.  When every backend
+//!    that can serve the job is depth-full, the job waits in the queue.
 //! 3. **Stealing** — placement decisions go stale: backlog estimates are
 //!    learned online, so a backend can drift ahead of the fleet with jobs
 //!    still queued behind it.  The stealing pass re-routes queued (not
 //!    yet started) jobs from the most backlogged backend to the earliest
-//!    free one, re-consulting [`Placement`](crate::pool::Placement) so cost-aware prefetch
-//!    directives fire on the new target.  Every move must strictly
-//!    improve the pair's projected finish, and steals respect the job's
-//!    capability classes — a CGRA-only job is never stolen onto the FFT
-//!    engine, nor an FFT-only job onto an array.
+//!    free one, re-consulting [`Placement`](crate::pool::Placement) so a
+//!    cost-aware prefetch fires on the new target.  Every move must
+//!    strictly improve the pair's projected finish, and steals respect the
+//!    job's admission price — a job is never stolen onto a backend that
+//!    cannot serve it (a CGRA-only job onto the FFT engine, say).
 //! 4. **Reporting** — each completed job yields a
 //!    [`JobLatency`](crate::report::JobLatency) split into queueing and
 //!    service cycles plus a deadline verdict; the run's
@@ -785,8 +785,8 @@ mod tests {
     #[test]
     fn lookahead_prefetches_queued_programs_behind_the_running_job() {
         // One array, two distinct kernels arriving together, under a
-        // placement strategy that issues no prefetch directives of its
-        // own (round-robin): while job 0 computes, the *planner* stages
+        // placement strategy that never prefetches on its own
+        // (round-robin): while job 0 computes, the *planner* stages
         // job 1's program on the idle configuration-load lane, so its
         // would-be cold reload is paid off the critical path.
         use crate::pool::RoundRobin;
@@ -1068,8 +1068,8 @@ mod tests {
 
         // 2 arrays + the FFT engine; plain BakedScale jobs are CGRA-only,
         // so the FFT backend must stay untouched no matter how saturated
-        // the arrays get — dispatch and stealing both filter by the job's
-        // capability classes.
+        // the arrays get — dispatch and stealing both offer only the
+        // backends the job's admission price says can serve it.
         let kernel = BakedScaleKernel::new(3);
         let ws = windows(2, 0);
         let jobs: Vec<(&BakedScaleKernel, Vec<Vec<i32>>)> =

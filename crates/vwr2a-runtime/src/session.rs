@@ -745,17 +745,6 @@ impl Session {
         self.busy
     }
 
-    /// The cycle at which the session's compute engine would free if its
-    /// lifetime of array work ran back-to-back from cycle 0 — shorthand
-    /// for [`Session::busy`]`().compute`, the cumulative compute-busy
-    /// cycles.  This is a *load metric* (used by the pool's
-    /// [`crate::pool::LeastLoaded`] placement), not a schedule time: for
-    /// the busy-until cycle of an actual overlapped schedule, ask its
-    /// [`crate::pipeline::StreamSchedule::free_at`].
-    pub fn free_compute_at(&self) -> u64 {
-        self.busy.compute
-    }
-
     /// Registers a kernel without running it: validates its resource needs
     /// and loads its program into the configuration memory, evicting cold
     /// programs if it does not fit.  [`Session::run`] does this implicitly;
@@ -1700,7 +1689,6 @@ mod tests {
         let kernel = ScaleKernel::new(6);
         assert!(!session.is_resident(&kernel));
         assert!(!session.is_resident_key("scale"));
-        assert_eq!(session.free_compute_at(), 0);
         assert_eq!(session.busy(), Occupancy::default());
 
         // Registration loads the program: resident but not yet warm.
@@ -1708,18 +1696,17 @@ mod tests {
         assert!(session.is_resident(&kernel));
         assert!(session.is_resident_key("scale"));
         assert!(!session.is_warm(&kernel));
-        assert_eq!(session.free_compute_at(), 0, "no compute ran yet");
+        assert_eq!(session.busy().compute, 0, "no compute ran yet");
 
         let input: Vec<i32> = (0..64).collect();
         let (_, first) = session.run(&kernel, &input).unwrap();
-        let after_first = session.free_compute_at();
+        let after_first = session.busy().compute;
         assert!(after_first > 0);
         let (_, second) = session.run(&kernel, &input).unwrap();
         // The load metric accumulates monotonically across invocations and
         // conserves the per-report busy split.
-        assert!(session.free_compute_at() > after_first);
         let busy = session.busy();
-        assert_eq!(busy.compute, session.free_compute_at());
+        assert!(busy.compute > after_first);
         assert_eq!(
             busy.total(),
             (first.busy + second.busy).total() - first.busy.interrupt - second.busy.interrupt

@@ -6,8 +6,8 @@
 //! programs each.  The cost-aware scheduler (the default) prefetches each
 //! program's reload off the launch's critical path and never goes cold;
 //! residency-aware placement spreads the programs across the fleet once
-//! but reloads in line; the residency-blind baselines keep re-streaming
-//! configuration words.
+//! but reloads in line; the residency-blind round-robin baseline keeps
+//! re-streaming configuration words.
 //!
 //! Run with `cargo run --release --example fleet`.
 
@@ -15,7 +15,7 @@ use vwr2a::core::Geometry;
 use vwr2a::dsp::fir::design_lowpass;
 use vwr2a::dsp::fixed::Q15;
 use vwr2a::kernels::fir::FirKernel;
-use vwr2a::runtime::pool::{CostAware, LeastLoaded, Placement, Pool, ResidencyAware, RoundRobin};
+use vwr2a::runtime::pool::{CostAware, Placement, Pool, ResidencyAware, RoundRobin};
 use vwr2a::runtime::testing::constrained_sessions;
 use vwr2a::runtime::{FleetReport, Kernel};
 
@@ -84,7 +84,6 @@ fn main() {
             fleet(CostAware::default(), &kernels),
         ),
         ("residency-aware", fleet(ResidencyAware, &kernels)),
-        ("least-loaded", fleet(LeastLoaded, &kernels)),
         ("round-robin", fleet(RoundRobin, &kernels)),
     ] {
         println!("{name}:");

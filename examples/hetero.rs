@@ -2,10 +2,10 @@
 //! FFT engine and the Cortex-M4 host under one cost-aware scheduler.
 //!
 //! Two waves run on one fleet of 2 arrays + engine + CPU.  The FFT wave's
-//! jobs carry an `FftShape` capability, so the scheduler may send them to
-//! the engine (zero configuration streaming, ~3 k cycles at 256 points)
-//! instead of an array; the FIR wave's tiny windows carry a CPU cycle
-//! estimate, so reload-dominated crumbs may land on the host.  Every job
+//! jobs carry an `FftShape` the engine's model prices, so the scheduler
+//! may send them to the engine (zero configuration streaming, ~3 k cycles
+//! at 256 points) instead of an array; the FIR wave's tiny windows carry a
+//! CPU cycle estimate, so reload-dominated crumbs may land on the host.  Every job
 //! stays bit-identical to the backend it landed on: arrays match the
 //! serial single-session reference, the engine and the CPU match the
 //! kernel's own backend model.

@@ -80,13 +80,13 @@ pub use vwr2a_soc as soc;
 // The runtime workhorses, re-exported at the facade root so applications
 // can depend on `vwr2a` alone: the single-array session and kernel trait,
 // the heterogeneous pool (CGRA arrays, the FFT engine and the host CPU
-// behind one `Backend` abstraction) with its placement strategies, the
+// behind one `Backend` enum) with its placement strategies, the
 // online serving layer with its scheduling policies, and the unified
 // reports with per-backend attribution.
 pub use vwr2a_runtime::{
-    ArcPolicy, ArrayBackend, Backend, BackendKind, BackendKindStats, BackendView, CostAware,
-    CpuBackend, EarliestDeadlineFirst, FftBackend, FftShape, Fifo, FleetReport, JobLatency,
-    JobRoute, Kernel, LeastLoaded, Objective, Offload, Placement, PlacementPlan, PlannerStats,
-    Pool, PrefetchDirective, ResidencyAware, RoundRobin, RunReport, SchedPolicy, ServeJob,
-    ServeReport, Server, Session, TenantId, TenantStats, WeightedFair,
+    ArcPolicy, Backend, BackendKind, BackendKindStats, BackendView, CostAware, CpuBackend,
+    EarliestDeadlineFirst, FftBackend, FftShape, Fifo, FleetReport, JobLatency, JobRoute, Kernel,
+    Objective, Offload, Placement, PlacementPlan, PlannerStats, Pool, ResidencyAware, RoundRobin,
+    RunReport, SchedPolicy, ServeJob, ServeReport, Server, Session, TenantId, TenantStats,
+    WeightedFair,
 };

@@ -340,7 +340,7 @@ fn fleet_pool_serves_a_mixed_fir_workload_bit_identically_and_warmer() {
     // strategy must produce outputs bit-identical to serial single-session
     // execution, and the residency-aware scheduler must pay strictly fewer
     // cold reloads than round-robin on the same job list.
-    use vwr2a::runtime::pool::{CostAware, LeastLoaded, Pool, ResidencyAware, RoundRobin};
+    use vwr2a::runtime::pool::{CostAware, Pool, ResidencyAware, RoundRobin};
 
     let n = 256;
     let kernels: Vec<FirKernel> = [0.06, 0.12, 0.2, 0.3]
@@ -401,7 +401,6 @@ fn fleet_pool_serves_a_mixed_fir_workload_bit_identically_and_warmer() {
     let cost_aware = check(make_pool().with_placement(CostAware::default()));
     let residency_aware = check(make_pool().with_placement(ResidencyAware));
     let round_robin = check(make_pool().with_placement(RoundRobin));
-    check(make_pool().with_placement(LeastLoaded));
 
     assert!(
         residency_aware.cold_reloads() < round_robin.cold_reloads(),
@@ -555,17 +554,28 @@ fn facade_root_reexports_the_fleet_api() {
 
     // The plan vocabulary itself is part of the facade.
     let plan: PlacementPlan = PlacementPlan::with_prefetch(0);
-    assert_eq!(plan.prefetch, Some(vwr2a::PrefetchDirective { backend: 0 }));
+    assert!(plan.prefetch);
     assert_eq!(ResidencyAware.name(), "residency-aware");
 
-    // So is the heterogeneous backend vocabulary: kinds, capability
-    // masks, per-job routes and the backend implementations themselves.
-    use vwr2a::{Backend, BackendKind, CpuBackend, FftBackend};
+    // So is the heterogeneous backend vocabulary: the backend set, its
+    // kinds, the offload declaration and the one eligibility rule — an
+    // offload backend serves a job when its model prices a window.
+    use vwr2a::{Backend, BackendKind, CpuBackend, FftBackend, Offload};
     assert_eq!(BackendKind::Array.label(), "array");
-    assert_eq!(FftBackend::new().kind(), BackendKind::FftAccel);
-    assert_eq!(CpuBackend::new().capabilities(), vwr2a::runtime::CAP_CPU);
+    assert_eq!(
+        Backend::from(FftBackend::new()).kind(),
+        BackendKind::FftAccel
+    );
+    let cpu = Backend::from(CpuBackend::new());
+    assert_eq!(cpu.window_cycles(&Offload::default()), None);
+    let crumb = Offload {
+        cpu_cycles: Some(900),
+        ..Offload::default()
+    };
+    assert_eq!(cpu.window_cycles(&crumb), Some(900));
     let hetero: Pool = Pool::new(1).with_backend(FftBackend::new());
     assert_eq!(hetero.arrays(), 2, "the fleet counts every backend");
+    assert!(matches!(hetero.backend(1), Some(Backend::Fft(_))));
 
     // The serving layer is reachable from the facade root too: server,
     // job, policies and the latency report vocabulary.
