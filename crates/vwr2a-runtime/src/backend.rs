@@ -222,7 +222,7 @@ impl Backend {
     ) -> Result<(K::Output, WindowPhases, u64)> {
         let priced_before = report.energy_nj;
         let (output, phases) = match self {
-            Backend::Array(session) => session.run_into(kernel, input, report),
+            Backend::Array(session) => session.run_into(kernel, key, input, report),
             Backend::Fft(fft) => fft.run_into(kernel, key, input, report),
             Backend::Cpu(cpu) => cpu.run_into(kernel, input, report),
         }?;

@@ -25,7 +25,7 @@
 //! * **Residency management** — the configuration memory is finite, so a
 //!   session serving unbounded kernel diversity evicts cold programs (via a
 //!   pluggable [`EvictionPolicy`]: default [`LruPolicy`], also
-//!   [`LfuPolicy`], [`SizeAwareLru`] and [`NeverEvict`], see [`policy`])
+//!   [`LfuPolicy`], [`SizeAwareLru`] and [`ArcPolicy`], see [`policy`])
 //!   instead of failing with `ConfigMemoryFull`.  Programs the active
 //!   invocation depends on are pinned; an evicted program is rebuilt on
 //!   next use and launches cold again.
@@ -97,9 +97,7 @@ pub mod testing;
 pub use backend::{Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload};
 pub use error::{Result, RuntimeError};
 pub use pipeline::{StreamSchedule, WindowPhases};
-pub use policy::{
-    ArcPolicy, EvictionPolicy, LfuPolicy, LruPolicy, NeverEvict, ResidentProgram, SizeAwareLru,
-};
+pub use policy::{ArcPolicy, EvictionPolicy, LfuPolicy, LruPolicy, ResidentProgram, SizeAwareLru};
 pub use pool::{
     BackendView, CostAware, JobView, Objective, Placement, PlacementPlan, Pool, ResidencyAware,
     RoundRobin,

@@ -166,8 +166,8 @@ impl StreamSchedule {
     }
 
     /// Services one completion interrupt on the interrupt engine: the
-    /// peripheral raises its line (`vwr2a_soc::irq::lines`) at
-    /// `not_before`, and the host pays the Cortex-M4 entry/exit latency
+    /// peripheral raises its line at `not_before`, and the host pays the
+    /// Cortex-M4 entry/exit latency ([`latency::COMPLETION_IRQ_CYCLES`])
     /// before it can react.
     fn service_irq(&mut self, not_before: u64) -> Span {
         self.timeline.schedule(

@@ -9,7 +9,7 @@
 //! withheld until no other resident can make room — and must be
 //! deterministic so capacity experiments are reproducible.
 //!
-//! Five policies ship with the runtime:
+//! Four policies ship with the runtime:
 //!
 //! * [`LruPolicy`] (default) — evict the least recently loaded-or-launched
 //!   program, regardless of size.
@@ -25,8 +25,6 @@
 //!   (programs launched repeatedly), and *re-tunes* that balance from
 //!   ghost hits — reloads of recently evicted programs — so the policy
 //!   tracks a shifting mix instead of betting on one signal forever.
-//! * [`NeverEvict`] — refuse, restoring the hard
-//!   [`vwr2a_core::CoreError::ConfigMemoryFull`] failure.
 //!
 //! The `residency` bench binary compares the policies on a mixed-size
 //! working set and on a phase-change workload where any static policy
@@ -58,8 +56,8 @@ pub struct ResidentProgram<'a> {
 /// that are *evictable* — programs pinned by the active
 /// [`crate::LaunchCtx`] (the invocation's primary program and every
 /// auxiliary program it already touched) are never offered.  Returning
-/// `None` makes the load fail with
-/// [`vwr2a_core::CoreError::ConfigMemoryFull`]; see [`NeverEvict`].
+/// `None` refuses: the load fails with
+/// [`vwr2a_core::CoreError::ConfigMemoryFull`].
 pub trait EvictionPolicy: fmt::Debug + Send {
     /// Returns the cache key of the program to evict, or `None` to refuse.
     ///
@@ -130,18 +128,6 @@ impl EvictionPolicy for LfuPolicy {
             .iter()
             .min_by_key(|c| (c.launches, c.last_use))
             .map(|c| c.key)
-    }
-}
-
-/// A policy that never evicts: a full configuration memory fails with
-/// [`vwr2a_core::CoreError::ConfigMemoryFull`], matching the pre-residency
-/// behaviour.  Useful for experiments that want capacity misses to be loud.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NeverEvict;
-
-impl EvictionPolicy for NeverEvict {
-    fn select_victim<'a>(&self, _candidates: &[ResidentProgram<'a>]) -> Option<&'a str> {
-        None
     }
 }
 
@@ -306,7 +292,7 @@ impl EvictionPolicy for ArcPolicy {
             pick(Some(true))
         };
         // The chosen side may be empty: fall back to ranking every
-        // candidate rather than refusing (refusal is NeverEvict's job).
+        // candidate rather than refusing.
         victim.or_else(|| pick(None))
     }
 
@@ -404,12 +390,6 @@ mod tests {
         let uniform = [resident("a", 10, 3), resident("b", 10, 1)];
         assert_eq!(LfuPolicy.select_victim(&uniform), Some("b"));
         assert_eq!(LfuPolicy.select_victim(&[]), None);
-    }
-
-    #[test]
-    fn never_evict_always_refuses() {
-        let c = [resident("a", 10, 5)];
-        assert_eq!(NeverEvict.select_victim(&c), None);
     }
 
     #[test]

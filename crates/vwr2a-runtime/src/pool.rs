@@ -107,6 +107,7 @@ use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
+use vwr2a_core::geometry::Geometry;
 use vwr2a_core::timeline::Engine;
 use vwr2a_energy::EnergyModel;
 
@@ -634,12 +635,12 @@ pub struct Pool {
     backends: Vec<Backend>,
     placement: Box<dyn Placement>,
     stats: FleetReport,
-    /// Per-backend configuration-word footprints by [`Kernel::cache_key`]
-    /// (`None` = the backend's geometry cannot build the program), so a
-    /// program's [`Kernel::config_words`] is computed once per key and
-    /// geometry rather than once per job (the hook may build the whole
-    /// program to count).
-    footprints: Vec<HashMap<String, Option<usize>>>,
+    /// Configuration-word footprints by array geometry and
+    /// [`Kernel::cache_key`] (`None` = the geometry cannot build the
+    /// program), so a program's [`Kernel::config_words`] is computed once
+    /// per key and geometry rather than once per job or per backend (the
+    /// hook may build the whole program to count).
+    footprints: HashMap<Geometry, HashMap<String, Option<usize>>>,
     /// The learned per-program array costs behind projected backlogs and
     /// the array columns of [`BackendView`].
     estimates: Estimator,
@@ -695,7 +696,7 @@ impl Pool {
             backends: Vec::with_capacity(backends.len()),
             placement: Box::new(CostAware::default()),
             stats: FleetReport::for_kinds(&[]),
-            footprints: Vec::with_capacity(backends.len()),
+            footprints: HashMap::new(),
             estimates: Estimator::default(),
         };
         for backend in backends {
@@ -735,7 +736,6 @@ impl Pool {
             jobs: 0,
             report: RunReport::new(format!("{}-{index}", backend.kind().label())),
         });
-        self.footprints.push(HashMap::new());
         self.backends.push(backend);
     }
 
@@ -873,17 +873,16 @@ impl Pool {
         self.serve(jobs, sink, batch).map(|report| report.fleet)
     }
 
-    /// Configuration-word footprint of `kernel`'s program against backend
-    /// `index`'s own geometry, cached per cache key and backend across
-    /// jobs and waves.  `None` if the backend has no geometry (offload
-    /// backends) or its geometry cannot build the program.
-    fn footprint<K: Kernel>(&mut self, index: usize, kernel: &K, key: &str) -> Option<usize> {
-        if let Some(&cached) = self.footprints[index].get(key) {
+    /// Configuration-word footprint of `kernel`'s program on `geometry`,
+    /// cached per geometry and cache key across jobs and waves.  `None` if
+    /// the geometry cannot build the program.
+    fn footprint<K: Kernel>(&mut self, geometry: Geometry, kernel: &K, key: &str) -> Option<usize> {
+        let by_key = self.footprints.entry(geometry).or_default();
+        if let Some(&cached) = by_key.get(key) {
             return cached;
         }
-        let geometry = self.backends[index].geometry().copied();
-        let words = geometry.and_then(|g| kernel.config_words(&g).ok());
-        self.footprints[index].insert(key.to_string(), words);
+        let words = kernel.config_words(&geometry).ok();
+        by_key.insert(key.to_string(), words);
         words
     }
 
@@ -899,9 +898,17 @@ impl Pool {
         let mut per_backend = Vec::with_capacity(self.backends.len());
         let mut config_words = None;
         let mut accel_floor: Option<u64> = None;
+        // Fleets are mostly uniform: reuse the previous array's footprint
+        // while the geometry repeats.
+        let mut last: Option<(Geometry, Option<usize>)> = None;
         for index in 0..self.backends.len() {
-            let price = if self.backends[index].kind() == BackendKind::Array {
-                match self.footprint(index, kernel, key) {
+            let price = if let Some(&geometry) = self.backends[index].geometry() {
+                let words = match last {
+                    Some((seen, words)) if seen == geometry => words,
+                    _ => self.footprint(geometry, kernel, key),
+                };
+                last = Some((geometry, words));
+                match words {
                     Some(words) => {
                         config_words.get_or_insert(words);
                         BackendPrice::Array {
@@ -974,7 +981,7 @@ impl Pool {
         }
     }
 
-    /// Executes a plan's prefetch: stages `kernel`'s program on backend
+    /// Executes a plan's prefetch: stages `ticket`'s program on backend
     /// `target` no earlier than `not_before` (the dispatch cycle) and folds
     /// the streamed cycles into `wave`.
     ///
@@ -984,10 +991,10 @@ impl Pool {
     /// memory — is skipped, not fatal.  The job's own launch then pays the
     /// reload, and a genuine error resurfaces there, on the authoritative
     /// path.
-    fn stage_prefetch<K: Kernel>(
+    fn stage_prefetch<K: Kernel, I>(
         &mut self,
         target: usize,
-        kernel: &K,
+        ticket: &Ticket<'_, K, I>,
         not_before: u64,
         schedules: &mut [StreamSchedule],
         wave: &mut FleetReport,
@@ -999,7 +1006,7 @@ impl Pool {
         let Backend::Array(session) = &mut self.backends[target] else {
             return;
         };
-        if let Ok(Some(staged)) = session.prefetch(kernel) {
+        if let Ok(Some(staged)) = session.prefetch_key(ticket.kernel, &ticket.key) {
             let span = schedules[target].prefetch_at(staged.config_cycles, not_before);
             let report = &mut wave.arrays[target].report;
             report.prefetched += 1;
@@ -1188,7 +1195,7 @@ impl Pool {
                     continue;
                 }
                 if plan.prefetch {
-                    self.stage_prefetch(chosen, ticket.kernel, now, schedules, &mut report.fleet);
+                    self.stage_prefetch(chosen, &ticket, now, schedules, &mut report.fleet);
                 }
                 let head_key = dispatch.lookahead.then(|| ticket.key.clone());
                 assigned[chosen].push_back((ticket, now));
@@ -1262,7 +1269,7 @@ impl Pool {
                         if self.backends[i].is_warm(&ticket.key) {
                             continue;
                         }
-                        self.stage_prefetch(i, ticket.kernel, now, schedules, &mut report.fleet);
+                        self.stage_prefetch(i, ticket, now, schedules, &mut report.fleet);
                         if self.backends[i].is_warm(&ticket.key) {
                             report.plan.planned_prefetches += 1;
                         }
@@ -1426,13 +1433,7 @@ impl Pool {
             };
             let (ticket, _) = assigned[donor].pop_back().expect("donor checked non-empty");
             if plan.prefetch {
-                self.stage_prefetch(
-                    plan.backend,
-                    ticket.kernel,
-                    now,
-                    schedules,
-                    &mut report.fleet,
-                );
+                self.stage_prefetch(plan.backend, &ticket, now, schedules, &mut report.fleet);
             }
             assigned[plan.backend].push_back((ticket, now));
             report.steals += 1;
@@ -2185,9 +2186,15 @@ mod tests {
 
     /// A scale kernel that refuses to map onto configuration memories
     /// smaller than two of its programs — the "genuinely incompatible
-    /// kernel" of the mixed-geometry regression test.
+    /// kernel" of the mixed-geometry regression test.  It counts the
+    /// footprint queries it answers.
     #[derive(Debug)]
-    struct PickyKernel(BakedScaleKernel);
+    struct PickyKernel(BakedScaleKernel, std::cell::Cell<usize>);
+    impl PickyKernel {
+        fn new(factor: i16) -> Self {
+            Self(BakedScaleKernel::new(factor), std::cell::Cell::new(0))
+        }
+    }
     impl Kernel for PickyKernel {
         type Input = [i32];
         type Output = Vec<i32>;
@@ -2201,6 +2208,7 @@ mod tests {
             self.0.resources()
         }
         fn config_words(&self, g: &Geometry) -> Result<usize> {
+            self.1.set(self.1.get() + 1);
             if g.config_words < 2 * baked_words() {
                 return Err(RuntimeError::invalid_input(
                     "picky does not map onto small configuration memories",
@@ -2227,7 +2235,7 @@ mod tests {
         // ineligible there — routed around under cost-aware placement,
         // and a typed MixedGeometry error when pinned there or when no
         // backend can take it at all.
-        let picky = PickyKernel(BakedScaleKernel::new(4));
+        let picky = PickyKernel::new(4);
         let ws = windows(1, 0);
         let mut sessions = constrained_sessions(1, 2 * baked_words());
         sessions.extend(constrained_sessions(1, baked_words()));
@@ -2257,6 +2265,27 @@ mod tests {
         assert_eq!(tiny.stats().jobs, 0);
         tiny.run_batch([(&picky.0, ws.iter().map(Vec::as_slice))])
             .unwrap();
+    }
+
+    #[test]
+    fn footprints_are_priced_once_per_geometry() {
+        // Four arrays of two interleaved geometries, one too small for
+        // the program: three waves price it once per geometry — not once
+        // per backend or per job — and still route around the small one.
+        let big = 2 * baked_words();
+        let mut sessions = constrained_sessions(1, big);
+        sessions.extend(constrained_sessions(1, baked_words()));
+        sessions.extend(constrained_sessions(2, big));
+        let mut pool = Pool::with_sessions(sessions).unwrap();
+        let picky = PickyKernel::new(4);
+        let ws = windows(1, 0);
+        for _ in 0..3 {
+            let (_, fleet) = pool
+                .run_batch([(&picky, ws.iter().map(Vec::as_slice))])
+                .unwrap();
+            assert_ne!(fleet.routes[0].backend, 1, "the small array is ineligible");
+        }
+        assert_eq!(picky.1.get(), 2, "one footprint query per geometry");
     }
 
     /// A kernel servable by both the arrays and the FFT engine: the CGRA

@@ -248,56 +248,29 @@ impl SchedPolicy for EarliestDeadlineFirst {
     }
 }
 
-/// Deficit-round-robin fairness across tenants: each tenant's queue is
-/// served in proportion to its weight, so one chatty tenant cannot
+/// Deficit-round-robin fairness across tenants: every tenant with queued
+/// work gets an equal share of the service, so one chatty tenant cannot
 /// starve the rest.
 ///
 /// Every time the round-robin cursor visits a tenant, the tenant's
-/// *deficit* counter grows by `quantum × weight`; the tenant's head job
+/// *deficit* counter grows by one window; the tenant's head job
 /// (highest priority, then earliest arrival) dispatches once the deficit
 /// covers its cost — the job's window count, so long jobs drain
 /// proportionally more of their tenant's budget than short ones.  A
 /// tenant that keeps the cursor (its deficit still covers its next head
-/// job) is served without new quantum, and deficits of tenants with
+/// job) is served without new credit, and deficits of tenants with
 /// nothing queued are dropped, so credit cannot be hoarded while idle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WeightedFair {
-    quantum: u64,
-    weights: HashMap<TenantId, u64>,
     deficits: HashMap<TenantId, u64>,
     current: Option<TenantId>,
 }
 
 impl WeightedFair {
-    /// Equal-weight deficit round-robin with a quantum of 1.
+    /// Deficit round-robin with every deficit at zero and no tenant
+    /// holding the cursor (the same as [`WeightedFair::default`]).
     pub fn new() -> Self {
-        Self {
-            quantum: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Sets a tenant's weight (default 1), builder-style.  A tenant of
-    /// weight *w* accrues *w×* the quantum per round-robin visit, i.e.
-    /// *w×* the service share of a weight-1 tenant under saturation.
-    /// Zero-weight tenants are clamped to 1 (every tenant makes
-    /// progress — this is fairness, not starvation).
-    #[must_use]
-    pub fn with_weight(mut self, tenant: TenantId, weight: u64) -> Self {
-        self.weights.insert(tenant, weight.max(1));
-        self
-    }
-
-    /// Sets the per-visit quantum (default 1), builder-style.  Larger
-    /// quanta let a tenant burst longer before the cursor moves on.
-    #[must_use]
-    pub fn with_quantum(mut self, quantum: u64) -> Self {
-        self.quantum = quantum.max(1);
-        self
-    }
-
-    fn weight(&self, tenant: TenantId) -> u64 {
-        self.weights.get(&tenant).copied().unwrap_or(1)
+        Self::default()
     }
 
     /// Index of `tenant`'s head job: highest priority, then earliest
@@ -330,7 +303,7 @@ impl SchedPolicy for WeightedFair {
         // tenant has work queued.
         self.deficits.retain(|t, _| tenants.contains(t));
         // A tenant mid-burst keeps the cursor while its deficit covers
-        // its next head job — no new quantum.
+        // its next head job — no new credit.
         if let Some(current) = self.current.filter(|t| tenants.contains(t)) {
             let head = Self::head(queue, current);
             let cost = Self::cost(&queue[head]);
@@ -341,9 +314,9 @@ impl SchedPolicy for WeightedFair {
             }
         }
         // Round-robin over the active tenants (deterministic BTreeSet
-        // order), starting after the cursor, adding quantum × weight per
-        // visit until some tenant affords its head job.  Deficits grow
-        // every round, so this terminates.
+        // order), starting after the cursor, adding one unit per visit
+        // until some tenant affords its head job.  Deficits grow every
+        // round, so this terminates.
         let order: Vec<TenantId> = tenants
             .iter()
             .filter(|&&t| Some(t) > self.current)
@@ -352,11 +325,10 @@ impl SchedPolicy for WeightedFair {
             .collect();
         loop {
             for &tenant in &order {
-                let grant = self.quantum * self.weight(tenant);
                 let head = Self::head(queue, tenant);
                 let cost = Self::cost(&queue[head]);
                 let deficit = self.deficits.entry(tenant).or_insert(0);
-                *deficit += grant;
+                *deficit += 1;
                 if *deficit >= cost {
                     *deficit -= cost;
                     self.current = Some(tenant);
@@ -648,21 +620,14 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fair_weights_scale_the_service_share() {
-        let mut wf = WeightedFair::new().with_weight(1, 2);
-        // Saturated queues for both tenants; replay selections and count.
-        let mut queue: Vec<QueuedJob> = (0..12)
-            .map(|seq| queued(seq, (seq % 2) as TenantId, seq as u64))
-            .collect();
-        let mut served = [0u32; 2];
-        for _ in 0..6 {
-            let index = wf.select(0, &queue);
-            served[queue[index].tenant as usize] += 1;
-            queue.remove(index);
-        }
-        // Weight 2 earns (about) twice the dispatches of weight 1.
-        assert_eq!(served[1], 4, "weight-2 tenant gets 2/3 of the service");
-        assert_eq!(served[0], 2);
+    fn weighted_fair_default_is_new_and_serves_a_lone_job() {
+        // A default-built policy grants credit on every visit: it must
+        // select the only queued job instead of spinning forever.
+        let mut wf = WeightedFair::default();
+        assert_eq!(wf, WeightedFair::new());
+        let mut long = queued(0, 3, 0);
+        long.windows = 4;
+        assert_eq!(wf.select(0, &[long]), 0);
     }
 
     #[test]

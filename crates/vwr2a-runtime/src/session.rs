@@ -38,9 +38,7 @@ use vwr2a_core::Vwr2a;
 
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::{StreamSchedule, WindowPhases};
-pub use crate::policy::{
-    EvictionPolicy, LfuPolicy, LruPolicy, NeverEvict, ResidentProgram, SizeAwareLru,
-};
+pub use crate::policy::{EvictionPolicy, LfuPolicy, LruPolicy, ResidentProgram, SizeAwareLru};
 use crate::report::RunReport;
 
 /// Estimated cycles for one host SRF write over the slave port.
@@ -389,7 +387,7 @@ pub struct LaunchCtx<'a> {
     needed_soon: &'a HashSet<String>,
     averted: &'a mut u64,
     /// The invocation's primary program (the kernel's own cache key).
-    primary_key: String,
+    primary_key: &'a str,
     /// Programs this invocation depends on; never offered for eviction.
     pinned: Vec<String>,
     /// Serialised per-invocation timeline the core reports costs on.
@@ -467,8 +465,7 @@ impl LaunchCtx<'_> {
     /// session (re)loaded the program is *cold* and streams its
     /// configuration words first.  Returns the cycles of this launch.
     pub fn launch(&mut self) -> Result<u64> {
-        let key = self.primary_key.clone();
-        self.launch_key(&key)
+        self.launch_key(self.primary_key)
     }
 
     /// Launches an auxiliary program, loading it (and caching it under
@@ -750,7 +747,8 @@ impl Session {
     /// programs if it does not fit.  [`Session::run`] does this implicitly;
     /// pre-registering is useful to front-load validation errors.
     pub fn register<K: Kernel>(&mut self, kernel: &K) -> Result<()> {
-        self.register_internal(kernel).map(|_| ())
+        self.register_internal(kernel, &kernel.cache_key())
+            .map(|_| ())
     }
 
     /// Speculatively stages a kernel so its next launch is warm: loads the
@@ -780,10 +778,20 @@ impl Session {
     /// best-effort prefetch never cannibalises a program another staged
     /// or queued launch depends on.
     pub fn prefetch<K: Kernel>(&mut self, kernel: &K) -> Result<Option<Prefetch>> {
-        let evictions = self.register_internal_with(kernel, true)?;
+        self.prefetch_key(kernel, &kernel.cache_key())
+    }
+
+    /// [`Session::prefetch`] with the kernel's cache key already computed
+    /// (the pool passes each job's admission key).
+    pub(crate) fn prefetch_key<K: Kernel>(
+        &mut self,
+        kernel: &K,
+        key: &str,
+    ) -> Result<Option<Prefetch>> {
+        let evictions = self.register_internal_with(kernel, key, true)?;
         let entry = self
             .programs
-            .get_mut(&kernel.cache_key())
+            .get_mut(key)
             .expect("program registered by prefetch");
         if entry.launches > 0 || entry.prefetched {
             return Ok(None);
@@ -817,24 +825,29 @@ impl Session {
         }
     }
 
-    /// Loads the kernel's program if absent, returning how many residents
-    /// were evicted to make room.  Evictions are added to
-    /// [`Session::evictions`] as they happen, even if the load then fails.
-    fn register_internal<K: Kernel>(&mut self, kernel: &K) -> Result<u64> {
-        self.register_internal_with(kernel, false)
+    /// Loads the kernel's program (cache key `key`) if absent, returning
+    /// how many residents were evicted to make room.  Evictions are added
+    /// to [`Session::evictions`] as they happen, even if the load then
+    /// fails.
+    fn register_internal<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<u64> {
+        self.register_internal_with(kernel, key, false)
     }
 
     /// [`Session::register_internal`] with an explicit speculative flag:
     /// a speculative load (prefetch staging) gives up instead of evicting
     /// a prefetched or needed-soon resident.
-    fn register_internal_with<K: Kernel>(&mut self, kernel: &K, speculative: bool) -> Result<u64> {
-        let key = kernel.cache_key();
-        if self.programs.contains_key(&key) {
+    fn register_internal_with<K: Kernel>(
+        &mut self,
+        kernel: &K,
+        key: &str,
+        speculative: bool,
+    ) -> Result<u64> {
+        if self.programs.contains_key(key) {
             // An invocation (or prefetch) came back for a resident program:
             // the once-per-invocation reuse signal adaptive policies
             // promote on.  Raw launch counts cannot stand in for this —
             // one FIR invocation issues two launches.
-            self.policy.note_use(&key);
+            self.policy.note_use(key);
             return Ok(0);
         }
         let geometry = *self.accel.geometry();
@@ -873,7 +886,7 @@ impl Session {
             needed_soon: &self.needed_soon,
             averted: &mut self.evictions_averted,
         }
-        .load(&key, &program, &[], speculative, &mut evicted);
+        .load(key, &program, &[], speculative, &mut evicted);
         self.evictions += evicted;
         result.map(|()| evicted)
     }
@@ -898,7 +911,7 @@ impl Session {
     ) -> Result<(K::Output, RunReport)> {
         let mut report = RunReport::new(kernel.name());
         let mut schedule = StreamSchedule::new();
-        let (output, phases) = self.run_into(kernel, input, &mut report)?;
+        let (output, phases) = self.run_into(kernel, &kernel.cache_key(), input, &mut report)?;
         schedule.push(phases);
         let timeline = schedule.finish();
         report.wall_cycles = timeline.wall_cycles();
@@ -962,8 +975,9 @@ impl Session {
     {
         let mut report = RunReport::new(kernel.name());
         let mut schedule = StreamSchedule::new();
+        let key = kernel.cache_key();
         for input in inputs {
-            let (output, phases) = self.run_into(kernel, input.borrow(), &mut report)?;
+            let (output, phases) = self.run_into(kernel, &key, input.borrow(), &mut report)?;
             schedule.push(phases);
             sink(output)?;
         }
@@ -973,18 +987,20 @@ impl Session {
         Ok(report)
     }
 
-    /// Runs one invocation, folding its counts into `report` (except the
-    /// schedule-dependent `wall_cycles`/`busy`, which the caller derives
-    /// from the returned [`WindowPhases`]).  Shared by the session's own
-    /// stream executor and the pool's executor, which replays the phases
-    /// on per-array schedules.
+    /// Runs one invocation of `kernel`, whose cache key is `key`, folding
+    /// its counts into `report` (except the schedule-dependent
+    /// `wall_cycles`/`busy`, which the caller derives from the returned
+    /// [`WindowPhases`]).  Shared by the session's own stream executor and
+    /// the pool's executor, which replays the phases on per-array
+    /// schedules; both compute the key once per job, not per window.
     pub(crate) fn run_into<K: Kernel>(
         &mut self,
         kernel: &K,
+        key: &str,
         input: &K::Input,
         report: &mut RunReport,
     ) -> Result<(K::Output, WindowPhases)> {
-        let register_evictions = self.register_internal(kernel)?;
+        let register_evictions = self.register_internal(kernel, key)?;
         let before = self.accel.counters();
         let mut ctx = LaunchCtx {
             accel: &mut self.accel,
@@ -993,8 +1009,8 @@ impl Session {
             clock: &mut self.clock,
             needed_soon: &self.needed_soon,
             averted: &mut self.evictions_averted,
-            primary_key: kernel.cache_key(),
-            pinned: vec![kernel.cache_key()],
+            primary_key: key,
+            pinned: vec![key.to_string()],
             timeline: Timeline::new(),
             phases: WindowPhases::default(),
             cold_launches: 0,
@@ -1100,12 +1116,22 @@ mod tests {
         assert!(session.is_warm(&k5));
     }
 
+    /// A policy that refuses every eviction.
+    #[derive(Debug)]
+    struct Refuse;
+
+    impl EvictionPolicy for Refuse {
+        fn select_victim<'a>(&self, _candidates: &[ResidentProgram<'a>]) -> Option<&'a str> {
+            None
+        }
+    }
+
     #[test]
-    fn never_evict_policy_keeps_the_hard_failure() {
+    fn a_refusing_policy_keeps_the_hard_failure() {
         let mut geometry = Geometry::paper();
         geometry.config_words = 2 * baked_words();
         let accel = Vwr2a::with_geometry(geometry).unwrap();
-        let mut session = Session::with_policy(accel, NeverEvict);
+        let mut session = Session::with_policy(accel, Refuse);
         let input = [1i32, 2, 3];
         session.run(&BakedScaleKernel::new(2), &input[..]).unwrap();
         session.run(&BakedScaleKernel::new(3), &input[..]).unwrap();

@@ -178,7 +178,7 @@ mod tests {
         a.push(CpuInstr::Halt);
         let program = a.build().unwrap();
         let mut cpu = Cpu::new();
-        let mut sram = Sram::new(1, 1024);
+        let mut sram = Sram::with_words(256);
         cpu.run(&program, &mut sram).unwrap();
         assert_eq!(cpu.reg(1).unwrap(), 1);
     }

@@ -603,7 +603,7 @@ mod tests {
 
     fn run_program(program: &[CpuInstr]) -> (Cpu, Sram, CpuRunStats) {
         let mut cpu = Cpu::new();
-        let mut sram = Sram::new(1, 64 * 1024);
+        let mut sram = Sram::with_words(16 * 1024);
         let stats = cpu.run(program, &mut sram).unwrap();
         (cpu, sram, stats)
     }
@@ -709,7 +709,7 @@ mod tests {
             CpuInstr::Halt,
         ];
         let mut cpu = Cpu::new();
-        let mut sram = Sram::new(1, 4096);
+        let mut sram = Sram::with_words(1024);
         sram.load(0, &(1..=10).collect::<Vec<i32>>()).unwrap();
         let stats = cpu.run(&program, &mut sram).unwrap();
         assert_eq!(cpu.reg(3).unwrap(), 55);
@@ -746,7 +746,7 @@ mod tests {
     #[test]
     fn missing_halt_and_bad_targets_are_errors() {
         let mut cpu = Cpu::new();
-        let mut sram = Sram::new(1, 1024);
+        let mut sram = Sram::with_words(256);
         assert!(matches!(
             cpu.run(&[CpuInstr::Li { rd: 1, imm: 0 }], &mut sram),
             Err(SocError::MissingHalt)
@@ -761,7 +761,7 @@ mod tests {
     fn cycle_limit_detects_infinite_loops() {
         let mut cpu = Cpu::new();
         cpu.set_cycle_limit(1000);
-        let mut sram = Sram::new(1, 1024);
+        let mut sram = Sram::with_words(256);
         let program = vec![CpuInstr::Jump { target: 0 }, CpuInstr::Halt];
         assert!(matches!(
             cpu.run(&program, &mut sram),
@@ -779,7 +779,7 @@ mod tests {
     #[test]
     fn negative_address_rejected() {
         let mut cpu = Cpu::new();
-        let mut sram = Sram::new(1, 1024);
+        let mut sram = Sram::with_words(256);
         let program = vec![
             CpuInstr::Lw {
                 rd: 1,

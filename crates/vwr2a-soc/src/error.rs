@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors raised by the SoC simulator (bus, SRAM, CPU, DMA, power domains).
+/// Errors raised by the SoC simulator (SRAM, CPU, CPU kernel builders).
 ///
 /// # Example
 ///
@@ -22,11 +22,6 @@ pub enum SocError {
         addr: usize,
         /// Capacity of the component in the same unit.
         capacity: usize,
-    },
-    /// An access touched an SRAM bank that is currently power gated.
-    BankPowerGated {
-        /// The gated bank index.
-        bank: usize,
     },
     /// A CPU register index outside the register file.
     InvalidRegister {
@@ -47,23 +42,6 @@ pub enum SocError {
     },
     /// The program finished without executing `Halt`.
     MissingHalt,
-    /// A DMA transfer is malformed.
-    InvalidDmaTransfer {
-        /// Human-readable description.
-        detail: String,
-    },
-    /// An unknown power domain was referenced.
-    UnknownPowerDomain {
-        /// The requested domain name.
-        name: String,
-    },
-    /// An interrupt line outside the controller's range.
-    InvalidIrqLine {
-        /// The requested line.
-        line: usize,
-        /// Number of lines available.
-        lines: usize,
-    },
     /// A parameter is outside its supported range.
     InvalidParameter {
         /// Human-readable description.
@@ -77,9 +55,6 @@ impl fmt::Display for SocError {
             SocError::AddressOutOfRange { addr, capacity } => {
                 write!(f, "address {addr:#x} out of range (capacity {capacity:#x})")
             }
-            SocError::BankPowerGated { bank } => {
-                write!(f, "access to power-gated sram bank {bank}")
-            }
             SocError::InvalidRegister { reg } => write!(f, "invalid cpu register r{reg}"),
             SocError::InvalidBranchTarget { target, len } => {
                 write!(f, "branch target {target} outside program of length {len}")
@@ -88,13 +63,6 @@ impl fmt::Display for SocError {
                 write!(f, "cpu program did not halt within {limit} cycles")
             }
             SocError::MissingHalt => write!(f, "cpu program ran past its last instruction"),
-            SocError::InvalidDmaTransfer { detail } => {
-                write!(f, "invalid dma transfer: {detail}")
-            }
-            SocError::UnknownPowerDomain { name } => write!(f, "unknown power domain {name}"),
-            SocError::InvalidIrqLine { line, lines } => {
-                write!(f, "interrupt line {line} out of range ({lines} lines)")
-            }
             SocError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
         }
     }
@@ -111,14 +79,14 @@ mod tests {
 
     #[test]
     fn messages_are_informative() {
-        assert!(SocError::BankPowerGated { bank: 3 }
+        assert!(SocError::InvalidRegister { reg: 33 }
             .to_string()
-            .contains('3'));
+            .contains("33"));
         assert!(
             SocError::MissingHalt.to_string().contains("halt")
                 || SocError::MissingHalt.to_string().contains("ran past")
         );
-        assert!(SocError::InvalidIrqLine { line: 9, lines: 8 }
+        assert!(SocError::InvalidBranchTarget { target: 9, len: 4 }
             .to_string()
             .contains('9'));
     }

@@ -1,12 +1,9 @@
-//! Interrupt controller.
+//! Completion-interrupt latency.
 //!
 //! VWR2A informs the processor when a kernel execution or a DMA transfer is
 //! finished through an interrupt line (Sec. 4.2), exactly like the other
-//! accelerators of the platform.  The model is a small latch-and-mask
-//! controller: peripherals raise lines, the CPU enables/acknowledges them.
-
-use crate::error::{Result, SocError};
-use serde::{Deserialize, Serialize};
+//! accelerators of the platform.  What the results read of that path is its
+//! cost on the host: the constants of [`latency`].
 
 /// Interrupt-path latencies of the simulated platform, in CPU cycles.
 ///
@@ -28,166 +25,4 @@ pub mod latency {
     /// End-to-end cost of servicing one completion interrupt: entry, a
     /// minimal acknowledge-and-dispatch handler, and return.
     pub const COMPLETION_IRQ_CYCLES: u64 = IRQ_ENTRY_CYCLES + IRQ_EXIT_CYCLES;
-}
-
-/// Well-known interrupt line assignments of the simulated platform.
-pub mod lines {
-    /// Raised when a VWR2A kernel finishes.
-    pub const VWR2A_KERNEL_DONE: usize = 0;
-    /// Raised when a VWR2A DMA transfer finishes.
-    pub const VWR2A_DMA_DONE: usize = 1;
-    /// Raised when the fixed-function FFT accelerator finishes.
-    pub const FFT_ACCEL_DONE: usize = 2;
-    /// Raised when the system DMA finishes.
-    pub const SYSTEM_DMA_DONE: usize = 3;
-    /// Raised by the analog front-end when a new sample window is ready.
-    pub const AFE_WINDOW_READY: usize = 4;
-}
-
-/// A simple latch-and-mask interrupt controller.
-///
-/// # Example
-///
-/// ```
-/// use vwr2a_soc::irq::{InterruptController, lines};
-///
-/// # fn main() -> Result<(), vwr2a_soc::error::SocError> {
-/// let mut irq = InterruptController::new(8);
-/// irq.enable(lines::VWR2A_KERNEL_DONE, true)?;
-/// irq.raise(lines::VWR2A_KERNEL_DONE)?;
-/// assert!(irq.pending(lines::VWR2A_KERNEL_DONE)?);
-/// assert_eq!(irq.next_pending(), Some(lines::VWR2A_KERNEL_DONE));
-/// irq.acknowledge(lines::VWR2A_KERNEL_DONE)?;
-/// assert_eq!(irq.next_pending(), None);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InterruptController {
-    pending: Vec<bool>,
-    enabled: Vec<bool>,
-    raised_total: u64,
-}
-
-impl InterruptController {
-    /// Creates a controller with `lines` interrupt lines, all disabled.
-    pub fn new(lines: usize) -> Self {
-        Self {
-            pending: vec![false; lines],
-            enabled: vec![false; lines],
-            raised_total: 0,
-        }
-    }
-
-    /// Number of lines.
-    pub fn lines(&self) -> usize {
-        self.pending.len()
-    }
-
-    fn check(&self, line: usize) -> Result<()> {
-        if line < self.pending.len() {
-            Ok(())
-        } else {
-            Err(SocError::InvalidIrqLine {
-                line,
-                lines: self.pending.len(),
-            })
-        }
-    }
-
-    /// Enables or masks a line.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidIrqLine`] for an out-of-range line.
-    pub fn enable(&mut self, line: usize, enabled: bool) -> Result<()> {
-        self.check(line)?;
-        self.enabled[line] = enabled;
-        Ok(())
-    }
-
-    /// Latches a pending interrupt (peripheral side).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidIrqLine`] for an out-of-range line.
-    pub fn raise(&mut self, line: usize) -> Result<()> {
-        self.check(line)?;
-        self.pending[line] = true;
-        self.raised_total += 1;
-        Ok(())
-    }
-
-    /// Whether a line is pending (regardless of masking).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidIrqLine`] for an out-of-range line.
-    pub fn pending(&self, line: usize) -> Result<bool> {
-        self.check(line)?;
-        Ok(self.pending[line])
-    }
-
-    /// Clears a pending line (CPU side).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::InvalidIrqLine`] for an out-of-range line.
-    pub fn acknowledge(&mut self, line: usize) -> Result<()> {
-        self.check(line)?;
-        self.pending[line] = false;
-        Ok(())
-    }
-
-    /// The lowest-numbered line that is both pending and enabled.
-    pub fn next_pending(&self) -> Option<usize> {
-        self.pending
-            .iter()
-            .zip(&self.enabled)
-            .position(|(&p, &e)| p && e)
-    }
-
-    /// Total interrupts raised since construction.
-    pub fn raised_total(&self) -> u64 {
-        self.raised_total
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn masked_interrupts_do_not_fire() {
-        let mut irq = InterruptController::new(4);
-        irq.raise(2).unwrap();
-        assert!(irq.pending(2).unwrap());
-        assert_eq!(irq.next_pending(), None, "line 2 is masked");
-        irq.enable(2, true).unwrap();
-        assert_eq!(irq.next_pending(), Some(2));
-    }
-
-    #[test]
-    fn priority_is_lowest_line_first() {
-        let mut irq = InterruptController::new(4);
-        for l in 0..4 {
-            irq.enable(l, true).unwrap();
-        }
-        irq.raise(3).unwrap();
-        irq.raise(1).unwrap();
-        assert_eq!(irq.next_pending(), Some(1));
-        irq.acknowledge(1).unwrap();
-        assert_eq!(irq.next_pending(), Some(3));
-        assert_eq!(irq.raised_total(), 2);
-    }
-
-    #[test]
-    fn out_of_range_lines_rejected() {
-        let mut irq = InterruptController::new(2);
-        assert!(irq.raise(2).is_err());
-        assert!(irq.enable(9, true).is_err());
-        assert!(irq.pending(5).is_err());
-        assert!(irq.acknowledge(2).is_err());
-        assert_eq!(irq.lines(), 2);
-    }
 }

@@ -2,20 +2,24 @@
 //!
 //! The VWR2A paper evaluates the accelerator inside an ultra-low-power SoC
 //! for biomedical signal acquisition (Sec. 4.1): an ARM Cortex-M4F, 192 KiB
-//! of banked SRAM, an AMBA-AHB interconnect, a DMA, fixed-function
-//! accelerators and multiple power domains.  This crate provides that
-//! platform as a set of composable models:
+//! of SRAM, an AMBA-AHB interconnect, a DMA, fixed-function accelerators
+//! and multiple power domains.  The reproduction's results read two things
+//! of that platform — the CPU's cycles and memory traffic, and what a
+//! completion interrupt costs the host — so this crate models exactly
+//! those:
 //!
 //! * [`cpu`] — a Cortex-M4-like scalar instruction-set simulator plus the
 //!   hand-written baseline kernel programs (FIR, FFT, delineation, feature
 //!   extraction, SVM) used for the CPU columns of the paper's tables;
-//! * [`sram`] — 192 KiB of SRAM in six power-gateable banks;
-//! * [`bus`] — an AHB-like bus model with per-master traffic accounting;
-//! * [`dma`] — the system DMA controller;
-//! * [`irq`] — the interrupt controller through which accelerators signal
-//!   completion;
-//! * [`power`] — the power domains and their on/off cycle bookkeeping;
-//! * [`soc`] — [`soc::BiosignalSoc`], the assembled platform.
+//! * [`sram`] — the CPU's 192 KiB of SRAM;
+//! * [`irq`] — the latency of the completion interrupt through which
+//!   accelerators signal the host;
+//! * [`soc`] — [`soc::BiosignalSoc`], the CPU and its SRAM.
+//!
+//! The energy model (`vwr2a-energy`) prices the CPU from its own
+//! [`cpu::CpuRunStats`]; the system interconnect, the system DMA and
+//! the power domains are not modelled: no reproduced number depends on
+//! them.
 //!
 //! The fixed-function FFT accelerator and VWR2A itself live in the
 //! `vwr2a-fftaccel` and `vwr2a-core` crates; the `vwr2a-bioapp` crate wires
@@ -43,12 +47,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bus;
 pub mod cpu;
-pub mod dma;
 pub mod error;
 pub mod irq;
-pub mod power;
 pub mod soc;
 pub mod sram;
 

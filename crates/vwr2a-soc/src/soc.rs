@@ -1,22 +1,19 @@
-//! The biosignal-processing SoC.
+//! The biosignal-processing SoC, as the results read it.
 //!
-//! [`BiosignalSoc`] assembles the substrate of Sec. 4.1: the Cortex-M4-like
-//! CPU, the 192 KiB banked SRAM, the AHB-like bus, the system DMA, the
-//! interrupt controller and the power domains.  Accelerators (the
-//! fixed-function FFT engine and VWR2A) live in their own crates and attach
-//! to this structure through the bus-master accounting and the
-//! `accelerators` power domain; the `vwr2a-bioapp` crate drives the whole
-//! platform for the application-level experiments.
+//! [`BiosignalSoc`] is the host side of the platform of Sec. 4.1: the
+//! Cortex-M4-like CPU and its 192 KiB SRAM.  The CPU baselines of the
+//! paper's tables and the CPU stages of the bioapp pipeline run here; the
+//! energy model prices them from the CPU's own [`CpuRunStats`], and the
+//! accelerators' completion interrupt costs [`crate::irq::latency`].  The
+//! fixed-function FFT engine and VWR2A live in their own crates; the
+//! `vwr2a-bioapp` crate wires them to this host for the application-level
+//! experiments.
 
-use crate::bus::{Bus, BusMaster};
 use crate::cpu::{Cpu, CpuInstr, CpuRunStats};
-use crate::dma::SystemDma;
 use crate::error::Result;
-use crate::irq::InterruptController;
-use crate::power::PowerDomains;
 use crate::sram::Sram;
 
-/// The assembled SoC platform.
+/// The host CPU and its SRAM.
 ///
 /// # Example
 ///
@@ -41,38 +38,15 @@ use crate::sram::Sram;
 pub struct BiosignalSoc {
     cpu: Cpu,
     sram: Sram,
-    bus: Bus,
-    dma: SystemDma,
-    irq: InterruptController,
-    power: PowerDomains,
-    frequency_hz: f64,
 }
 
 impl BiosignalSoc {
-    /// The platform clock frequency used in the paper (80 MHz).
-    pub const PAPER_FREQUENCY_HZ: f64 = 80.0e6;
-
     /// Creates the platform with the paper's configuration.
     pub fn new() -> Self {
         Self {
             cpu: Cpu::new(),
             sram: Sram::paper(),
-            bus: Bus::default(),
-            dma: SystemDma::default(),
-            irq: InterruptController::new(8),
-            power: PowerDomains::paper(),
-            frequency_hz: Self::PAPER_FREQUENCY_HZ,
         }
-    }
-
-    /// The CPU.
-    pub fn cpu(&self) -> &Cpu {
-        &self.cpu
-    }
-
-    /// Mutable access to the CPU (setting argument registers).
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.cpu
     }
 
     /// The SRAM.
@@ -85,73 +59,13 @@ impl BiosignalSoc {
         &mut self.sram
     }
 
-    /// The system bus.
-    pub fn bus(&self) -> &Bus {
-        &self.bus
-    }
-
-    /// Mutable access to the system bus (accelerator integration charges its
-    /// traffic here).
-    pub fn bus_mut(&mut self) -> &mut Bus {
-        &mut self.bus
-    }
-
-    /// The interrupt controller.
-    pub fn irq(&self) -> &InterruptController {
-        &self.irq
-    }
-
-    /// Mutable access to the interrupt controller.
-    pub fn irq_mut(&mut self) -> &mut InterruptController {
-        &mut self.irq
-    }
-
-    /// The power domains.
-    pub fn power(&self) -> &PowerDomains {
-        &self.power
-    }
-
-    /// Mutable access to the power domains.
-    pub fn power_mut(&mut self) -> &mut PowerDomains {
-        &mut self.power
-    }
-
-    /// The platform clock frequency in hertz.
-    pub fn frequency_hz(&self) -> f64 {
-        self.frequency_hz
-    }
-
-    /// Runs a CPU program to completion, advancing the power domains and
-    /// charging the CPU's memory traffic to the bus.
+    /// Runs a CPU program to completion against the SRAM.
     ///
     /// # Errors
     ///
     /// Propagates CPU and SRAM errors.
     pub fn run_cpu_program(&mut self, program: &[CpuInstr]) -> Result<CpuRunStats> {
-        let stats = self.cpu.run(program, &mut self.sram)?;
-        self.bus
-            .transfer(BusMaster::Cpu, (stats.loads + stats.stores) as usize);
-        self.power.advance(stats.cycles);
-        Ok(stats)
-    }
-
-    /// Copies data within the SRAM using the system DMA, advancing the power
-    /// domains by the transfer duration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates DMA and SRAM errors.
-    pub fn dma_copy(&mut self, src_addr: usize, dst_addr: usize, len: usize) -> Result<u64> {
-        let cycles =
-            self.dma
-                .copy_within_sram(&mut self.sram, &mut self.bus, src_addr, dst_addr, len)?;
-        self.power.advance(cycles);
-        Ok(cycles)
-    }
-
-    /// Converts a cycle count to microseconds at the platform frequency.
-    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.frequency_hz * 1e6
+        self.cpu.run(program, &mut self.sram)
     }
 }
 
@@ -169,7 +83,7 @@ mod tests {
     use vwr2a_dsp::fixed::Q15;
 
     #[test]
-    fn cpu_program_advances_power_and_bus() {
+    fn cpu_program_reads_and_writes_the_sram() {
         let mut soc = BiosignalSoc::new();
         let program = vec![
             CpuInstr::Li { rd: 1, imm: 3 },
@@ -183,14 +97,17 @@ mod tests {
                 rs1: 0,
                 offset: 5,
             },
+            CpuInstr::Sw {
+                rs2: 2,
+                rs1: 0,
+                offset: 6,
+            },
             CpuInstr::Halt,
         ];
         let stats = soc.run_cpu_program(&program).unwrap();
         assert_eq!(stats.loads, 1);
-        assert_eq!(stats.stores, 1);
-        assert_eq!(soc.bus().traffic(BusMaster::Cpu).beats, 2);
-        assert_eq!(soc.power().state("cpu").unwrap().on_cycles, stats.cycles);
-        assert!(soc.cycles_to_us(80) > 0.99 && soc.cycles_to_us(80) < 1.01);
+        assert_eq!(stats.stores, 2);
+        assert_eq!(soc.sram().dump(5, 2).unwrap(), vec![3, 3]);
     }
 
     #[test]
@@ -207,14 +124,5 @@ mod tests {
         assert!(stats.cycles > 1000);
         let out = soc.sram().dump(n + 16, n).unwrap();
         assert!(out.iter().any(|&v| v != 0));
-    }
-
-    #[test]
-    fn dma_copy_round_trip() {
-        let mut soc = BiosignalSoc::new();
-        soc.sram_mut().load(0, &[9, 8, 7]).unwrap();
-        let cycles = soc.dma_copy(0, 1000, 3).unwrap();
-        assert_eq!(soc.sram().dump(1000, 3).unwrap(), vec![9, 8, 7]);
-        assert!(cycles > 3);
     }
 }

@@ -1,15 +1,14 @@
-//! On-chip SRAM: 192 KiB in six individually power-gateable banks.
+//! On-chip SRAM: the 192 KiB data memory of the platform's CPU.
 //!
-//! The platform of Sec. 4.1 has 192 KiB of SRAM divided into six banks that
-//! can be individually power gated to save leakage.  The model stores the
-//! data, enforces the gating (reads/writes to a gated bank are errors, and
-//! gating a bank loses its contents), and counts accesses and gated/active
-//! cycles for the energy model.
+//! The platform of Sec. 4.1 has 192 KiB of SRAM.  The model stores the
+//! words and bounds-checks every access: the CPU's loads and stores go
+//! through [`Sram::read_word`] and [`Sram::write_word`], and the host seeds
+//! inputs and collects results with [`Sram::load`] and [`Sram::dump`].
 
 use crate::error::{Result, SocError};
 use serde::{Deserialize, Serialize};
 
-/// The banked SRAM.
+/// The SRAM, addressed in 32-bit words.
 ///
 /// # Example
 ///
@@ -17,52 +16,29 @@ use serde::{Deserialize, Serialize};
 /// use vwr2a_soc::sram::Sram;
 ///
 /// # fn main() -> Result<(), vwr2a_soc::error::SocError> {
-/// let mut sram = Sram::paper();           // 6 banks × 32 KiB
+/// let mut sram = Sram::paper();           // 192 KiB
 /// sram.write_word(0, 123)?;
 /// assert_eq!(sram.read_word(0)?, 123);
-/// assert_eq!(sram.banks(), 6);
+/// assert_eq!(sram.words(), 49_152);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Sram {
     words: Vec<i32>,
-    bank_words: usize,
-    gated: Vec<bool>,
-    reads: u64,
-    writes: u64,
 }
 
 impl Sram {
-    /// Creates an SRAM with `banks` banks of `bank_bytes` bytes each.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `banks` is zero or `bank_bytes` is not a multiple of 4.
-    pub fn new(banks: usize, bank_bytes: usize) -> Self {
-        assert!(banks > 0, "sram needs at least one bank");
-        assert!(
-            bank_bytes.is_multiple_of(4),
-            "bank size must be whole words"
-        );
-        let bank_words = bank_bytes / 4;
+    /// Creates a zeroed SRAM of `words` 32-bit words.
+    pub fn with_words(words: usize) -> Self {
         Self {
-            words: vec![0; banks * bank_words],
-            bank_words,
-            gated: vec![false; banks],
-            reads: 0,
-            writes: 0,
+            words: vec![0; words],
         }
     }
 
-    /// The paper's configuration: six banks of 32 KiB (192 KiB total).
+    /// The paper's configuration: 192 KiB (49152 words).
     pub fn paper() -> Self {
-        Self::new(6, 32 * 1024)
-    }
-
-    /// Number of banks.
-    pub fn banks(&self) -> usize {
-        self.gated.len()
+        Self::with_words(192 * 1024 / 4)
     }
 
     /// Capacity in 32-bit words.
@@ -70,134 +46,68 @@ impl Sram {
         self.words.len()
     }
 
-    /// Words per bank.
-    pub fn bank_words(&self) -> usize {
-        self.bank_words
-    }
-
-    /// Which bank a word address belongs to.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
-    /// memory.
-    pub fn bank_of(&self, word_addr: usize) -> Result<usize> {
-        if word_addr >= self.words.len() {
-            return Err(SocError::AddressOutOfRange {
-                addr: word_addr,
-                capacity: self.words.len(),
-            });
+    /// The error for an access ending at word `addr`.
+    fn out_of_range(&self, addr: usize) -> SocError {
+        SocError::AddressOutOfRange {
+            addr,
+            capacity: self.words.len(),
         }
-        Ok(word_addr / self.bank_words)
-    }
-
-    /// `true` if a bank is currently power gated.
-    pub fn is_gated(&self, bank: usize) -> bool {
-        self.gated.get(bank).copied().unwrap_or(false)
-    }
-
-    /// Gates or ungates a bank.  Gating a bank clears its contents (the
-    /// retention-less power gating used for maximum leakage savings).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SocError::AddressOutOfRange`] for an invalid bank index.
-    pub fn set_gated(&mut self, bank: usize, gated: bool) -> Result<()> {
-        if bank >= self.gated.len() {
-            return Err(SocError::AddressOutOfRange {
-                addr: bank,
-                capacity: self.gated.len(),
-            });
-        }
-        if gated && !self.gated[bank] {
-            let start = bank * self.bank_words;
-            self.words[start..start + self.bank_words].fill(0);
-        }
-        self.gated[bank] = gated;
-        Ok(())
-    }
-
-    /// Number of banks currently powered on.
-    pub fn active_banks(&self) -> usize {
-        self.gated.iter().filter(|&&g| !g).count()
     }
 
     /// Reads one word.
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::AddressOutOfRange`] or [`SocError::BankPowerGated`].
-    pub fn read_word(&mut self, word_addr: usize) -> Result<i32> {
-        let bank = self.bank_of(word_addr)?;
-        if self.gated[bank] {
-            return Err(SocError::BankPowerGated { bank });
+    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
+    /// memory.
+    pub fn read_word(&self, word_addr: usize) -> Result<i32> {
+        match self.words.get(word_addr) {
+            Some(&value) => Ok(value),
+            None => Err(self.out_of_range(word_addr)),
         }
-        self.reads += 1;
-        Ok(self.words[word_addr])
     }
 
     /// Writes one word.
     ///
     /// # Errors
     ///
-    /// Returns [`SocError::AddressOutOfRange`] or [`SocError::BankPowerGated`].
+    /// Returns [`SocError::AddressOutOfRange`] if the address is outside the
+    /// memory.
     pub fn write_word(&mut self, word_addr: usize, value: i32) -> Result<()> {
-        let bank = self.bank_of(word_addr)?;
-        if self.gated[bank] {
-            return Err(SocError::BankPowerGated { bank });
+        match self.words.get_mut(word_addr) {
+            Some(slot) => {
+                *slot = value;
+                Ok(())
+            }
+            None => Err(self.out_of_range(word_addr)),
         }
-        self.writes += 1;
-        self.words[word_addr] = value;
-        Ok(())
     }
 
-    /// Bulk host-side write without access accounting (test/seed helper).
+    /// Bulk host-side write (seeding inputs).
     ///
     /// # Errors
     ///
     /// Returns [`SocError::AddressOutOfRange`] if the slice does not fit.
     pub fn load(&mut self, word_addr: usize, data: &[i32]) -> Result<()> {
-        let end = word_addr
-            .checked_add(data.len())
-            .filter(|&e| e <= self.words.len())
-            .ok_or(SocError::AddressOutOfRange {
-                addr: word_addr + data.len(),
-                capacity: self.words.len(),
-            })?;
+        let end = word_addr.saturating_add(data.len());
+        if end > self.words.len() {
+            return Err(self.out_of_range(end));
+        }
         self.words[word_addr..end].copy_from_slice(data);
         Ok(())
     }
 
-    /// Bulk host-side read without access accounting.
+    /// Bulk host-side read (collecting results).
     ///
     /// # Errors
     ///
     /// Returns [`SocError::AddressOutOfRange`] if the range does not fit.
     pub fn dump(&self, word_addr: usize, len: usize) -> Result<Vec<i32>> {
-        let end = word_addr
-            .checked_add(len)
-            .filter(|&e| e <= self.words.len())
-            .ok_or(SocError::AddressOutOfRange {
-                addr: word_addr + len,
-                capacity: self.words.len(),
-            })?;
+        let end = word_addr.saturating_add(len);
+        if end > self.words.len() {
+            return Err(self.out_of_range(end));
+        }
         Ok(self.words[word_addr..end].to_vec())
-    }
-
-    /// Counted word reads so far.
-    pub fn read_count(&self) -> u64 {
-        self.reads
-    }
-
-    /// Counted word writes so far.
-    pub fn write_count(&self) -> u64 {
-        self.writes
-    }
-
-    /// Resets the access counters.
-    pub fn reset_counters(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
     }
 }
 
@@ -208,55 +118,39 @@ mod tests {
     #[test]
     fn paper_configuration() {
         let sram = Sram::paper();
-        assert_eq!(sram.banks(), 6);
-        assert_eq!(sram.words(), 6 * 32 * 1024 / 4);
-        assert_eq!(sram.bank_words(), 8192);
-        assert_eq!(sram.active_banks(), 6);
+        assert_eq!(sram.words(), 192 * 1024 / 4);
+        assert_eq!(sram.dump(0, sram.words()).unwrap(), vec![0; 49_152]);
     }
 
     #[test]
-    fn read_write_and_counters() {
-        let mut sram = Sram::new(2, 1024);
+    fn read_write_round_trip() {
+        let mut sram = Sram::with_words(512);
         sram.write_word(10, -3).unwrap();
+        sram.write_word(511, 7).unwrap();
         assert_eq!(sram.read_word(10).unwrap(), -3);
-        assert_eq!(sram.read_count(), 1);
-        assert_eq!(sram.write_count(), 1);
-        sram.reset_counters();
-        assert_eq!(sram.read_count(), 0);
-    }
-
-    #[test]
-    fn gated_banks_reject_access_and_lose_data() {
-        let mut sram = Sram::new(2, 1024);
-        sram.write_word(300, 77).unwrap(); // word 300 is in bank 1 (256 words per bank)
-        assert_eq!(sram.bank_of(300).unwrap(), 1);
-        sram.set_gated(1, true).unwrap();
-        assert!(matches!(
-            sram.read_word(300),
-            Err(SocError::BankPowerGated { bank: 1 })
-        ));
-        assert!(sram.write_word(300, 1).is_err());
-        assert_eq!(sram.active_banks(), 1);
-        sram.set_gated(1, false).unwrap();
-        assert_eq!(sram.read_word(300).unwrap(), 0, "contents lost while gated");
+        assert_eq!(sram.read_word(511).unwrap(), 7);
+        assert_eq!(sram.read_word(11).unwrap(), 0);
     }
 
     #[test]
     fn out_of_range_rejected() {
-        let mut sram = Sram::new(1, 1024);
+        let mut sram = Sram::with_words(256);
         assert!(sram.read_word(256).is_err());
         assert!(sram.write_word(1000, 0).is_err());
-        assert!(sram.set_gated(5, true).is_err());
         assert!(sram.load(200, &[0; 100]).is_err());
         assert!(sram.dump(0, 1000).is_err());
+        assert!(
+            sram.dump(usize::MAX, 2).is_err(),
+            "no overflow past the end"
+        );
+        assert!(Sram::with_words(0).read_word(0).is_err());
     }
 
     #[test]
     fn bulk_load_dump_round_trip() {
-        let mut sram = Sram::new(1, 4096);
+        let mut sram = Sram::with_words(1024);
         let data: Vec<i32> = (0..512).map(|i| i * 2 - 512).collect();
         sram.load(100, &data).unwrap();
         assert_eq!(sram.dump(100, 512).unwrap(), data);
-        assert_eq!(sram.read_count(), 0, "host access is not counted");
     }
 }

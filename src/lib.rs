@@ -16,8 +16,9 @@
 //! * [`asm`] — a textual assembler for the per-slot instruction streams.
 //! * [`dsp`] — golden reference DSP kernels (FFT, FIR, statistics, SVM) and
 //!   fixed-point arithmetic helpers.
-//! * [`soc`] — the biosignal SoC substrate: Cortex-M4-like CPU ISS, AHB-like
-//!   bus, SRAM banks, DMA, interrupts and power domains.
+//! * [`soc`] — the host side of the biosignal SoC: the Cortex-M4-like CPU
+//!   ISS with its baseline kernels, its SRAM, and the completion-interrupt
+//!   latency.
 //! * [`fftaccel`] — the fixed-function FFT accelerator used as the paper's
 //!   comparator.
 //! * [`energy`] — the activity-based energy model and component breakdowns.
