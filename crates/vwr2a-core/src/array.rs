@@ -17,7 +17,6 @@ use crate::program::KernelProgram;
 use crate::replay::{ReplayCache, ReplayScratch, ReplayTrace, TraceRecorder};
 use crate::spm::Spm;
 use crate::stats::RunStats;
-use crate::timeline::{Engine, LaunchSpans, Span, Timeline};
 use crate::trace::ActivityCounters;
 use std::sync::Arc;
 
@@ -242,86 +241,25 @@ impl Vwr2a {
     /// Transfers data from system memory into the SPM through the DMA,
     /// returning the cycles the transfer took.
     ///
-    /// Convenience wrapper over [`Vwr2a::dma_to_spm_at`] for callers that
-    /// execute strictly serially and only want the duration.
-    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidDmaTransfer`] or
     /// [`CoreError::SpmOutOfRange`].
     pub fn dma_to_spm(&mut self, data: &[i32], spm_word_addr: usize) -> Result<u64> {
-        let mut scratch = Timeline::new();
-        self.dma_to_spm_at(data, spm_word_addr, &mut scratch, 0)
-            .map(|span| span.duration())
+        self.dma
+            .copy_to_spm(data, &mut self.spm, spm_word_addr, &mut self.counters)
     }
 
-    /// Transfers data from system memory into the SPM through the DMA,
-    /// reporting the transfer's cost as a [`Span`] on `timeline`
-    /// ([`Engine::Dma`], no earlier than `not_before`).
-    ///
-    /// This is the staging half of a pipelined schedule: a runtime staging
-    /// window *i+1* passes the timeline on which window *i*'s compute span
-    /// is already scheduled, and the two overlap.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidDmaTransfer`] or
-    /// [`CoreError::SpmOutOfRange`].
-    pub fn dma_to_spm_at(
-        &mut self,
-        data: &[i32],
-        spm_word_addr: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<Span> {
-        self.dma.copy_to_spm(
-            data,
-            &mut self.spm,
-            spm_word_addr,
-            &mut self.counters,
-            timeline,
-            not_before,
-        )
-    }
-
-    /// Transfers data from the SPM back to system memory through the DMA.
-    ///
-    /// Convenience wrapper over [`Vwr2a::dma_from_spm_at`] for callers that
-    /// execute strictly serially and only want the duration.
+    /// Transfers data from the SPM back to system memory through the DMA,
+    /// returning the data and the cycles the transfer took.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidDmaTransfer`] or
     /// [`CoreError::SpmOutOfRange`].
     pub fn dma_from_spm(&mut self, spm_word_addr: usize, len: usize) -> Result<(Vec<i32>, u64)> {
-        let mut scratch = Timeline::new();
-        self.dma_from_spm_at(spm_word_addr, len, &mut scratch, 0)
-            .map(|(data, span)| (data, span.duration()))
-    }
-
-    /// Transfers data from the SPM back to system memory through the DMA,
-    /// reporting the transfer's cost as a [`Span`] on `timeline` (the drain
-    /// half of a pipelined schedule).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidDmaTransfer`] or
-    /// [`CoreError::SpmOutOfRange`].
-    pub fn dma_from_spm_at(
-        &mut self,
-        spm_word_addr: usize,
-        len: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(Vec<i32>, Span)> {
-        self.dma.copy_from_spm(
-            &self.spm,
-            spm_word_addr,
-            len,
-            &mut self.counters,
-            timeline,
-            not_before,
-        )
+        self.dma
+            .copy_from_spm(&self.spm, spm_word_addr, len, &mut self.counters)
     }
 
     /// The configuration memory (read-only view, e.g. for a runtime that
@@ -366,72 +304,31 @@ impl Vwr2a {
     /// Returns [`CoreError::UnknownKernel`], structural-hazard errors from
     /// the columns, or [`CoreError::CycleLimitExceeded`].
     pub fn run_kernel(&mut self, id: KernelId) -> Result<RunStats> {
-        let mut scratch = Timeline::new();
-        self.run_kernel_at(id, &mut scratch, 0)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Runs a stored kernel, reporting the launch's cost as [`LaunchSpans`]
-    /// on `timeline`: the configuration-word streaming on
-    /// [`Engine::ConfigLoad`], the execution behind it on
-    /// [`Engine::Compute`], neither earlier than `not_before`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Vwr2a::run_kernel`].
-    pub fn run_kernel_at(
-        &mut self,
-        id: KernelId,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(RunStats, LaunchSpans)> {
         let config_words = self.config_mem.kernel_words(id)?;
-        self.launch_at(id, config_words, timeline, not_before)
+        self.launch(id, config_words)
     }
 
     /// Streams a stored kernel's configuration words into the per-slot
     /// program memories *without* launching it, returning the streaming
     /// cycles — the cold half of a launch, paid ahead of time.
     ///
-    /// Convenience wrapper over [`Vwr2a::prefetch_kernel_at`] for callers
-    /// that execute strictly serially and only want the duration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::UnknownKernel`] for a stale or invalid id.
-    pub fn prefetch_kernel(&mut self, id: KernelId) -> Result<u64> {
-        let mut scratch = Timeline::new();
-        self.prefetch_kernel_at(id, &mut scratch, 0)
-            .map(|span| span.duration())
-    }
-
-    /// Streams a stored kernel's configuration words into the per-slot
-    /// program memories without launching it, reporting the streaming as a
-    /// [`Span`] on `timeline` ([`Engine::ConfigLoad`], no earlier than
-    /// `not_before`).
-    ///
     /// This is a *prefetch*: a runtime that knows which kernel launches
     /// next can hide the configuration load behind other engines' work —
-    /// the span rides the configuration streamer, which is idle while the
-    /// array computes and the DMA stages — and then relaunch the kernel
-    /// with [`Vwr2a::run_kernel_warm_at`], paying execution cycles only.
-    /// The activity counters charge the streamed words exactly as a cold
+    /// the configuration streamer is idle while the array computes and the
+    /// DMA stages — and then relaunch the kernel with
+    /// [`Vwr2a::run_kernel_warm`], paying execution cycles only.  The
+    /// activity counters charge the streamed words exactly as a cold
     /// launch would, so `prefetch + warm launch` costs the same total work
     /// as one cold launch; only the schedule differs.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownKernel`] for a stale or invalid id.
-    pub fn prefetch_kernel_at(
-        &mut self,
-        id: KernelId,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<Span> {
+    pub fn prefetch_kernel(&mut self, id: KernelId) -> Result<u64> {
         let config_words = self.config_mem.kernel_words(id)? as u64;
         self.counters.config_words_loaded += config_words;
         self.counters.cycles += config_words;
-        Ok(timeline.schedule(Engine::ConfigLoad, not_before, config_words))
+        Ok(config_words)
     }
 
     /// Re-runs a kernel whose configuration is already resident in the
@@ -448,25 +345,8 @@ impl Vwr2a {
     /// Returns [`CoreError::UnknownKernel`], structural-hazard errors from
     /// the columns, or [`CoreError::CycleLimitExceeded`].
     pub fn run_kernel_warm(&mut self, id: KernelId) -> Result<RunStats> {
-        let mut scratch = Timeline::new();
-        self.run_kernel_warm_at(id, &mut scratch, 0)
-            .map(|(stats, _)| stats)
-    }
-
-    /// Warm-relaunches a stored kernel, reporting the execution's cost on
-    /// `timeline` (see [`Vwr2a::run_kernel_at`]; the config span is empty).
-    ///
-    /// # Errors
-    ///
-    /// As [`Vwr2a::run_kernel_warm`].
-    pub fn run_kernel_warm_at(
-        &mut self,
-        id: KernelId,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(RunStats, LaunchSpans)> {
         self.config_mem.kernel_words(id)?;
-        self.launch_at(id, 0, timeline, not_before)
+        self.launch(id, 0)
     }
 
     /// Common body of the stored-kernel launch paths: serve the launch
@@ -475,26 +355,19 @@ impl Vwr2a {
     /// matching the live SRF state, otherwise interpret through the
     /// per-slot decode cache — recording a fresh trace as a side effect so
     /// the *next* matching launch replays.
-    fn launch_at(
-        &mut self,
-        id: KernelId,
-        config_words: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(RunStats, LaunchSpans)> {
+    fn launch(&mut self, id: KernelId, config_words: usize) -> Result<RunStats> {
         if self.replay_enabled {
             if let Some(trace) = self.find_trace(id, config_words) {
-                return self.replay_at(&trace, config_words, timeline, not_before);
+                return self.replay(&trace, config_words);
             }
         }
         let kernel = self.config_mem.fetch_decoded(id)?;
         let record = self.replay_enabled;
-        let (stats, spans, trace) =
-            self.execute_recorded(&kernel, config_words, timeline, not_before, record)?;
+        let (stats, trace) = self.execute_recorded(&kernel, config_words, record)?;
         if let (Some(trace), Some(traces)) = (trace, self.config_mem.traces(id)) {
             traces.push(Arc::new(trace));
         }
-        Ok((stats, spans))
+        Ok(stats)
     }
 
     /// Finds a cached trace whose SRF guards all match the live SRF state
@@ -515,13 +388,7 @@ impl Vwr2a {
     /// over the live SPM/VWR/SRF data path, and the recorded cycles and
     /// counters are credited verbatim (plus the configuration streaming of
     /// this launch, which is not part of the trace).
-    fn replay_at(
-        &mut self,
-        trace: &ReplayTrace,
-        config_words: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(RunStats, LaunchSpans)> {
+    fn replay(&mut self, trace: &ReplayTrace, config_words: usize) -> Result<RunStats> {
         let before = self.counters;
         self.counters.config_words_loaded += config_words as u64;
         for column in self.columns.iter_mut().take(trace.columns_used) {
@@ -549,18 +416,12 @@ impl Vwr2a {
         self.counters += trace.counters;
         self.counters.cycles += config_words as u64;
         self.replays += 1;
-
-        let config = timeline.schedule(Engine::ConfigLoad, not_before, config_words as u64);
-        let compute = timeline.schedule(Engine::Compute, config.end, trace.exec_cycles);
-        Ok((
-            RunStats {
-                kernel_name: trace.name.clone(),
-                cycles,
-                columns_used: trace.columns_used,
-                counters: self.counters - before,
-            },
-            LaunchSpans { config, compute },
-        ))
+        Ok(RunStats {
+            kernel_name: trace.name.clone(),
+            cycles,
+            columns_used: trace.columns_used,
+            counters: self.counters - before,
+        })
     }
 
     /// Validates and runs a kernel directly, without persisting it in the
@@ -572,41 +433,21 @@ impl Vwr2a {
     /// [`CoreError::CycleLimitExceeded`].
     pub fn run_program(&mut self, kernel: &KernelProgram) -> Result<RunStats> {
         kernel.validate(&self.geometry)?;
-        let mut scratch = Timeline::new();
-        self.execute_at(kernel, kernel.config_words(), &mut scratch, 0)
+        self.execute_recorded(kernel, kernel.config_words(), false)
             .map(|(stats, _)| stats)
     }
 
-    /// Executes `kernel`, reporting the launch through `timeline`: the
-    /// configuration-word streaming (one word per cycle) occupies
-    /// [`Engine::ConfigLoad`], the array execution [`Engine::Compute`]
-    /// starting no earlier than the configuration span's end.
-    /// `RunStats::cycles` remains the serial total of both spans, so
-    /// callers that do not overlap see the pre-timeline cycle counts
-    /// unchanged.
-    fn execute_at(
-        &mut self,
-        kernel: &KernelProgram,
-        config_words: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(RunStats, LaunchSpans)> {
-        self.execute_recorded(kernel, config_words, timeline, not_before, false)
-            .map(|(stats, spans, _)| (stats, spans))
-    }
-
-    /// [`Vwr2a::execute_at`] with optional trace recording: when `record`
-    /// is set, the interpreter drives a [`TraceRecorder`] and the resolved
-    /// schedule is returned alongside the stats (or `None` if the
+    /// Interprets `kernel` after streaming `config_words` configuration
+    /// words (one per cycle; `RunStats::cycles` covers both).  When
+    /// `record` is set, the interpreter drives a [`TraceRecorder`] and the
+    /// resolved schedule is returned alongside the stats (or `None` if the
     /// execution proved non-replayable — see [`crate::replay`]).
     fn execute_recorded(
         &mut self,
         kernel: &KernelProgram,
         config_words: usize,
-        timeline: &mut Timeline,
-        not_before: u64,
         record: bool,
-    ) -> Result<(RunStats, LaunchSpans, Option<ReplayTrace>)> {
+    ) -> Result<(RunStats, Option<ReplayTrace>)> {
         let before = self.counters;
         let columns_used = kernel.columns.len();
 
@@ -678,9 +519,6 @@ impl Vwr2a {
                 .collect();
             recorder.finish(kernel.name.clone(), exec_cycles, exec_counters, finish)
         });
-
-        let config = timeline.schedule(Engine::ConfigLoad, not_before, config_words as u64);
-        let compute = timeline.schedule(Engine::Compute, config.end, exec_cycles);
         Ok((
             RunStats {
                 kernel_name: kernel.name.clone(),
@@ -688,7 +526,6 @@ impl Vwr2a {
                 columns_used,
                 counters: self.counters - before,
             },
-            LaunchSpans { config, compute },
             trace,
         ))
     }

@@ -9,7 +9,6 @@
 
 use crate::error::{CoreError, Result};
 use crate::spm::Spm;
-use crate::timeline::{Engine, Span, Timeline};
 use crate::trace::ActivityCounters;
 use serde::{Deserialize, Serialize};
 
@@ -37,28 +36,25 @@ impl Default for DmaConfig {
 
 /// The DMA engine.
 ///
-/// Transfers report their cost as a [`Span`] scheduled on a caller-supplied
-/// [`Timeline`] (see [`crate::timeline`]): the transfer occupies
-/// [`Engine::Dma`] no earlier than the engine's previous work and the
-/// caller's `not_before` dependency.  Callers that only want the serial
-/// duration pass a scratch timeline and read [`Span::duration`].
+/// Transfers return the cycles they occupy the engine
+/// ([`Dma::transfer_cycles`]).  When those cycles run is the caller's
+/// business: the runtime's pipelined schedule overlaps them with the
+/// array's compute.
 ///
 /// # Example
 ///
 /// ```
 /// use vwr2a_core::dma::{Dma, DmaConfig};
 /// use vwr2a_core::spm::Spm;
-/// use vwr2a_core::timeline::Timeline;
 /// use vwr2a_core::trace::ActivityCounters;
 ///
 /// # fn main() -> Result<(), vwr2a_core::error::CoreError> {
 /// let dma = Dma::new(DmaConfig::default());
 /// let mut spm = Spm::new(8192, 128);
 /// let mut counters = ActivityCounters::new();
-/// let mut timeline = Timeline::new();
 /// let data: Vec<i32> = (0..256).collect();
-/// let span = dma.copy_to_spm(&data, &mut spm, 0, &mut counters, &mut timeline, 0)?;
-/// assert!(span.duration() > 256);
+/// let cycles = dma.copy_to_spm(&data, &mut spm, 0, &mut counters)?;
+/// assert!(cycles > 256);
 /// assert_eq!(spm.read_word(255)?, 255);
 /// # Ok(())
 /// # }
@@ -86,9 +82,7 @@ impl Dma {
     }
 
     /// Copies `data` from system memory into the SPM starting at
-    /// `spm_word_addr`.  The transfer's cost is scheduled on `timeline`
-    /// ([`Engine::Dma`], no earlier than `not_before`) and returned as a
-    /// [`Span`].
+    /// `spm_word_addr`, returning the transfer's cycles.
     ///
     /// # Errors
     ///
@@ -100,9 +94,7 @@ impl Dma {
         spm: &mut Spm,
         spm_word_addr: usize,
         counters: &mut ActivityCounters,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<Span> {
+    ) -> Result<u64> {
         if data.is_empty() {
             return Err(CoreError::InvalidDmaTransfer {
                 detail: "transfer length is zero".into(),
@@ -112,12 +104,11 @@ impl Dma {
         counters.dma_transfers += 1;
         counters.dma_words += data.len() as u64;
         counters.spm_word_writes += data.len() as u64;
-        Ok(timeline.schedule(Engine::Dma, not_before, self.transfer_cycles(data.len())))
+        Ok(self.transfer_cycles(data.len()))
     }
 
     /// Copies `len` words from the SPM starting at `spm_word_addr` back to
-    /// system memory, returning the data and the transfer's [`Span`] as
-    /// scheduled on `timeline`.
+    /// system memory, returning the data and the transfer's cycles.
     ///
     /// # Errors
     ///
@@ -129,9 +120,7 @@ impl Dma {
         spm_word_addr: usize,
         len: usize,
         counters: &mut ActivityCounters,
-        timeline: &mut Timeline,
-        not_before: u64,
-    ) -> Result<(Vec<i32>, Span)> {
+    ) -> Result<(Vec<i32>, u64)> {
         if len == 0 {
             return Err(CoreError::InvalidDmaTransfer {
                 detail: "transfer length is zero".into(),
@@ -141,10 +130,7 @@ impl Dma {
         counters.dma_transfers += 1;
         counters.dma_words += len as u64;
         counters.spm_word_reads += len as u64;
-        Ok((
-            data,
-            timeline.schedule(Engine::Dma, not_before, self.transfer_cycles(len)),
-        ))
+        Ok((data, self.transfer_cycles(len)))
     }
 }
 
@@ -163,19 +149,14 @@ mod tests {
         let dma = Dma::default();
         let mut spm = Spm::new(1024, 128);
         let mut counters = ActivityCounters::new();
-        let mut timeline = Timeline::new();
         let data: Vec<i32> = (0..128).map(|i| i * 3 - 64).collect();
-        let s1 = dma
-            .copy_to_spm(&data, &mut spm, 128, &mut counters, &mut timeline, 0)
+        let to = dma
+            .copy_to_spm(&data, &mut spm, 128, &mut counters)
             .unwrap();
-        let (back, s2) = dma
-            .copy_from_spm(&spm, 128, 128, &mut counters, &mut timeline, 0)
-            .unwrap();
+        let (back, from) = dma.copy_from_spm(&spm, 128, 128, &mut counters).unwrap();
         assert_eq!(back, data);
-        assert_eq!(s1.duration(), s2.duration());
-        // One shared engine: the transfers serialize on the timeline.
-        assert_eq!(s2.start, s1.end);
-        assert_eq!(timeline.busy_cycles(Engine::Dma), s1.duration() * 2);
+        assert_eq!(to, from);
+        assert_eq!(to, dma.transfer_cycles(128));
         assert_eq!(counters.dma_transfers, 2);
         assert_eq!(counters.dma_words, 256);
         assert_eq!(counters.spm_word_writes, 128);
@@ -190,27 +171,11 @@ mod tests {
         });
         let mut spm = Spm::new(1024, 128);
         let mut counters = ActivityCounters::new();
-        let mut timeline = Timeline::new();
-        let span = dma
-            .copy_to_spm(&[0; 100], &mut spm, 0, &mut counters, &mut timeline, 0)
+        let cycles = dma
+            .copy_to_spm(&[0; 100], &mut spm, 0, &mut counters)
             .unwrap();
-        assert_eq!(span.duration(), 10 + 200);
+        assert_eq!(cycles, 10 + 200);
         assert_eq!(dma.transfer_cycles(100), 210);
-    }
-
-    #[test]
-    fn transfers_respect_dependencies() {
-        let dma = Dma::default();
-        let mut spm = Spm::new(1024, 128);
-        let mut counters = ActivityCounters::new();
-        let mut timeline = Timeline::new();
-        // A transfer that may not start before cycle 1000 (e.g. waiting for
-        // the compute engine) leaves the DMA idle until then.
-        let span = dma
-            .copy_to_spm(&[1; 64], &mut spm, 0, &mut counters, &mut timeline, 1000)
-            .unwrap();
-        assert_eq!(span.start, 1000);
-        assert_eq!(timeline.free_at(Engine::Dma), span.end);
     }
 
     #[test]
@@ -218,20 +183,14 @@ mod tests {
         let dma = Dma::default();
         let mut spm = Spm::new(256, 128);
         let mut counters = ActivityCounters::new();
-        let mut t = Timeline::new();
+        assert!(dma.copy_to_spm(&[], &mut spm, 0, &mut counters).is_err());
         assert!(dma
-            .copy_to_spm(&[], &mut spm, 0, &mut counters, &mut t, 0)
+            .copy_to_spm(&[0; 300], &mut spm, 0, &mut counters)
             .is_err());
-        assert!(dma
-            .copy_to_spm(&[0; 300], &mut spm, 0, &mut counters, &mut t, 0)
-            .is_err());
-        assert!(dma
-            .copy_from_spm(&spm, 0, 0, &mut counters, &mut t, 0)
-            .is_err());
-        assert!(dma
-            .copy_from_spm(&spm, 200, 100, &mut counters, &mut t, 0)
-            .is_err());
-        // Failed transfers schedule nothing.
-        assert_eq!(t.serial_cycles(), 0);
+        assert!(dma.copy_from_spm(&spm, 0, 0, &mut counters).is_err());
+        assert!(dma.copy_from_spm(&spm, 200, 100, &mut counters).is_err());
+        // Failed transfers move nothing.
+        assert_eq!(counters.dma_transfers, 0);
+        assert_eq!(counters.dma_words, 0);
     }
 }

@@ -17,15 +17,13 @@
 //! * A **DMA** ([`dma::Dma`]) between the SPM and system memory and a
 //!   **configuration memory** ([`config_mem::ConfigMemory`]) holding encoded
 //!   kernels.
-//! * An **event timeline** ([`timeline`]) on which the DMA, the
-//!   configuration streamer and the array report their costs as per-engine
-//!   busy spans, so runtimes can schedule overlapped (pipelined) execution
-//!   instead of adding bare cycle counts.
 //!
 //! The crate exposes a host-style API on [`Vwr2a`]: seed the SPM over the
 //! DMA, write kernel parameters into the SRF, run a [`program::KernelProgram`]
 //! and collect [`stats::RunStats`] with cycle counts and per-component
-//! activity (consumed by the `vwr2a-energy` crate).
+//! activity (consumed by the `vwr2a-energy` crate).  Every transfer and
+//! launch reports the cycles it took; scheduling them on overlapping
+//! engine lanes is the runtime's job.
 //!
 //! # Example
 //!
@@ -85,7 +83,6 @@ pub mod shuffle;
 pub mod spm;
 pub mod srf;
 pub mod stats;
-pub mod timeline;
 pub mod trace;
 pub mod vwr;
 
@@ -94,5 +91,4 @@ pub use error::CoreError;
 pub use geometry::{Geometry, VwrId};
 pub use program::{ColumnProgram, KernelProgram, Row};
 pub use stats::RunStats;
-pub use timeline::{Engine, LaunchSpans, Occupancy, Span, Timeline};
 pub use trace::ActivityCounters;

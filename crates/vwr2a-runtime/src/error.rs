@@ -68,6 +68,9 @@ pub enum RuntimeError {
         /// The backend (kind or index) that cannot serve it.
         backend: String,
     },
+    /// A [`crate::pool::Pool`] was built over an empty fleet: a pool
+    /// needs at least one backend.
+    EmptyPool,
 }
 
 impl RuntimeError {
@@ -110,6 +113,7 @@ impl fmt::Display for RuntimeError {
                 f,
                 "kernel `{kernel}` is not servable by the {backend} backend"
             ),
+            RuntimeError::EmptyPool => write!(f, "a pool needs at least one backend"),
         }
     }
 }
@@ -179,5 +183,8 @@ mod tests {
         assert!(e.to_string().contains("scale"));
         assert!(e.to_string().contains("fft-accel"));
         assert!(e.source().is_none());
+        assert!(RuntimeError::EmptyPool
+            .to_string()
+            .contains("at least one backend"));
     }
 }

@@ -73,11 +73,10 @@
 //!   with [`ArrayReport`] / [`FleetReport`] layering the fleet view on
 //!   top.
 //!
-//! For DMA-timing and schedule tuning the relevant core types are
-//! re-exported here ([`DmaConfig`], [`Engine`], [`Occupancy`], [`Span`],
-//! [`Timeline`], and the fleet merge helpers [`fleet_wall_cycles`] /
-//! [`fleet_occupancy`]), so runtime users do not need a direct
-//! `vwr2a-core` dependency.
+//! The engine timeline lives in [`pipeline`] and is re-exported here
+//! ([`Engine`], [`Occupancy`], [`Span`], [`Timeline`]), next to the core's
+//! [`DmaConfig`] for DMA-timing tuning, so runtime users do not need a
+//! direct `vwr2a-core` dependency.
 //!
 //! See [`Session`] for a runnable example, and [`pool`] for the fleet.
 
@@ -96,7 +95,7 @@ pub mod testing;
 
 pub use backend::{Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload};
 pub use error::{Result, RuntimeError};
-pub use pipeline::{StreamSchedule, WindowPhases};
+pub use pipeline::{Engine, Occupancy, Span, StreamSchedule, Timeline, WindowPhases};
 pub use policy::{ArcPolicy, EvictionPolicy, LfuPolicy, LruPolicy, ResidentProgram, SizeAwareLru};
 pub use pool::{
     BackendView, CostAware, JobView, Objective, Placement, PlacementPlan, Pool, ResidencyAware,
@@ -113,6 +112,3 @@ pub use session::{
     Kernel, LaunchCtx, Prefetch, Resources, Session, SRF_READ_CYCLES, SRF_WRITE_CYCLES,
 };
 pub use vwr2a_core::dma::DmaConfig;
-pub use vwr2a_core::timeline::{
-    fleet_occupancy, fleet_wall_cycles, Engine, LaunchSpans, Occupancy, Span, Timeline,
-};

@@ -1,4 +1,28 @@
-//! The pipelined stream schedule behind [`crate::Session::run_stream`].
+//! The engine timeline, and the pipelined stream schedule behind
+//! [`crate::Session::run_stream`] and the pool's backends.
+//!
+//! # Engines and the timeline
+//!
+//! The paper's end-to-end efficiency relies on the platform's engines
+//! working *concurrently*: while the array executes window *i*, the DMA
+//! already streams window *i+1* into the SPM and drains window *i−1* back
+//! to system memory.  A purely additive cycle count ("DMA + compute +
+//! DMA") therefore overstates wall-clock latency for any streamed
+//! workload.
+//!
+//! Each [`Engine`] — the configuration-word streamer, the DMA, the array
+//! itself and the completion-interrupt path — advances its own
+//! *busy-until* cycle.  A [`Timeline`] merges them:
+//! [`Timeline::schedule`] places an operation on its engine no earlier
+//! than both the engine's previous work and an explicit dependency
+//! (`not_before`), returning the resulting [`Span`].  The timeline's
+//! [`wall_cycles`](Timeline::wall_cycles) is the overlapped end-to-end
+//! latency, its [`Occupancy`] the per-engine busy totals whose sum is the
+//! cost of the same work executed strictly serially.
+//!
+//! The core simulator reports plain cycles for every DMA transfer and
+//! launch; this module is the only code that decides when that work runs
+//! on which engine.
 //!
 //! # The execution model
 //!
@@ -11,9 +35,8 @@
 //! window *i−1* behind the launch, and the host learns of each completion
 //! through an interrupt rather than by busy-waiting.
 //!
-//! [`StreamSchedule`] reproduces that overlap on the core's
-//! [`Timeline`].  For window *w* with per-phase durations
-//! ([`WindowPhases`]) it schedules:
+//! [`StreamSchedule`] reproduces that overlap on a [`Timeline`].  For
+//! window *w* with per-phase durations ([`WindowPhases`]) it schedules:
 //!
 //! 1. **stage(w)** on [`Engine::Dma`] — not before window *w−2*'s compute
 //!    finished (that is when the input half-buffer frees);
@@ -40,8 +63,239 @@
 //! bit-identical to the synchronous path); the schedule models *when* the
 //! already-verified work would retire on pipelined hardware.
 
-use vwr2a_core::timeline::{Engine, Span, Timeline};
 use vwr2a_soc::irq::latency;
+
+/// Fraction of a serial cost hidden by overlap: `(serial − wall) / serial`,
+/// always in `[0.0, 1.0]`.  The single definition behind
+/// [`Timeline::overlap_ratio`] and the runtime report's `overlap_ratio()`,
+/// including every degenerate case: an empty stream (`serial == 0`) and a
+/// wall clock at or above the serial cost (a single window, or a report
+/// whose wall clock was folded from sequential runs) both yield `0.0` —
+/// the saturating subtraction pins the numerator to `[0, serial]`, so the
+/// ratio needs no further clamping — and a zero wall clock against
+/// non-zero serial work caps at `1.0`.
+pub fn overlap_ratio(serial_cycles: u64, wall_cycles: u64) -> f64 {
+    if serial_cycles == 0 {
+        return 0.0;
+    }
+    serial_cycles.saturating_sub(wall_cycles) as f64 / serial_cycles as f64
+}
+
+/// A platform engine that makes progress independently of the others.
+///
+/// The four engines correspond to the units that can genuinely work in the
+/// same cycle on the modelled SoC: the configuration-memory streamer
+/// filling the per-slot program memories, the DMA moving data between
+/// system memory and the SPM, the reconfigurable array executing a kernel,
+/// and the interrupt path informing the host of a completion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// Configuration words streaming from the configuration memory into the
+    /// per-slot program memories (the cold part of a launch).
+    ConfigLoad,
+    /// The DMA engine between system memory and the SPM (staging inputs,
+    /// draining outputs).
+    Dma,
+    /// The array columns executing a kernel, including the host's SRF
+    /// slave-port accesses tied to a launch.
+    Compute,
+    /// Completion-interrupt delivery and the host's response to it.
+    Interrupt,
+}
+
+impl Engine {
+    /// All engines, in a fixed order.
+    pub const ALL: [Engine; 4] = [
+        Engine::ConfigLoad,
+        Engine::Dma,
+        Engine::Compute,
+        Engine::Interrupt,
+    ];
+
+    fn index(self) -> usize {
+        match self {
+            Engine::ConfigLoad => 0,
+            Engine::Dma => 1,
+            Engine::Compute => 2,
+            Engine::Interrupt => 3,
+        }
+    }
+}
+
+impl std::fmt::Display for Engine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Engine::ConfigLoad => "config-load",
+            Engine::Dma => "dma",
+            Engine::Compute => "compute",
+            Engine::Interrupt => "interrupt",
+        })
+    }
+}
+
+/// A half-open busy interval `[start, end)` of one [`Engine`], in cycles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Span {
+    /// The engine the work occupied.
+    pub engine: Engine,
+    /// First busy cycle.
+    pub start: u64,
+    /// First cycle after the work retires.
+    pub end: u64,
+}
+
+impl Span {
+    /// Cycles the work occupied its engine.
+    pub fn duration(&self) -> u64 {
+        self.end - self.start
+    }
+
+    /// `true` if the two spans occupy the *same* engine during at least one
+    /// common cycle.  Spans on different engines never collide (they model
+    /// genuinely concurrent units), and zero-length spans collide with
+    /// nothing.
+    ///
+    /// [`Timeline::schedule`] can never produce two colliding spans —
+    /// per-engine placement is monotonic — so this is a *verification*
+    /// helper: schedules that mix speculative work (configuration
+    /// prefetches) with pinned launch spans on the same engine assert their
+    /// invariants with it.
+    pub fn overlaps(&self, other: &Span) -> bool {
+        self.engine == other.engine && self.start.max(other.start) < self.end.min(other.end)
+    }
+}
+
+/// Per-engine busy-cycle totals of a [`Timeline`] (or of one invocation).
+///
+/// [`Occupancy::total`] is the cost of the same work executed strictly
+/// serially — comparing it against [`Timeline::wall_cycles`] quantifies how
+/// much latency the overlap hides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Occupancy {
+    /// Busy cycles of [`Engine::ConfigLoad`].
+    pub config_load: u64,
+    /// Busy cycles of [`Engine::Dma`].
+    pub dma: u64,
+    /// Busy cycles of [`Engine::Compute`].
+    pub compute: u64,
+    /// Busy cycles of [`Engine::Interrupt`].
+    pub interrupt: u64,
+}
+
+impl Occupancy {
+    /// Sum of all engines' busy cycles: the serial (non-overlapped) cost.
+    pub fn total(&self) -> u64 {
+        self.config_load + self.dma + self.compute + self.interrupt
+    }
+
+    /// Busy cycles of one engine.
+    pub fn of(&self, engine: Engine) -> u64 {
+        match engine {
+            Engine::ConfigLoad => self.config_load,
+            Engine::Dma => self.dma,
+            Engine::Compute => self.compute,
+            Engine::Interrupt => self.interrupt,
+        }
+    }
+}
+
+impl std::ops::AddAssign for Occupancy {
+    fn add_assign(&mut self, rhs: Self) {
+        self.config_load += rhs.config_load;
+        self.dma += rhs.dma;
+        self.compute += rhs.compute;
+        self.interrupt += rhs.interrupt;
+    }
+}
+
+impl std::ops::Add for Occupancy {
+    type Output = Occupancy;
+    fn add(mut self, rhs: Self) -> Self {
+        self += rhs;
+        self
+    }
+}
+
+/// Merges the busy-until cycles of the platform engines into one overlapped
+/// schedule.
+///
+/// The timeline is append-only and monotonic per engine: every
+/// [`Timeline::schedule`] call places work at
+/// `max(engine busy-until, not_before)`.  Dependencies between operations
+/// on *different* engines are expressed by passing the upstream span's
+/// `end` as `not_before`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Timeline {
+    busy_until: [u64; 4],
+    occupancy: Occupancy,
+}
+
+impl Timeline {
+    /// An empty timeline: every engine free at cycle 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Schedules `duration` busy cycles on `engine`, starting no earlier
+    /// than the engine's previous work and `not_before`.  Returns the
+    /// placed [`Span`].  A zero-length duration yields an empty span at the
+    /// resolved start cycle and leaves the engine's occupancy unchanged.
+    pub fn schedule(&mut self, engine: Engine, not_before: u64, duration: u64) -> Span {
+        let idx = engine.index();
+        let start = self.busy_until[idx].max(not_before);
+        let end = start + duration;
+        self.busy_until[idx] = end;
+        match engine {
+            Engine::ConfigLoad => self.occupancy.config_load += duration,
+            Engine::Dma => self.occupancy.dma += duration,
+            Engine::Compute => self.occupancy.compute += duration,
+            Engine::Interrupt => self.occupancy.interrupt += duration,
+        }
+        Span { engine, start, end }
+    }
+
+    /// First cycle at which `engine` has no scheduled work left.
+    pub fn free_at(&self, engine: Engine) -> u64 {
+        self.busy_until[engine.index()]
+    }
+
+    /// Per-engine busy totals.
+    pub fn occupancy(&self) -> Occupancy {
+        self.occupancy
+    }
+
+    /// Busy cycles of one engine.
+    pub fn busy_cycles(&self, engine: Engine) -> u64 {
+        self.occupancy.of(engine)
+    }
+
+    /// End-to-end latency of the overlapped schedule: the last cycle any
+    /// engine is busy.
+    pub fn wall_cycles(&self) -> u64 {
+        self.busy_until.iter().copied().max().unwrap_or(0)
+    }
+
+    /// Cost of the same work executed strictly serially (sum of all
+    /// engines' busy cycles).
+    pub fn serial_cycles(&self) -> u64 {
+        self.occupancy.total()
+    }
+
+    /// Fraction of the serial cost hidden by overlap:
+    /// `(serial − wall) / serial`, or `0.0` for an empty timeline.
+    ///
+    /// `0.0` means fully serial (a single window cannot overlap with
+    /// anything); an overlap ratio of `0.4` means the pipelined schedule
+    /// finishes in 60 % of the serial cycles.
+    pub fn overlap_ratio(&self) -> f64 {
+        overlap_ratio(self.serial_cycles(), self.wall_cycles())
+    }
+
+    /// Clears all scheduled work, returning every engine to free-at-0.
+    pub fn reset(&mut self) {
+        *self = Self::default();
+    }
+}
 
 /// Per-engine durations of one kernel invocation (one window), collected
 /// by the session's [`crate::LaunchCtx`] while the invocation executes.
@@ -119,11 +373,6 @@ impl StreamSchedule {
         Self::default()
     }
 
-    /// Windows pushed so far.
-    pub fn windows(&self) -> usize {
-        self.windows
-    }
-
     /// First cycle at which `engine` has no work scheduled so far (the
     /// final window's drain may still be pending — see
     /// [`StreamSchedule::finish`]).  The pool's residency-aware placement
@@ -148,7 +397,7 @@ impl StreamSchedule {
     /// DMA stages, so a prefetch placed *before* its job's first window
     /// overlaps whatever backlog the schedule already carries — the reload
     /// leaves the launch's critical path.  Because per-engine placement is
-    /// monotonic ([`vwr2a_core::timeline::Timeline::schedule`]), the span
+    /// monotonic ([`Timeline::schedule`]), the span
     /// can never collide with the config span of a launch already pinned on
     /// the lane, and every later [`StreamSchedule::push`] queues its own
     /// config span behind the prefetch.
@@ -275,6 +524,131 @@ mod tests {
             compute,
             drain,
         }
+    }
+
+    #[test]
+    fn serial_chain_has_zero_overlap() {
+        let mut t = Timeline::new();
+        let a = t.schedule(Engine::Dma, 0, 10);
+        let b = t.schedule(Engine::ConfigLoad, a.end, 20);
+        let c = t.schedule(Engine::Compute, b.end, 30);
+        let d = t.schedule(Engine::Interrupt, c.end, 5);
+        let e = t.schedule(Engine::Dma, d.end, 10);
+        assert_eq!(e.end, 75);
+        assert_eq!(t.wall_cycles(), 75);
+        assert_eq!(t.serial_cycles(), 75);
+        assert_eq!(t.overlap_ratio(), 0.0);
+        assert_eq!(t.busy_cycles(Engine::Dma), 20);
+        assert_eq!(t.occupancy().compute, 30);
+    }
+
+    #[test]
+    fn independent_engines_overlap() {
+        let mut t = Timeline::new();
+        t.schedule(Engine::Compute, 0, 100);
+        t.schedule(Engine::Dma, 0, 60);
+        assert_eq!(t.wall_cycles(), 100);
+        assert_eq!(t.serial_cycles(), 160);
+        assert!((t.overlap_ratio() - 60.0 / 160.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn engine_order_is_monotonic() {
+        let mut t = Timeline::new();
+        let a = t.schedule(Engine::Dma, 50, 10);
+        // A later request with an earlier dependency still queues behind.
+        let b = t.schedule(Engine::Dma, 0, 10);
+        assert_eq!(a.start, 50);
+        assert_eq!(b.start, a.end);
+        assert_eq!(t.free_at(Engine::Dma), 70);
+    }
+
+    #[test]
+    fn zero_duration_spans_are_empty_and_free() {
+        let mut t = Timeline::new();
+        let s = t.schedule(Engine::ConfigLoad, 7, 0);
+        assert_eq!(s.duration(), 0);
+        assert_eq!((s.start, s.end), (7, 7));
+        assert_eq!(t.serial_cycles(), 0);
+        // An empty timeline's wall clock never ran.
+        assert_eq!(Timeline::new().wall_cycles(), 0);
+        assert_eq!(Timeline::new().overlap_ratio(), 0.0);
+    }
+
+    #[test]
+    fn span_overlap_requires_a_shared_engine_and_a_shared_cycle() {
+        let span = |engine, start, end| Span { engine, start, end };
+        let a = span(Engine::ConfigLoad, 10, 20);
+        // Same engine, shared cycles: collision (in both orders).
+        assert!(a.overlaps(&span(Engine::ConfigLoad, 15, 25)));
+        assert!(span(Engine::ConfigLoad, 15, 25).overlaps(&a));
+        assert!(a.overlaps(&span(Engine::ConfigLoad, 0, 11)));
+        // Half-open intervals: touching end-to-start is not a collision.
+        assert!(!a.overlaps(&span(Engine::ConfigLoad, 20, 30)));
+        assert!(!a.overlaps(&span(Engine::ConfigLoad, 0, 10)));
+        // Different engines run concurrently by construction.
+        assert!(!a.overlaps(&span(Engine::Compute, 10, 20)));
+        // Zero-length spans occupy no cycle.
+        assert!(!a.overlaps(&span(Engine::ConfigLoad, 15, 15)));
+    }
+
+    #[test]
+    fn monotonic_scheduling_never_collides_on_an_engine() {
+        // The guarantee prefetch scheduling relies on: a speculative span
+        // placed on ConfigLoad ahead of a launch can never be overlapped by
+        // the launch's own (pinned) config span, because per-engine
+        // placement is monotonic.
+        let mut t = Timeline::new();
+        let prefetch = t.schedule(Engine::ConfigLoad, 0, 120);
+        let launch_config = t.schedule(Engine::ConfigLoad, 30, 80);
+        assert!(!prefetch.overlaps(&launch_config));
+        assert_eq!(launch_config.start, prefetch.end);
+    }
+
+    #[test]
+    fn occupancy_accumulates_across_timelines() {
+        let mut a = Timeline::new();
+        a.schedule(Engine::Dma, 0, 10);
+        let mut b = Timeline::new();
+        b.schedule(Engine::Compute, 0, 20);
+        let sum = a.occupancy() + b.occupancy();
+        assert_eq!(sum.total(), 30);
+        assert_eq!(sum.of(Engine::Dma), 10);
+        assert_eq!(sum.of(Engine::Compute), 20);
+    }
+
+    #[test]
+    fn reset_clears_everything() {
+        let mut t = Timeline::new();
+        t.schedule(Engine::Compute, 0, 99);
+        t.reset();
+        assert_eq!(t.wall_cycles(), 0);
+        assert_eq!(t.serial_cycles(), 0);
+        assert_eq!(t, Timeline::new());
+    }
+
+    #[test]
+    fn overlap_ratio_degenerate_cases_are_defined_and_bounded() {
+        // Nothing ran: no overlap, not NaN.
+        assert_eq!(overlap_ratio(0, 0), 0.0);
+        assert_eq!(overlap_ratio(0, 50), 0.0);
+        // Fully serial (single window): exactly zero.
+        assert_eq!(overlap_ratio(100, 100), 0.0);
+        // A wall clock beyond the serial cost (sequential runs folded into
+        // one report) stays at zero: the saturating subtraction bounds the
+        // numerator.
+        assert_eq!(overlap_ratio(100, 250), 0.0);
+        // A zero wall clock against real work caps at 1.0.
+        assert_eq!(overlap_ratio(100, 0), 1.0);
+        // The interior is the plain fraction.
+        assert!((overlap_ratio(200, 150) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn engine_display_and_all() {
+        assert_eq!(Engine::ALL.len(), 4);
+        let names: Vec<String> = Engine::ALL.iter().map(|e| e.to_string()).collect();
+        assert_eq!(names, ["config-load", "dma", "compute", "interrupt"]);
     }
 
     #[test]

@@ -108,15 +108,12 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use vwr2a_core::geometry::Geometry;
-use vwr2a_core::timeline::Engine;
 use vwr2a_energy::EnergyModel;
 
 use crate::backend::{Backend, BackendKind};
 use crate::error::{Result, RuntimeError};
-use crate::pipeline::StreamSchedule;
-use crate::report::{
-    ArrayReport, FleetReport, JobLatency, JobRoute, PlannerStats, RunReport, ServeReport,
-};
+use crate::pipeline::{Engine, StreamSchedule};
+use crate::report::{FleetReport, JobLatency, JobRoute, PlannerStats, RunReport, ServeReport};
 use crate::serve::{QueuedJob, SchedPolicy, ServeJob, TenantId};
 use crate::session::{Kernel, Session};
 
@@ -625,8 +622,9 @@ pub(crate) struct Dispatch<'a> {
 /// dispatches in submission order, and runs as soon as placement commits
 /// it.  *Residency persists across waves*: the sessions
 /// keep their loaded programs, so a later wave's jobs launch warm wherever
-/// earlier waves already placed their programs.  [`Pool::stats`]
-/// accumulates the per-backend accounting over all waves.
+/// earlier waves already placed their programs, and each array session's
+/// lifetime counters ([`Session::busy`], [`Session::evictions`],
+/// [`Session::prefetches`]) keep counting.
 ///
 /// See the [module docs](crate::pool) for the scheduling model and a
 /// runnable example.
@@ -634,7 +632,6 @@ pub(crate) struct Dispatch<'a> {
 pub struct Pool {
     backends: Vec<Backend>,
     placement: Box<dyn Placement>,
-    stats: FleetReport,
     /// Configuration-word footprints by array geometry and
     /// [`Kernel::cache_key`] (`None` = the geometry cannot build the
     /// program), so a program's [`Kernel::config_words`] is computed once
@@ -655,7 +652,7 @@ impl Pool {
     /// Panics if `arrays` is zero.
     pub fn new(arrays: usize) -> Self {
         Self::with_sessions((0..arrays).map(|_| Session::new()).collect())
-            .expect("all-array fleets are always legal")
+            .expect("a pool needs at least one backend")
     }
 
     /// Creates an all-array pool over custom sessions (constrained or
@@ -671,38 +668,32 @@ impl Pool {
     ///
     /// # Errors
     ///
-    /// Never errs today; the `Result` is kept so fleet-construction
-    /// validation can return typed errors without breaking callers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sessions` is empty.
+    /// Returns [`RuntimeError::EmptyPool`] if `sessions` is empty.
     pub fn with_sessions(sessions: Vec<Session>) -> Result<Self> {
-        Ok(Self::with_backends(
-            sessions.into_iter().map(Backend::from).collect(),
-        ))
+        Self::with_backends(sessions.into_iter().map(Backend::from).collect())
     }
 
     /// Creates a pool over an explicit set of backends (arrays, the FFT
     /// engine, the host CPU — in any mix) with the default [`CostAware`]
     /// placement.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `backends` is empty.
-    pub fn with_backends(backends: Vec<Backend>) -> Self {
-        assert!(!backends.is_empty(), "a pool needs at least one backend");
+    /// Returns [`RuntimeError::EmptyPool`] if `backends` is empty.
+    pub fn with_backends(backends: Vec<Backend>) -> Result<Self> {
+        if backends.is_empty() {
+            return Err(RuntimeError::EmptyPool);
+        }
         let mut pool = Self {
             backends: Vec::with_capacity(backends.len()),
             placement: Box::new(CostAware::default()),
-            stats: FleetReport::for_kinds(&[]),
             footprints: HashMap::new(),
             estimates: Estimator::default(),
         };
         for backend in backends {
             pool.push_backend(backend);
         }
-        pool
+        Ok(pool)
     }
 
     /// Appends a backend to the fleet, builder-style — how the FFT engine
@@ -713,9 +704,8 @@ impl Pool {
         self
     }
 
-    /// Appends a backend to the fleet.  Existing residency, accumulated
-    /// statistics and the placement strategy are unaffected; the new
-    /// backend starts idle.
+    /// Appends a backend to the fleet.  Existing residency and the
+    /// placement strategy are unaffected; the new backend starts idle.
     ///
     /// Every CGRA array of the fleet shares the first array's
     /// [`ReplayCache`](vwr2a_core::replay::ReplayCache), so a program
@@ -729,13 +719,6 @@ impl Pool {
         if let (Some(cache), Backend::Array(session)) = (fleet_cache, &mut backend) {
             session.accelerator_mut().share_replay_cache(&cache);
         }
-        let index = self.backends.len();
-        self.stats.arrays.push(ArrayReport {
-            array: index,
-            kind: backend.kind(),
-            jobs: 0,
-            report: RunReport::new(format!("{}-{index}", backend.kind().label())),
-        });
         self.backends.push(backend);
     }
 
@@ -792,12 +775,6 @@ impl Pool {
         self.sessions().map(Session::evictions_averted).sum()
     }
 
-    /// Accumulated fleet accounting over every wave run so far (per-backend
-    /// wall clocks add across waves, as if the waves ran back to back).
-    pub fn stats(&self) -> &FleetReport {
-        &self.stats
-    }
-
     /// Fans a batch of `(kernel, windows)` jobs across the fleet and
     /// collects each job's outputs, in window order, grouped by job in
     /// submission order.
@@ -850,9 +827,9 @@ impl Pool {
     ///
     /// As [`Pool::run_batch`]; an error returned by `sink` aborts the
     /// fan-out as [`RuntimeError::Sink`] does for [`Session::run_stream`].
-    /// Work performed before the abort — cold reloads, invocations, busy
-    /// cycles — is still folded into [`Pool::stats`], matching the
-    /// sessions' own accounting of failed invocations.
+    /// Work performed before the abort still shows in the array sessions'
+    /// lifetime counters ([`Session::busy`], [`Session::evictions`],
+    /// [`Session::prefetches`]).
     pub fn run_stream<'k, K, J, W, F>(&mut self, jobs: J, sink: F) -> Result<FleetReport>
     where
         K: Kernel + 'k,
@@ -1035,8 +1012,7 @@ impl Pool {
     /// [`StreamSchedule`]s.
     ///
     /// Every job is priced at admission, so a job no backend can serve
-    /// fails before any work.  The run's accounting is folded into
-    /// [`Pool::stats`] even when it aborts.
+    /// fails before any work.
     pub(crate) fn serve<'k, K, J, W, F>(
         &mut self,
         jobs: J,
@@ -1098,16 +1074,14 @@ impl Pool {
             }
             report.plan.evictions_averted = self.evictions_averted() - averted_before;
         }
+        result?;
         for (backend, schedule) in report.fleet.arrays.iter_mut().zip(schedules) {
             let timeline = schedule.finish();
             backend.report.wall_cycles = timeline.wall_cycles();
             backend.report.busy = timeline.occupancy();
         }
-        // The run's accounting survives an abort: the backends did the
-        // work, so the fleet statistics must show it.
-        self.stats.absorb(&report.fleet);
         report.latencies.sort_unstable_by_key(|l| l.job);
-        result.map(|()| report)
+        Ok(report)
     }
 
     /// The event loop of [`Pool::serve`]: admits, dispatches, steals and
@@ -1573,6 +1547,7 @@ impl Pool {
 mod tests {
     use super::*;
     use crate::backend::{CpuBackend, FftBackend, FftShape, Offload};
+    use crate::pipeline::Occupancy;
     use crate::testing::{constrained_sessions, BakedScaleKernel};
     use vwr2a_core::geometry::Geometry;
 
@@ -1581,6 +1556,19 @@ mod tests {
             .program(&Geometry::paper())
             .unwrap()
             .config_words()
+    }
+
+    /// Lifetime busy cycles of the fleet's array sessions, summed — what
+    /// the sessions did, including runs that aborted.
+    fn sessions_busy(pool: &Pool) -> Occupancy {
+        pool.sessions()
+            .map(Session::busy)
+            .fold(Occupancy::default(), |acc, b| acc + b)
+    }
+
+    /// `true` if no backend of the fleet has computed anything yet.
+    fn nothing_ran(pool: &Pool) -> bool {
+        (0..pool.arrays()).all(|i| pool.backend(i).unwrap().busy_compute() == 0)
     }
 
     fn windows(count: usize, seed: i32) -> Vec<Vec<i32>> {
@@ -1887,14 +1875,16 @@ mod tests {
             .unwrap();
         assert_eq!(second.prefetched(), 0, "wave 2 finds the program warm");
         assert_eq!(second.cold_reloads(), 0);
-        // stats() accumulated both waves, with per-wave routes offset so
-        // job indices keep counting.
-        assert_eq!(pool.stats().jobs, 2);
-        assert_eq!(pool.stats().cold_reloads(), 0);
-        assert_eq!(pool.stats().prefetched(), 1);
-        assert_eq!(pool.stats().invocations(), 4);
-        assert_eq!(pool.stats().routes.len(), 2);
-        assert_eq!(pool.stats().routes[1].job, 1);
+        // Each wave reports itself alone; the sessions' lifetime counters
+        // span both.
+        assert_eq!((first.jobs, second.jobs), (1, 1));
+        assert_eq!((first.invocations(), second.invocations()), (2, 2));
+        assert_eq!(second.routes[0].job, 0);
+        assert_eq!(pool.sessions().map(Session::prefetches).sum::<u64>(), 1);
+        assert_eq!(
+            sessions_busy(&pool).compute,
+            first.busy().compute + second.busy().compute
+        );
     }
 
     #[test]
@@ -1931,14 +1921,13 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Sink { .. }));
-        // The aborted wave's work is not lost from the fleet statistics:
-        // the (prefetched) configuration stream physically ran.
-        assert_eq!(pool.stats().jobs, 1);
-        assert_eq!(pool.stats().cold_reloads(), 0);
-        assert_eq!(pool.stats().prefetched(), 1);
-        assert_eq!(pool.stats().invocations(), 1);
-        assert!(pool.stats().busy().compute > 0);
-        assert!(pool.stats().busy().config_load > 0);
+        // The aborted wave's work is not lost from the sessions' lifetime
+        // counters: the (prefetched) configuration stream and the first
+        // window physically ran.
+        assert_eq!(pool.sessions().map(Session::prefetches).sum::<u64>(), 1);
+        let busy = sessions_busy(&pool);
+        assert_eq!(busy.config_load, baked_words() as u64);
+        assert!(busy.compute > 0);
         // The placed program stays resident; the next wave runs warm.
         let (_, report) = pool
             .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
@@ -2005,7 +1994,7 @@ mod tests {
             "expected ConfigMemoryFull from the launch path, got {err:?}"
         );
         assert_eq!(
-            pool.stats().prefetched(),
+            pool.sessions().map(Session::prefetches).sum::<u64>(),
             0,
             "the failed stage is not counted"
         );
@@ -2049,29 +2038,48 @@ mod tests {
             .collect();
         let mut pool = Pool::with_sessions(constrained_sessions(2, 2 * baked_words())).unwrap();
         let ws = windows(2, 0);
+        // Serial work per array, as the sessions' lifetime counters see it.
+        fn lifetime(pool: &Pool) -> Vec<u64> {
+            pool.sessions()
+                .map(|s| s.busy().config_load + s.busy().dma + s.busy().compute)
+                .collect()
+        }
+        // A completed wave reports exactly the work its sessions did, array
+        // by array, and its busy split matches its serial phase sum.
+        fn wave(pool: &mut Pool, kernels: &[BakedScaleKernel], ws: &[Vec<i32>]) -> FleetReport {
+            let before = lifetime(pool);
+            let (_, report) = pool
+                .run_batch(kernels.iter().map(|k| (k, ws.iter().map(Vec::as_slice))))
+                .unwrap();
+            let after = lifetime(pool);
+            for (array, (after, before)) in report.arrays.iter().zip(after.iter().zip(&before)) {
+                assert_eq!(after - before, array.report.cycles);
+                let busy = array.report.busy;
+                assert_eq!(
+                    busy.config_load + busy.dma + busy.compute,
+                    array.report.cycles
+                );
+            }
+            assert_eq!(
+                report.arrays.iter().map(|a| a.jobs).sum::<u64>(),
+                report.jobs
+            );
+            assert_eq!(
+                report.busy().total(),
+                report.arrays.iter().map(|a| a.report.busy.total()).sum()
+            );
+            report
+        }
 
-        // Wave 1: two jobs over two programs.
-        pool.run_batch(
-            kernels[..2]
-                .iter()
-                .map(|k| (k, ws.iter().map(Vec::as_slice))),
-        )
-        .unwrap();
-        let after_one = pool.stats().clone();
-        assert_eq!(after_one.jobs, 2);
-        assert_eq!(after_one.invocations(), 4);
+        // Waves 1 and 2: two, then all three programs.
+        let first = wave(&mut pool, &kernels[..2], &ws);
+        assert_eq!((first.jobs, first.invocations()), (2, 4));
+        let second = wave(&mut pool, &kernels, &ws);
+        assert_eq!((second.jobs, second.invocations()), (3, 6));
 
-        // Wave 2: all three programs; counters strictly accumulate.
-        pool.run_batch(kernels.iter().map(|k| (k, ws.iter().map(Vec::as_slice))))
-            .unwrap();
-        let after_two = pool.stats().clone();
-        assert_eq!(after_two.jobs, 5);
-        assert_eq!(after_two.invocations(), 10);
-        assert!(after_two.prefetched() >= after_one.prefetched());
-        assert!(after_two.busy().total() > after_one.busy().total());
-
-        // Wave 3 aborts in the sink after one window: the partial work is
-        // still folded in (the first job's window ran).
+        // Wave 3 aborts in the sink after one window: the partial work
+        // still shows in the sessions' lifetime counters.
+        let before_abort = lifetime(&pool);
         let err = pool
             .run_stream(
                 kernels.iter().map(|k| (k, ws.iter().map(Vec::as_slice))),
@@ -2079,9 +2087,8 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, RuntimeError::Sink { .. }));
-        let after_abort = pool.stats().clone();
-        assert_eq!(after_abort.jobs, 6, "the aborted job still counts");
-        assert_eq!(after_abort.invocations(), 11);
+        let after_abort = lifetime(&pool);
+        assert!(after_abort.iter().sum::<u64>() > before_abort.iter().sum::<u64>());
 
         // Wave 4 aborts in placement before anything runs: no counters
         // move at all.
@@ -2095,32 +2102,23 @@ mod tests {
                 PlacementPlan::run_on(backends.len())
             }
         }
+        let counters = |pool: &Pool| -> Vec<(u64, u64)> {
+            pool.sessions()
+                .map(|s| (s.evictions(), s.prefetches()))
+                .collect()
+        };
+        let counters_before = counters(&pool);
         pool.set_placement(Rogue);
         assert!(pool
             .run_batch(kernels.iter().map(|k| (k, ws.iter().map(Vec::as_slice))))
             .is_err());
-        assert_eq!(pool.stats(), &after_abort, "a rogue wave adds nothing");
+        assert_eq!(lifetime(&pool), after_abort, "a rogue wave adds nothing");
+        assert_eq!(counters(&pool), counters_before);
 
-        // The pool stays fully usable, and the invariants hold over the
-        // whole accumulated history: per-array jobs sum to the total, and
-        // every array's busy split matches its serial phase sum.
+        // The pool stays fully usable.
         pool.set_placement(CostAware::default());
-        pool.run_batch(kernels.iter().map(|k| (k, ws.iter().map(Vec::as_slice))))
-            .unwrap();
-        let stats = pool.stats();
-        assert_eq!(stats.jobs, 9);
-        assert_eq!(stats.invocations(), 17);
-        assert_eq!(stats.arrays.iter().map(|a| a.jobs).sum::<u64>(), stats.jobs);
-        for array in &stats.arrays {
-            assert_eq!(
-                array.report.busy.config_load + array.report.busy.dma + array.report.busy.compute,
-                array.report.cycles
-            );
-        }
-        assert_eq!(
-            stats.busy().total(),
-            stats.arrays.iter().map(|a| a.report.busy.total()).sum()
-        );
+        let last = wave(&mut pool, &kernels, &ws);
+        assert_eq!((last.jobs, last.invocations()), (3, 6));
     }
 
     #[test]
@@ -2139,6 +2137,18 @@ mod tests {
     #[should_panic(expected = "at least one backend")]
     fn zero_backend_pools_are_rejected() {
         let _ = Pool::new(0);
+    }
+
+    #[test]
+    fn empty_fleets_are_a_typed_error() {
+        assert_eq!(
+            Pool::with_sessions(Vec::new()).unwrap_err(),
+            RuntimeError::EmptyPool
+        );
+        assert_eq!(
+            Pool::with_backends(Vec::new()).unwrap_err(),
+            RuntimeError::EmptyPool
+        );
     }
 
     /// Pins every job to one backend — the deterministic routing probe of
@@ -2262,7 +2272,7 @@ mod tests {
             .run_batch([(&picky, ws.iter().map(Vec::as_slice))])
             .unwrap_err();
         assert_eq!(err, RuntimeError::MixedGeometry { array: 0 });
-        assert_eq!(tiny.stats().jobs, 0);
+        assert!(nothing_ran(&tiny));
         tiny.run_batch([(&picky.0, ws.iter().map(Vec::as_slice))])
             .unwrap();
     }
@@ -2590,7 +2600,7 @@ mod tests {
 
     #[test]
     fn all_offload_fleets_reject_cgra_only_jobs_at_admission() {
-        let mut pool = Pool::with_backends(vec![FftBackend::new().into()]);
+        let mut pool = Pool::with_backends(vec![FftBackend::new().into()]).unwrap();
         let plain = BakedScaleKernel::new(2);
         let ws = windows(2, 0);
         let err = pool
@@ -2603,8 +2613,7 @@ mod tests {
                 backend: "fft".to_string(),
             }
         );
-        assert_eq!(pool.stats().jobs, 0, "nothing ran");
-        assert_eq!(pool.stats().invocations(), 0);
+        assert!(nothing_ran(&pool));
         assert!(pool.array(0).is_none());
         // The engine serves what its model prices.
         let fftish = FftishKernel::new(3, 256);
@@ -2777,16 +2786,18 @@ mod tests {
         let mut pool = Pool::new(1)
             .with_backend(FftBackend::new())
             .with_placement(Pin(1));
-        pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
+        let (_, engine) = pool
+            .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
             .unwrap();
-        assert_eq!(pool.stats().routes[0].kind, BackendKind::FftAccel);
+        assert_eq!(engine.routes[0].kind, BackendKind::FftAccel);
         assert_eq!(pool.estimates.total, (0, 0));
         assert!(pool.estimates.keys.is_empty());
 
         pool.set_placement(Pin(0));
-        pool.run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
+        let (_, array) = pool
+            .run_batch([(&kernel, ws.iter().map(Vec::as_slice))])
             .unwrap();
-        let array_compute = pool.stats().arrays[0].report.busy.compute;
+        let array_compute = array.arrays[0].report.busy.compute;
         assert_eq!(pool.estimates.total, (array_compute, 2));
         assert_eq!(pool.estimates.keys[&key], (array_compute, 2));
     }

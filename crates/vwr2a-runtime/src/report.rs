@@ -1,11 +1,11 @@
 //! The unified run report returned by every [`crate::Session`] execution.
 
 use vwr2a_core::stats::time_us;
-use vwr2a_core::timeline::Occupancy;
 use vwr2a_core::ActivityCounters;
 use vwr2a_energy::{vwr2a_energy, EnergyBreakdown};
 
 use crate::backend::BackendKind;
+use crate::pipeline::{overlap_ratio, Occupancy};
 
 /// Cycle, launch and activity accounting of one or more kernel invocations
 /// through a [`crate::Session`].
@@ -125,7 +125,7 @@ impl RunReport {
     /// runs (no overlap possible), approaching the DMA share of the serial
     /// cost for long compute-bound streams.
     pub fn overlap_ratio(&self) -> f64 {
-        vwr2a_core::timeline::overlap_ratio(self.serial_cycles(), self.wall_cycles)
+        overlap_ratio(self.serial_cycles(), self.wall_cycles)
     }
 
     /// Folds another report into this one (used by batch accumulation and
@@ -194,9 +194,7 @@ pub struct ArrayReport {
 /// against the serial model of the backend that served it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JobRoute {
-    /// The job's submission index ([`crate::pool::JobView::index`]; for
-    /// accumulated [`crate::pool::Pool::stats`], offset so indices keep
-    /// counting across waves).
+    /// The job's submission index ([`crate::pool::JobView::index`]).
     pub job: usize,
     /// Index of the backend that executed the job's windows.
     pub backend: usize,
@@ -432,34 +430,6 @@ impl FleetReport {
             return 0.0;
         }
         self.busy().compute as f64 / (wall as f64 * self.arrays.len() as f64)
-    }
-
-    /// Folds another fleet report into this one, array by array (used by
-    /// [`crate::pool::Pool::stats`] to accumulate waves run one after the
-    /// other; per-array wall clocks add, so the combined report describes
-    /// sequential waves).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two reports describe pools of different sizes.
-    pub fn absorb(&mut self, other: &FleetReport) {
-        assert_eq!(
-            self.arrays.len(),
-            other.arrays.len(),
-            "fleet reports of different pool sizes cannot be merged"
-        );
-        // Later waves' job indices restart at 0; offset their routes so
-        // the accumulated record keeps one monotone index space.
-        let base = self.jobs as usize;
-        self.routes.extend(other.routes.iter().map(|r| JobRoute {
-            job: r.job + base,
-            ..*r
-        }));
-        self.jobs += other.jobs;
-        for (mine, theirs) in self.arrays.iter_mut().zip(&other.arrays) {
-            mine.jobs += theirs.jobs;
-            mine.report.absorb(&theirs.report);
-        }
     }
 }
 
@@ -738,7 +708,7 @@ mod tests {
         assert_eq!(serial.overlap_ratio(), 0.0);
         // Sequential waves folded by `absorb` can push the summed wall
         // clock past the summed serial cost; the ratio stays at zero (one
-        // definition in `vwr2a_core::timeline::overlap_ratio`, with a
+        // definition in `crate::pipeline::overlap_ratio`, with a
         // saturating numerator, covers every caller).
         let mut folded = RunReport::new("k");
         folded.wall_cycles = 900;
@@ -823,34 +793,6 @@ mod tests {
         assert_eq!(fleet.energy_nj(), 17_200);
         assert!(fleet.to_string().contains("fft x1"));
         assert!(fleet.to_string().contains("uJ"));
-
-        // Absorbing a second wave offsets its routes past this one's jobs.
-        let mut next = FleetReport::for_kinds(&[
-            BackendKind::Array,
-            BackendKind::Array,
-            BackendKind::FftAccel,
-        ]);
-        next.jobs = 2;
-        next.routes = vec![
-            JobRoute {
-                job: 0,
-                backend: 2,
-                kind: BackendKind::FftAccel,
-                energy_nj: 0,
-            },
-            JobRoute {
-                job: 1,
-                backend: 0,
-                kind: BackendKind::Array,
-                energy_nj: 0,
-            },
-        ];
-        fleet.absorb(&next);
-        assert_eq!(fleet.jobs, 5);
-        assert_eq!(fleet.routes.len(), 5);
-        assert_eq!(fleet.routes[3].job, 3);
-        assert_eq!(fleet.routes[4].job, 4);
-        assert_eq!(fleet.routes[3].backend, 2);
     }
 
     #[test]
@@ -877,28 +819,6 @@ mod tests {
         // Occupancy: 1300 compute cycles of 2 × 1000 array-cycles.
         assert!((fleet.occupancy() - 0.65).abs() < 1e-12);
         assert!(fleet.to_string().contains("2 array(s)"));
-    }
-
-    #[test]
-    fn fleet_absorb_accumulates_waves_per_array() {
-        let mut a = FleetReport::new(2);
-        a.jobs = 1;
-        a.arrays[0] = array_report(0, 500, 400, 50, 1);
-        let mut b = FleetReport::new(2);
-        b.jobs = 3;
-        b.arrays[1] = array_report(1, 900, 800, 0, 0);
-        a.absorb(&b);
-        assert_eq!(a.jobs, 4);
-        assert_eq!(a.arrays[0].report.wall_cycles, 500);
-        assert_eq!(a.arrays[1].report.wall_cycles, 900);
-        assert_eq!(a.wall_cycles(), 900);
-        assert_eq!(a.busy().compute, 1_200);
-    }
-
-    #[test]
-    #[should_panic(expected = "different pool sizes")]
-    fn fleet_absorb_rejects_mismatched_pools() {
-        FleetReport::new(2).absorb(&FleetReport::new(3));
     }
 
     #[test]

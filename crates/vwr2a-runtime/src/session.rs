@@ -33,11 +33,10 @@ use std::collections::{HashMap, HashSet};
 use vwr2a_core::config_mem::KernelId;
 use vwr2a_core::geometry::Geometry;
 use vwr2a_core::program::KernelProgram;
-use vwr2a_core::timeline::{Engine, Occupancy, Timeline};
 use vwr2a_core::Vwr2a;
 
 use crate::error::{Result, RuntimeError};
-use crate::pipeline::{StreamSchedule, WindowPhases};
+use crate::pipeline::{Occupancy, StreamSchedule, WindowPhases};
 pub use crate::policy::{EvictionPolicy, LfuPolicy, LruPolicy, ResidentProgram, SizeAwareLru};
 use crate::report::RunReport;
 
@@ -370,14 +369,14 @@ impl Residency<'_> {
 /// configuration-memory registry — evicting cold programs when an
 /// auxiliary load needs room.
 ///
-/// Costs are recorded on a per-invocation [`Timeline`]: DMA transfers and
-/// launches report their spans through the core's timeline-aware APIs, so
-/// the context knows not only the invocation's total cycles
-/// ([`LaunchCtx::cycles`]) but also how those cycles split across the
-/// platform engines (staging DMA, configuration streaming, array compute,
-/// draining DMA).  The session's pipelined stream executor uses that split
-/// to overlap consecutive windows.  Within one invocation everything is
-/// serialised — an invocation observes its own effects in program order.
+/// Costs are charged per engine into the invocation's [`WindowPhases`]:
+/// DMA transfers to staging or draining, SRF accesses to compute, and each
+/// launch's [`RunStats`](vwr2a_core::RunStats) split into configuration
+/// streaming (the words it loaded) and array compute (the rest of its
+/// cycles).  The session's pipelined stream executor uses that split to
+/// overlap consecutive windows.  Within one invocation everything is
+/// serialised — an invocation observes its own effects in program order,
+/// and its cycles are the phases' sum.
 #[derive(Debug)]
 pub struct LaunchCtx<'a> {
     accel: &'a mut Vwr2a,
@@ -390,8 +389,6 @@ pub struct LaunchCtx<'a> {
     primary_key: &'a str,
     /// Programs this invocation depends on; never offered for eviction.
     pinned: Vec<String>,
-    /// Serialised per-invocation timeline the core reports costs on.
-    timeline: Timeline,
     /// Per-engine phase durations of the invocation.
     phases: WindowPhases,
     cold_launches: u64,
@@ -406,55 +403,35 @@ impl LaunchCtx<'_> {
         *self.accel.geometry()
     }
 
-    /// Cycles accumulated so far in this invocation (all phases
-    /// serialised).
-    pub fn cycles(&self) -> u64 {
-        self.timeline.wall_cycles()
-    }
-
     /// DMAs `data` into the SPM at `spm_word_addr`, charging the transfer
     /// cycles to the invocation's staging phase.
     pub fn dma_in(&mut self, data: &[i32], spm_word_addr: usize) -> Result<()> {
-        let now = self.timeline.wall_cycles();
-        let span = self
-            .accel
-            .dma_to_spm_at(data, spm_word_addr, &mut self.timeline, now)?;
-        self.phases.stage += span.duration();
+        self.phases.stage += self.accel.dma_to_spm(data, spm_word_addr)?;
         Ok(())
     }
 
     /// DMAs `len` words out of the SPM from `spm_word_addr`, charging the
     /// transfer cycles to the invocation's drain phase.
     pub fn dma_out(&mut self, spm_word_addr: usize, len: usize) -> Result<Vec<i32>> {
-        let now = self.timeline.wall_cycles();
-        let (data, span) =
-            self.accel
-                .dma_from_spm_at(spm_word_addr, len, &mut self.timeline, now)?;
-        self.phases.drain += span.duration();
+        let (data, cycles) = self.accel.dma_from_spm(spm_word_addr, len)?;
+        self.phases.drain += cycles;
         Ok(data)
     }
 
-    /// Charges `cycles` of host slave-port work to the compute phase (SRF
-    /// accesses serialise with the launches they parameterise).
-    fn charge_host(&mut self, cycles: u64) {
-        let now = self.timeline.wall_cycles();
-        self.timeline.schedule(Engine::Compute, now, cycles);
-        self.phases.compute += cycles;
-    }
-
     /// Writes one kernel parameter into a column's SRF over the slave port,
-    /// charging [`SRF_WRITE_CYCLES`].
+    /// charging [`SRF_WRITE_CYCLES`] to the compute phase (SRF accesses
+    /// serialise with the launches they parameterise).
     pub fn write_param(&mut self, column: usize, index: usize, value: i32) -> Result<()> {
         self.accel.write_srf(column, index, value)?;
-        self.charge_host(SRF_WRITE_CYCLES);
+        self.phases.compute += SRF_WRITE_CYCLES;
         Ok(())
     }
 
     /// Reads back one SRF entry (e.g. a scalar reduction result) over the
-    /// slave port, charging [`SRF_READ_CYCLES`].
+    /// slave port, charging [`SRF_READ_CYCLES`] to the compute phase.
     pub fn read_param(&mut self, column: usize, index: usize) -> Result<i32> {
         let value = self.accel.read_srf(column, index)?;
-        self.charge_host(SRF_READ_CYCLES);
+        self.phases.compute += SRF_READ_CYCLES;
         Ok(value)
     }
 
@@ -515,19 +492,16 @@ impl LaunchCtx<'_> {
             self.accel.config_mem().contains(entry.id),
             "registry id must refer to a resident configuration-memory kernel"
         );
-        let start = self.timeline.wall_cycles();
         let replays_before = self.accel.replays();
         // A never-launched program whose words were *prefetched* launches
         // warm: the configuration streaming already happened, off the
         // critical path.
-        let (stats, spans) = if entry.launches == 0 && !entry.prefetched {
+        let stats = if entry.launches == 0 && !entry.prefetched {
             self.cold_launches += 1;
-            self.accel
-                .run_kernel_at(entry.id, &mut self.timeline, start)?
+            self.accel.run_kernel(entry.id)?
         } else {
             self.warm_launches += 1;
-            self.accel
-                .run_kernel_warm_at(entry.id, &mut self.timeline, start)?
+            self.accel.run_kernel_warm(entry.id)?
         };
         entry.launches += 1;
         self.replayed += self.accel.replays() - replays_before;
@@ -535,8 +509,11 @@ impl LaunchCtx<'_> {
         // competes for eviction normally again.
         entry.prefetched = false;
         entry.last_use = now;
-        self.phases.config += spans.config.duration();
-        self.phases.compute += spans.compute.duration();
+        // One cycle per streamed configuration word; the array executes
+        // for the rest of the launch.
+        let config = stats.counters.config_words_loaded;
+        self.phases.config += config;
+        self.phases.compute += stats.cycles - config;
         Ok(stats.cycles)
     }
 }
@@ -797,15 +774,14 @@ impl Session {
             return Ok(None);
         }
         let before = self.accel.counters();
-        let mut scratch = Timeline::new();
-        let span = self.accel.prefetch_kernel_at(entry.id, &mut scratch, 0)?;
+        let config_cycles = self.accel.prefetch_kernel(entry.id)?;
         entry.prefetched = true;
         self.clock += 1;
         entry.last_use = self.clock;
         self.prefetches += 1;
-        self.busy.config_load += span.duration();
+        self.busy.config_load += config_cycles;
         Ok(Some(Prefetch {
-            config_cycles: span.duration(),
+            config_cycles,
             evictions,
             counters: self.accel.counters() - before,
         }))
@@ -1011,7 +987,6 @@ impl Session {
             averted: &mut self.evictions_averted,
             primary_key: key,
             pinned: vec![key.to_string()],
-            timeline: Timeline::new(),
             phases: WindowPhases::default(),
             cold_launches: 0,
             warm_launches: 0,
@@ -1022,7 +997,6 @@ impl Session {
         let ctx_evictions = ctx.evictions;
         let replayed = ctx.replayed;
         let (cold, warm, phases) = (ctx.cold_launches, ctx.warm_launches, ctx.phases);
-        let cycles = ctx.timeline.wall_cycles();
         self.evictions += ctx_evictions;
         // Like the eviction count, the lifetime busy cycles cover work the
         // accelerator model performed even when the invocation then fails.
@@ -1034,7 +1008,7 @@ impl Session {
         report.cold_launches += cold;
         report.warm_launches += warm;
         report.replayed += replayed;
-        report.cycles += cycles;
+        report.cycles += phases.total();
         report.evictions += register_evictions + ctx_evictions;
         let delta = self.accel.counters() - before;
         // Price the invocation's own activity delta (not the running
@@ -1626,6 +1600,26 @@ mod tests {
             rep_replay.energy_nj, rep_interp.energy_nj,
             "energy priced from replayed counters matches interpretation"
         );
+    }
+
+    #[test]
+    fn launch_phases_split_config_words_from_compute() {
+        // A launch's config phase is the words it streamed; the rest of
+        // its cycles are compute, whether the launch replays or not.
+        let kernel = BakedScaleKernel::new(3);
+        let window: Vec<i32> = (0..64).collect();
+        let mut session = Session::new();
+        let (_, cold) = session.run(&kernel, window.as_slice()).unwrap();
+        assert_eq!(cold.cold_launches, 1);
+        assert_eq!(cold.busy.config_load, baked_words() as u64);
+        let (_, warm) = session.run(&kernel, window.as_slice()).unwrap();
+        assert_eq!(warm.replayed, 1);
+        assert_eq!(warm.busy.config_load, 0);
+        assert_eq!(warm.busy.compute, cold.busy.compute);
+        session.set_replay(false);
+        let (_, interpreted) = session.run(&kernel, window.as_slice()).unwrap();
+        assert_eq!(interpreted.replayed, 0);
+        assert_eq!(interpreted.busy, warm.busy);
     }
 
     #[test]
