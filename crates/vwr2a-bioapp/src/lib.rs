@@ -14,11 +14,11 @@
 //! * **CPU + VWR2A** — preprocessing, the FFT, the band energies, the
 //!   interval statistics and the SVM run on VWR2A through one
 //!   [`vwr2a_runtime::Session`] ([`pipeline::run_cpu_with_vwr2a`] for one
-//!   isolated window, [`pipeline::Vwr2aPipeline`] /
-//!   [`pipeline::run_cpu_with_vwr2a_stream`] for window streams where every
-//!   kernel program is loaded once and relaunched warm).  Delineation stays
-//!   on the CPU in this reproduction (the paper maps it onto VWR2A too; see
-//!   EXPERIMENTS.md for the impact of that difference on Table 5).
+//!   isolated window, [`pipeline::Vwr2aPipeline`] for window streams where
+//!   every kernel program is loaded once and relaunched warm).
+//!   Delineation stays on the CPU in this reproduction (the paper maps it
+//!   onto VWR2A too; see EXPERIMENTS.md for the impact of that difference
+//!   on Table 5).
 //!
 //! The per-step cycle counts and energies of the three reports regenerate
 //! Table 5.

@@ -9,7 +9,7 @@ use vwr2a_fftaccel::FftAccelerator;
 use vwr2a_kernels::features::{BandEnergies, DotProduct, SumAndSquares};
 use vwr2a_kernels::fft::RealFftKernel;
 use vwr2a_kernels::fir::FirKernel;
-use vwr2a_runtime::{FleetReport, Pool, Session};
+use vwr2a_runtime::Session;
 use vwr2a_soc::cpu::kernels as cpu_kernels;
 use vwr2a_soc::soc::BiosignalSoc;
 
@@ -99,23 +99,13 @@ impl AppReport {
     }
 }
 
-fn fir_taps_q15_at(cutoff: f64) -> Vec<i32> {
-    design_lowpass(FIR_TAPS, cutoff)
+fn fir_taps_q15() -> Vec<i32> {
+    design_lowpass(FIR_TAPS, 0.08)
         .expect("valid filter specification")
         .iter()
         .map(|&v| Q15::from_f64(v).0 as i32)
         .collect()
 }
-
-fn fir_taps_q15() -> Vec<i32> {
-    fir_taps_q15_at(0.08)
-}
-
-/// Per-channel FIR cutoffs used by [`preprocess_multi_stream`]: different
-/// physiological channels want different pass bands, and every cutoff
-/// bakes a *distinct* configuration-memory program, so concurrent streams
-/// genuinely compete for program residency across the fleet.
-pub const CHANNEL_CUTOFFS: [f64; 4] = [0.08, 0.12, 0.2, 0.3];
 
 fn svm_weights() -> (Vec<i32>, i32) {
     // A plausible linear model over the 8 features
@@ -533,79 +523,14 @@ impl Vwr2aPipeline {
 
 /// Runs the application with VWR2A for a single window (a fresh
 /// [`Vwr2aPipeline`], so every kernel launches cold — the paper's isolated
-/// measurement).  Streaming workloads should use [`run_cpu_with_vwr2a_stream`]
-/// or hold a [`Vwr2aPipeline`] to amortise the configuration loads.
+/// measurement).  Streaming workloads should hold a [`Vwr2aPipeline`] to
+/// amortise the configuration loads.
 ///
 /// # Errors
 ///
 /// Propagates simulator errors as [`PipelineError`].
 pub fn run_cpu_with_vwr2a(window: &[i32]) -> Result<AppReport> {
     Vwr2aPipeline::new()?.run_window(window)
-}
-
-/// Preprocesses several concurrent signal streams on a fleet of VWR2A
-/// arrays behind the pool's cost-aware, prefetching scheduler.
-///
-/// Stream `i` is one pool job: its windows (each [`WINDOW`] samples, e.g.
-/// one per patient channel) are filtered by the channel's FIR — cutoffs
-/// cycle through [`CHANNEL_CUTOFFS`], so every fourth stream shares a
-/// program and the rest compete for configuration-memory residency.  The
-/// pool weighs each channel's FIR reload against the arrays' backlogs and
-/// *prefetches* the program onto the chosen array before the channel's
-/// first window (see `vwr2a_runtime::pool`): a channel's filter streams
-/// its configuration while earlier channels still compute, so no window
-/// ever waits on a cold reload.  The filtered windows are returned
-/// grouped by stream, **bit-identical** to filtering every stream
-/// serially on one session.  The [`FleetReport`] carries the fleet wall
-/// clock, occupancy and prefetch accounting of the fan-out.
-///
-/// # Errors
-///
-/// Propagates simulator errors as [`PipelineError`]; the first error
-/// aborts the fan-out.  A zero-array fleet is rejected up front, and
-/// windows that are not exactly [`WINDOW`] samples are rejected by the
-/// FIR kernel.
-pub fn preprocess_multi_stream(
-    streams: &[Vec<Vec<i32>>],
-    arrays: usize,
-) -> Result<(Vec<Vec<Vec<i32>>>, FleetReport)> {
-    if arrays == 0 {
-        return Err(PipelineError(
-            "a fleet needs at least one array".to_string(),
-        ));
-    }
-    // One kernel per distinct cutoff — streams sharing a cutoff share the
-    // kernel instance (and therefore its program residency).
-    let kernels: Vec<FirKernel> = CHANNEL_CUTOFFS
-        .iter()
-        .map(|&cutoff| FirKernel::new(&fir_taps_q15_at(cutoff), WINDOW))
-        .collect::<std::result::Result<_, _>>()?;
-    let mut pool = Pool::new(arrays);
-    let (filtered, fleet) = pool.run_batch(streams.iter().enumerate().map(|(i, stream)| {
-        (
-            &kernels[i % CHANNEL_CUTOFFS.len()],
-            stream.iter().map(Vec::as_slice),
-        )
-    }))?;
-    Ok((filtered, fleet))
-}
-
-/// Runs the application with VWR2A over a stream of windows through one
-/// [`Vwr2aPipeline`]: each kernel's program is loaded once, and from the
-/// second window on every launch is warm.
-///
-/// # Errors
-///
-/// Propagates simulator errors as [`PipelineError`]; the first error aborts
-/// the stream.
-pub fn run_cpu_with_vwr2a_stream<'a>(
-    windows: impl IntoIterator<Item = &'a [i32]>,
-) -> Result<Vec<AppReport>> {
-    let mut pipeline = Vwr2aPipeline::new()?;
-    windows
-        .into_iter()
-        .map(|w| pipeline.run_window(w))
-        .collect()
 }
 
 #[cfg(test)]
@@ -672,7 +597,11 @@ mod tests {
     fn streamed_windows_run_warm_after_the_first() {
         let mut generator = RespirationGenerator::new(11);
         let windows: Vec<Vec<i32>> = (0..3).map(|_| generator.window(WINDOW)).collect();
-        let reports = run_cpu_with_vwr2a_stream(windows.iter().map(Vec::as_slice)).unwrap();
+        let mut pipeline = Vwr2aPipeline::new().unwrap();
+        let reports: Vec<AppReport> = windows
+            .iter()
+            .map(|w| pipeline.run_window(w).unwrap())
+            .collect();
         assert_eq!(reports.len(), 3);
         // Window 1 pays every configuration load; later windows must not.
         assert!(
@@ -722,56 +651,6 @@ mod tests {
                 .run(&reference.fir, window.as_slice())
                 .unwrap();
             assert_eq!(&isolated, streamed);
-        }
-    }
-
-    #[test]
-    fn multi_stream_preprocessing_over_the_pool_is_bit_identical_to_serial() {
-        // Three concurrent channels with different FIR cutoffs over a
-        // two-array fleet: the pool must return every channel's filtered
-        // windows bit-identical to filtering the channels one after the
-        // other on a single session.
-        let streams: Vec<Vec<Vec<i32>>> = (0..3)
-            .map(|channel| {
-                let mut generator = RespirationGenerator::new(31 + channel);
-                (0..4).map(|_| generator.window(WINDOW)).collect()
-            })
-            .collect();
-
-        let (filtered, fleet) = preprocess_multi_stream(&streams, 2).unwrap();
-        assert_eq!(filtered.len(), streams.len());
-        assert_eq!(fleet.jobs, 3);
-        assert_eq!(fleet.invocations(), 12);
-        assert_eq!(fleet.arrays.len(), 2);
-        assert!(fleet.occupancy() > 0.0);
-        // The cost-aware scheduler stages every channel's FIR program
-        // ahead of its first window: three distinct programs, three
-        // prefetches, zero launches waiting on configuration streaming.
-        assert_eq!(fleet.cold_reloads(), 0);
-        assert_eq!(fleet.prefetched(), 3);
-        // Every launch (the FIR launches once per block, several per
-        // window) found its program staged.
-        assert!(fleet.warm_launches() >= fleet.invocations());
-        assert!(
-            fleet.wall_cycles() > 0
-                && fleet
-                    .arrays
-                    .iter()
-                    .all(|a| a.report.wall_cycles <= fleet.wall_cycles())
-        );
-
-        // Serial reference: one session, channel by channel.
-        let mut session = Session::new();
-        for (channel, (stream, pool_out)) in streams.iter().zip(&filtered).enumerate() {
-            let kernel = FirKernel::new(
-                &fir_taps_q15_at(CHANNEL_CUTOFFS[channel % CHANNEL_CUTOFFS.len()]),
-                WINDOW,
-            )
-            .unwrap();
-            for (window, streamed) in stream.iter().zip(pool_out) {
-                let (serial, _) = session.run(&kernel, window.as_slice()).unwrap();
-                assert_eq!(&serial, streamed, "channel {channel} diverged on the pool");
-            }
         }
     }
 

@@ -158,15 +158,9 @@ impl Vwr2a {
         })
     }
 
-    /// Accumulated activity since construction or the last
-    /// [`Vwr2a::reset_counters`].
+    /// Accumulated activity since construction.
     pub fn counters(&self) -> ActivityCounters {
         self.counters
-    }
-
-    /// Resets the accumulated activity counters.
-    pub fn reset_counters(&mut self) {
-        self.counters = ActivityCounters::new();
     }
 
     /// Sets the per-launch cycle budget after which
@@ -1073,12 +1067,10 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn counters_accumulate() {
         let mut accel = Vwr2a::new();
         accel.dma_to_spm(&[0; 64], 0).unwrap();
         assert_eq!(accel.counters().dma_words, 64);
-        accel.reset_counters();
-        assert_eq!(accel.counters().dma_words, 0);
     }
 
     #[test]

@@ -185,16 +185,6 @@ impl Column {
         self.pc
     }
 
-    /// Current MXCU word index.
-    pub fn mxcu_index(&self) -> usize {
-        self.mxcu_idx
-    }
-
-    /// `true` once the LCU has executed `EXIT`.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
     /// Resets the execution state (PC, halt flag, MXCU index, LCU and RC
     /// registers) while keeping VWR, SRF and SPM data intact — what happens
     /// when a new kernel is loaded.
@@ -981,7 +971,6 @@ mod tests {
         let mut counters = ActivityCounters::new();
         col.reset_execution();
         assert!(!col.step(&program, &mut spm, &mut counters, 1).unwrap());
-        assert!(col.is_halted());
         assert!(!col.step(&program, &mut spm, &mut counters, 2).unwrap());
     }
 }

@@ -115,11 +115,6 @@ impl Geometry {
         self.spm_words() / self.vwr_words
     }
 
-    /// VWR width in bits.
-    pub fn vwr_bits(&self) -> usize {
-        self.vwr_words * 32
-    }
-
     /// Validates internal consistency.
     ///
     /// # Errors
@@ -179,7 +174,6 @@ mod tests {
     fn paper_geometry_is_valid_and_matches_section3() {
         let g = Geometry::paper();
         g.validate().unwrap();
-        assert_eq!(g.vwr_bits(), 4096);
         assert_eq!(g.spm_words(), 8192);
         assert_eq!(g.spm_lines(), 64);
         assert_eq!(g.slice_words(), 32);

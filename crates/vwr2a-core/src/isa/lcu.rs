@@ -122,14 +122,6 @@ impl LcuInstr {
             _ => 0,
         }
     }
-
-    /// `true` for instructions that may redirect the PC.
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self,
-            LcuInstr::Branch { .. } | LcuInstr::Jump(_) | LcuInstr::Exit
-        )
-    }
 }
 
 #[cfg(test)]
@@ -173,9 +165,6 @@ mod tests {
 
     #[test]
     fn control_flow_classification() {
-        assert!(LcuInstr::Exit.is_control_flow());
-        assert!(LcuInstr::Jump(3).is_control_flow());
-        assert!(!LcuInstr::Li { r: 0, value: 1 }.is_control_flow());
         assert!(LcuInstr::default().is_nop());
     }
 }

@@ -77,16 +77,6 @@ impl ActivityCounters {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Total SPM accesses of any width.
-    pub fn spm_accesses(&self) -> u64 {
-        self.spm_line_reads + self.spm_line_writes + self.spm_word_reads + self.spm_word_writes
-    }
-
-    /// Total VWR accesses of any width.
-    pub fn vwr_accesses(&self) -> u64 {
-        self.vwr_word_reads + self.vwr_word_writes + self.vwr_line_transfers
-    }
 }
 
 impl Add for ActivityCounters {
@@ -202,19 +192,5 @@ mod tests {
         assert_eq!(d.rc_alu_ops, 16);
         assert_eq!(d.dma_words, 25);
         assert_eq!(d.config_words_loaded, 34);
-    }
-
-    #[test]
-    fn aggregate_helpers() {
-        let mut a = ActivityCounters::new();
-        a.spm_line_reads = 1;
-        a.spm_line_writes = 2;
-        a.spm_word_reads = 3;
-        a.spm_word_writes = 4;
-        a.vwr_word_reads = 5;
-        a.vwr_word_writes = 6;
-        a.vwr_line_transfers = 7;
-        assert_eq!(a.spm_accesses(), 10);
-        assert_eq!(a.vwr_accesses(), 18);
     }
 }

@@ -196,15 +196,6 @@ pub fn rfft(input: &[f64]) -> Result<Vec<Complex>, DspError> {
     Ok(out)
 }
 
-/// Magnitude spectrum of a real signal (convenience wrapper over [`rfft`]).
-///
-/// # Errors
-///
-/// Propagates the errors of [`rfft`].
-pub fn rfft_magnitude(input: &[f64]) -> Result<Vec<f64>, DspError> {
-    Ok(rfft(input)?.into_iter().map(|c| c.abs()).collect())
-}
-
 /// Naive `O(N²)` DFT used only for cross-checking the fast algorithms in
 /// tests.
 pub fn dft_reference(input: &[Complex]) -> Vec<Complex> {

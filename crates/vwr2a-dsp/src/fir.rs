@@ -3,12 +3,11 @@
 //! The paper's second standalone kernel is an 11-tap FIR filter (Sec. 4.4.1,
 //! Table 4), also used as the preprocessing step of the MBioTracker
 //! application (Sec. 4.4.2).  This module provides the floating-point golden
-//! model, a `q15` version matching the CMSIS-DSP CPU baseline and a
-//! `Q15.16` version matching the VWR2A datapath, plus a band-pass designer
-//! used by the application pipeline.
+//! model and a `q15` version matching the CMSIS-DSP CPU baseline, plus a
+//! low-pass designer used by the application pipeline.
 
 use crate::error::DspError;
-use crate::fixed::{mul_fxp, Q15};
+use crate::fixed::Q15;
 
 /// Number of taps of the paper's FIR kernel.
 pub const PAPER_FIR_TAPS: usize = 11;
@@ -80,32 +79,6 @@ pub fn fir_q15(taps: &[Q15], input: &[Q15]) -> Result<Vec<Q15>, DspError> {
     Ok(out)
 }
 
-/// Direct-form FIR on raw `Q15.16` words using the VWR2A fixed-point multiply
-/// semantics ([`mul_fxp`]).
-///
-/// This is the host-side mirror of the arithmetic the VWR2A FIR kernel
-/// mapping performs, used to validate the simulated program output exactly.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if either slice is empty.
-pub fn fir_q16(taps: &[i32], input: &[i32]) -> Result<Vec<i32>, DspError> {
-    if taps.is_empty() || input.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    let mut out = vec![0i32; input.len()];
-    for (n, o) in out.iter_mut().enumerate() {
-        let mut acc: i32 = 0;
-        for (k, &h) in taps.iter().enumerate() {
-            if n >= k {
-                acc = acc.wrapping_add(mul_fxp(h, input[n - k]));
-            }
-        }
-        *o = acc;
-    }
-    Ok(out)
-}
-
 /// Designs a symmetric low-pass FIR filter by the windowed-sinc method
 /// (Hamming window).
 ///
@@ -166,7 +139,6 @@ pub fn design_lowpass(taps: usize, cutoff: f64) -> Result<Vec<f64>, DspError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixed::{from_q16, to_q16};
 
     #[test]
     fn impulse_response_reproduces_taps() {
@@ -206,19 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn q16_matches_float_within_quantisation() {
-        let taps_f = design_lowpass(PAPER_FIR_TAPS, 0.12).unwrap();
-        let x_f: Vec<f64> = (0..256).map(|i| 0.5 * (i as f64 * 0.05).sin()).collect();
-        let taps_q: Vec<i32> = taps_f.iter().map(|&v| to_q16(v)).collect();
-        let x_q: Vec<i32> = x_f.iter().map(|&v| to_q16(v)).collect();
-        let y_f = fir_f64(&taps_f, &x_f).unwrap();
-        let y_q = fir_q16(&taps_q, &x_q).unwrap();
-        for (f, q) in y_f.iter().zip(y_q.iter()) {
-            assert!((f - from_q16(*q)).abs() < 1e-3);
-        }
-    }
-
-    #[test]
     fn lowpass_attenuates_high_frequency() {
         let h = design_lowpass(31, 0.05).unwrap();
         let n = 512;
@@ -248,6 +207,5 @@ mod tests {
         assert!(fir_f64(&[], &[1.0]).is_err());
         assert!(fir_f64(&[1.0], &[]).is_err());
         assert!(fir_q15(&[], &[Q15::ZERO]).is_err());
-        assert!(fir_q16(&[1], &[]).is_err());
     }
 }

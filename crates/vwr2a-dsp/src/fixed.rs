@@ -21,8 +21,6 @@ use std::fmt;
 pub const Q15_FRAC_BITS: u32 = 15;
 /// Number of fractional bits of the `Q15.16` format used by the VWR2A ALU.
 pub const Q16_FRAC_BITS: u32 = 16;
-/// Data width of the fixed-function FFT accelerator datapath.
-pub const FFT_ACCEL_WIDTH: u32 = 18;
 
 /// A `q15` sample (1 sign bit, 15 fractional bits) stored in an `i16`.
 ///
@@ -137,11 +135,6 @@ pub fn mul_fxp(a: i32, b: i32) -> i32 {
     (((a as i64) * (b as i64)) >> Q16_FRAC_BITS) as i32
 }
 
-/// The VWR2A ALU standard multiply mode: low 32 bits of the product.
-pub fn mul_low(a: i32, b: i32) -> i32 {
-    a.wrapping_mul(b)
-}
-
 /// Saturates `v` to a signed `bits`-wide integer range.
 ///
 /// Used by the fixed-function FFT accelerator model (18-bit datapath).
@@ -210,11 +203,6 @@ mod tests {
         assert_eq!(mul_fxp(1 << 16, 1 << 16), 1 << 16);
         assert_eq!(mul_fxp(-(1 << 16), 1 << 16), -(1 << 16));
         assert_eq!(mul_fxp(3 << 16, 1 << 15), 3 << 15);
-    }
-
-    #[test]
-    fn mul_low_wraps() {
-        assert_eq!(mul_low(i32::MAX, 2), -2);
     }
 
     #[test]

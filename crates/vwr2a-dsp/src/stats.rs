@@ -67,107 +67,6 @@ pub fn rms(data: &[f64]) -> Result<f64, DspError> {
     Ok((data.iter().map(|v| v * v).sum::<f64>() / data.len() as f64).sqrt())
 }
 
-/// Variance (population).
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] on an empty slice.
-pub fn variance(data: &[f64]) -> Result<f64, DspError> {
-    let m = mean(data)?;
-    Ok(data.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / data.len() as f64)
-}
-
-/// An extremum found by [`delineate`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Extremum {
-    /// Sample index of the extremum.
-    pub index: usize,
-    /// Signal value at the extremum.
-    pub value: f64,
-    /// `true` for a local maximum, `false` for a local minimum.
-    pub is_max: bool,
-}
-
-/// Delineation: detects alternating local maxima/minima of a filtered
-/// respiration signal, rejecting extrema whose prominence is below
-/// `min_prominence`.
-///
-/// This mirrors the control-intensive delineation step of MBioTracker
-/// (Sec. 5.2.2): a linear scan with many data-dependent branches.  The
-/// returned extrema alternate max/min; consecutive candidates of the same
-/// kind keep only the more extreme one.
-///
-/// # Errors
-///
-/// Returns [`DspError::EmptyInput`] if `signal` is empty or
-/// [`DspError::InvalidParameter`] if `min_prominence` is negative.
-///
-/// # Example
-///
-/// ```
-/// use vwr2a_dsp::stats::delineate;
-///
-/// # fn main() -> Result<(), vwr2a_dsp::DspError> {
-/// let signal: Vec<f64> = (0..200)
-///     .map(|i| (std::f64::consts::TAU * i as f64 / 50.0).sin())
-///     .collect();
-/// let ext = delineate(&signal, 0.5)?;
-/// // Four full periods → four maxima and four minima detected.
-/// assert!(ext.len() >= 7);
-/// # Ok(())
-/// # }
-/// ```
-pub fn delineate(signal: &[f64], min_prominence: f64) -> Result<Vec<Extremum>, DspError> {
-    if signal.is_empty() {
-        return Err(DspError::EmptyInput);
-    }
-    if min_prominence < 0.0 {
-        return Err(DspError::InvalidParameter {
-            what: format!("min_prominence must be non-negative, got {min_prominence}"),
-        });
-    }
-    let mut out: Vec<Extremum> = Vec::new();
-    for i in 1..signal.len().saturating_sub(1) {
-        let prev = signal[i - 1];
-        let cur = signal[i];
-        let next = signal[i + 1];
-        let is_max = cur >= prev && cur > next;
-        let is_min = cur <= prev && cur < next;
-        if !is_max && !is_min {
-            continue;
-        }
-        let candidate = Extremum {
-            index: i,
-            value: cur,
-            is_max,
-        };
-        match out.last() {
-            None => {
-                if cur.abs() >= min_prominence {
-                    out.push(candidate);
-                }
-            }
-            Some(last) if last.is_max == is_max => {
-                // Same kind in a row: keep the more extreme.
-                let better = if is_max {
-                    cur > last.value
-                } else {
-                    cur < last.value
-                };
-                if better {
-                    *out.last_mut().expect("non-empty") = candidate;
-                }
-            }
-            Some(last) => {
-                if (cur - last.value).abs() >= min_prominence {
-                    out.push(candidate);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// An extremum found by [`delineate_alternating`] on integer samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtremumI32 {
@@ -185,8 +84,8 @@ pub struct ExtremumI32 {
 /// delineation kernels: a candidate extremum is accepted only if it is of
 /// the opposite kind to the previously accepted one and differs from it by
 /// at least `min_prominence` (the first extremum uses `|value| >=
-/// min_prominence`).  Unlike [`delineate`] it never replaces an already
-/// accepted extremum, which keeps the hardware kernels single-pass.
+/// min_prominence`).  It never replaces an already accepted extremum,
+/// which keeps the hardware kernels single-pass.
 ///
 /// # Example
 ///
@@ -241,26 +140,6 @@ pub fn delineate_alternating(signal: &[i32], min_prominence: i32) -> Vec<Extremu
     out
 }
 
-/// Inspiration/expiration interval durations (in samples) extracted from a
-/// delineated extremum sequence.
-///
-/// Inspiration intervals run min→max, expiration intervals max→min, matching
-/// how MBioTracker derives its time features.
-pub fn breath_intervals(extrema: &[Extremum]) -> (Vec<f64>, Vec<f64>) {
-    let mut inspirations = Vec::new();
-    let mut expirations = Vec::new();
-    for pair in extrema.windows(2) {
-        let (a, b) = (pair[0], pair[1]);
-        let dt = (b.index - a.index) as f64;
-        if !a.is_max && b.is_max {
-            inspirations.push(dt);
-        } else if a.is_max && !b.is_max {
-            expirations.push(dt);
-        }
-    }
-    (inspirations, expirations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,7 +149,6 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&data).unwrap(), 5.0);
         assert_eq!(median(&data).unwrap(), 4.5);
-        assert_eq!(variance(&data).unwrap(), 4.0);
         assert!((rms(&[1.0, 1.0, 1.0]).unwrap() - 1.0).abs() < 1e-12);
     }
 
@@ -279,65 +157,10 @@ mod tests {
         assert!(mean(&[]).is_err());
         assert!(median(&[]).is_err());
         assert!(rms(&[]).is_err());
-        assert!(variance(&[]).is_err());
-        assert!(delineate(&[], 0.1).is_err());
     }
 
     #[test]
     fn median_single_element() {
         assert_eq!(median(&[42.0]).unwrap(), 42.0);
-    }
-
-    #[test]
-    fn delineation_of_sine_alternates() {
-        let signal: Vec<f64> = (0..500)
-            .map(|i| (std::f64::consts::TAU * i as f64 / 100.0).sin())
-            .collect();
-        let ext = delineate(&signal, 0.5).unwrap();
-        assert!(
-            ext.len() >= 9,
-            "expected ~5 maxima + 5 minima, got {}",
-            ext.len()
-        );
-        for pair in ext.windows(2) {
-            assert_ne!(pair[0].is_max, pair[1].is_max, "extrema must alternate");
-        }
-    }
-
-    #[test]
-    fn delineation_rejects_small_ripples() {
-        // A large oscillation with a tiny ripple on top: the ripple's extra
-        // extrema must be filtered out by the prominence threshold.
-        let signal: Vec<f64> = (0..400)
-            .map(|i| {
-                let t = i as f64;
-                (std::f64::consts::TAU * t / 200.0).sin()
-                    + 0.01 * (std::f64::consts::TAU * t / 7.0).sin()
-            })
-            .collect();
-        let ext = delineate(&signal, 0.3).unwrap();
-        for pair in ext.windows(2) {
-            assert!((pair[1].value - pair[0].value).abs() >= 0.3);
-        }
-    }
-
-    #[test]
-    fn delineation_rejects_negative_prominence() {
-        assert!(delineate(&[1.0, 2.0, 1.0], -1.0).is_err());
-    }
-
-    #[test]
-    fn breath_intervals_from_sine() {
-        let signal: Vec<f64> = (0..600)
-            .map(|i| (std::f64::consts::TAU * i as f64 / 120.0).sin())
-            .collect();
-        let ext = delineate(&signal, 0.5).unwrap();
-        let (ins, exs) = breath_intervals(&ext);
-        assert!(!ins.is_empty());
-        assert!(!exs.is_empty());
-        // Half a period is 60 samples.
-        for v in ins.iter().chain(exs.iter()) {
-            assert!((v - 60.0).abs() < 5.0, "interval {v}");
-        }
     }
 }

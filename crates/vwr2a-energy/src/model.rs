@@ -17,7 +17,6 @@
 //! placement decision only needs relative ordering between backends; the
 //! executed window is always re-priced from its actual counters.
 
-use crate::breakdown::EnergyBreakdown;
 use crate::coefficients::Vwr2aCoefficients;
 use crate::{cpu_energy, fft_accel_energy, vwr2a_energy_with, PAPER_FREQUENCY_HZ};
 use vwr2a_core::ActivityCounters;
@@ -109,12 +108,6 @@ impl EnergyModel {
             ..ActivityCounters::default()
         };
         self.price_array(&counters)
-    }
-
-    /// The full µJ breakdown behind [`EnergyModel::price_array`] (reports,
-    /// not scheduling).
-    pub fn array_breakdown(&self, counters: &ActivityCounters) -> EnergyBreakdown {
-        vwr2a_energy_with(counters, &self.vwr2a)
     }
 }
 

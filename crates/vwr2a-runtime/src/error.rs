@@ -18,7 +18,9 @@ pub enum RuntimeError {
         /// Human-readable description of the violated limit.
         what: String,
     },
-    /// A kernel rejected its input (wrong length, unsupported size, …).
+    /// A kernel rejected its input (wrong length, unsupported size, …), or
+    /// a served job's arrival or deadline cycle lies beyond the serving
+    /// horizon.
     InvalidInput {
         /// Human-readable description.
         what: String,

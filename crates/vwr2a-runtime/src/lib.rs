@@ -73,8 +73,8 @@
 //!   with [`ArrayReport`] / [`FleetReport`] layering the fleet view on
 //!   top.
 //!
-//! The engine timeline lives in [`pipeline`] and is re-exported here
-//! ([`Engine`], [`Occupancy`], [`Span`], [`Timeline`]), next to the core's
+//! The engine schedule lives in [`pipeline`] and is re-exported here
+//! ([`StreamSchedule`], [`Engine`], [`Occupancy`], [`Span`]), next to the core's
 //! [`DmaConfig`] for DMA-timing tuning, so runtime users do not need a
 //! direct `vwr2a-core` dependency.
 //!
@@ -95,7 +95,7 @@ pub mod testing;
 
 pub use backend::{Backend, BackendKind, CpuBackend, FftBackend, FftShape, Offload};
 pub use error::{Result, RuntimeError};
-pub use pipeline::{Engine, Occupancy, Span, StreamSchedule, Timeline, WindowPhases};
+pub use pipeline::{Engine, Occupancy, Span, StreamSchedule, WindowPhases};
 pub use policy::{ArcPolicy, EvictionPolicy, LfuPolicy, LruPolicy, ResidentProgram, SizeAwareLru};
 pub use pool::{
     BackendView, CostAware, JobView, Objective, Placement, PlacementPlan, Pool, ResidencyAware,

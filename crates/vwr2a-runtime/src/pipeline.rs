@@ -1,7 +1,7 @@
-//! The engine timeline, and the pipelined stream schedule behind
-//! [`crate::Session::run_stream`] and the pool's backends.
+//! The pipelined stream schedule behind [`crate::Session::run_stream`]
+//! and the pool's backends.
 //!
-//! # Engines and the timeline
+//! # Engines
 //!
 //! The paper's end-to-end efficiency relies on the platform's engines
 //! working *concurrently*: while the array executes window *i*, the DMA
@@ -12,13 +12,12 @@
 //!
 //! Each [`Engine`] — the configuration-word streamer, the DMA, the array
 //! itself and the completion-interrupt path — advances its own
-//! *busy-until* cycle.  A [`Timeline`] merges them:
-//! [`Timeline::schedule`] places an operation on its engine no earlier
-//! than both the engine's previous work and an explicit dependency
-//! (`not_before`), returning the resulting [`Span`].  The timeline's
-//! [`wall_cycles`](Timeline::wall_cycles) is the overlapped end-to-end
-//! latency, its [`Occupancy`] the per-engine busy totals whose sum is the
-//! cost of the same work executed strictly serially.
+//! *busy-until* cycle.  A [`StreamSchedule`] merges them: it places every
+//! operation on its engine no earlier than both the engine's previous
+//! work and an explicit dependency (`not_before`), as a [`Span`].  The
+//! schedule's wall clock is the overlapped end-to-end latency, its
+//! [`Occupancy`] the per-engine busy totals whose sum is the cost of the
+//! same work executed strictly serially.
 //!
 //! The core simulator reports plain cycles for every DMA transfer and
 //! launch; this module is the only code that decides when that work runs
@@ -35,8 +34,8 @@
 //! window *i−1* behind the launch, and the host learns of each completion
 //! through an interrupt rather than by busy-waiting.
 //!
-//! [`StreamSchedule`] reproduces that overlap on a [`Timeline`].  For
-//! window *w* with per-phase durations ([`WindowPhases`]) it schedules:
+//! [`StreamSchedule`] reproduces that overlap.  For window *w* with
+//! per-phase durations ([`WindowPhases`]) it schedules:
 //!
 //! 1. **stage(w)** on [`Engine::Dma`] — not before window *w−2*'s compute
 //!    finished (that is when the input half-buffer frees);
@@ -52,12 +51,10 @@
 //!    from the SoC model — the host reacts to the completion interrupt,
 //!    it is not notified synchronously).
 //!
-//! [`StreamSchedule::finish`] drains the last window and services the
-//! final DMA-done interrupt.  The resulting timeline yields the
-//! overlapped [`Timeline::wall_cycles`], the per-engine
-//! [`Timeline::occupancy`] and the
-//! [`Timeline::overlap_ratio`] reported through
-//! [`crate::RunReport`].
+//! [`StreamSchedule::finish`] drains the last window, services the final
+//! DMA-done interrupt, and returns the overlapped wall clock and the
+//! per-engine [`Occupancy`] that [`crate::RunReport`] reports (with its
+//! [`overlap_ratio`](crate::RunReport::overlap_ratio)).
 //!
 //! Functional execution stays strictly sequential (outputs are
 //! bit-identical to the synchronous path); the schedule models *when* the
@@ -66,15 +63,14 @@
 use vwr2a_soc::irq::latency;
 
 /// Fraction of a serial cost hidden by overlap: `(serial − wall) / serial`,
-/// always in `[0.0, 1.0]`.  The single definition behind
-/// [`Timeline::overlap_ratio`] and the runtime report's `overlap_ratio()`,
-/// including every degenerate case: an empty stream (`serial == 0`) and a
-/// wall clock at or above the serial cost (a single window, or a report
-/// whose wall clock was folded from sequential runs) both yield `0.0` —
-/// the saturating subtraction pins the numerator to `[0, serial]`, so the
-/// ratio needs no further clamping — and a zero wall clock against
-/// non-zero serial work caps at `1.0`.
-pub fn overlap_ratio(serial_cycles: u64, wall_cycles: u64) -> f64 {
+/// always in `[0.0, 1.0]`.  The single definition behind the runtime
+/// report's `overlap_ratio()`, including every degenerate case: an empty
+/// stream (`serial == 0`) and a wall clock at or above the serial cost (a
+/// single window, or a report whose wall clock was folded from sequential
+/// runs) both yield `0.0` — the saturating subtraction pins the numerator
+/// to `[0, serial]`, so the ratio needs no further clamping — and a zero
+/// wall clock against non-zero serial work caps at `1.0`.
+pub(crate) fn overlap_ratio(serial_cycles: u64, wall_cycles: u64) -> f64 {
     if serial_cycles == 0 {
         return 0.0;
     }
@@ -104,14 +100,6 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// All engines, in a fixed order.
-    pub const ALL: [Engine; 4] = [
-        Engine::ConfigLoad,
-        Engine::Dma,
-        Engine::Compute,
-        Engine::Interrupt,
-    ];
-
     fn index(self) -> usize {
         match self {
             Engine::ConfigLoad => 0,
@@ -119,17 +107,6 @@ impl Engine {
             Engine::Compute => 2,
             Engine::Interrupt => 3,
         }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Engine::ConfigLoad => "config-load",
-            Engine::Dma => "dma",
-            Engine::Compute => "compute",
-            Engine::Interrupt => "interrupt",
-        })
     }
 }
 
@@ -144,32 +121,12 @@ pub struct Span {
     pub end: u64,
 }
 
-impl Span {
-    /// Cycles the work occupied its engine.
-    pub fn duration(&self) -> u64 {
-        self.end - self.start
-    }
-
-    /// `true` if the two spans occupy the *same* engine during at least one
-    /// common cycle.  Spans on different engines never collide (they model
-    /// genuinely concurrent units), and zero-length spans collide with
-    /// nothing.
-    ///
-    /// [`Timeline::schedule`] can never produce two colliding spans —
-    /// per-engine placement is monotonic — so this is a *verification*
-    /// helper: schedules that mix speculative work (configuration
-    /// prefetches) with pinned launch spans on the same engine assert their
-    /// invariants with it.
-    pub fn overlaps(&self, other: &Span) -> bool {
-        self.engine == other.engine && self.start.max(other.start) < self.end.min(other.end)
-    }
-}
-
-/// Per-engine busy-cycle totals of a [`Timeline`] (or of one invocation).
+/// Per-engine busy-cycle totals of a [`StreamSchedule`] (or of one
+/// invocation).
 ///
 /// [`Occupancy::total`] is the cost of the same work executed strictly
-/// serially — comparing it against [`Timeline::wall_cycles`] quantifies how
-/// much latency the overlap hides.
+/// serially — comparing it against the schedule's wall clock quantifies
+/// how much latency the overlap hides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Occupancy {
     /// Busy cycles of [`Engine::ConfigLoad`].
@@ -187,16 +144,6 @@ impl Occupancy {
     pub fn total(&self) -> u64 {
         self.config_load + self.dma + self.compute + self.interrupt
     }
-
-    /// Busy cycles of one engine.
-    pub fn of(&self, engine: Engine) -> u64 {
-        match engine {
-            Engine::ConfigLoad => self.config_load,
-            Engine::Dma => self.dma,
-            Engine::Compute => self.compute,
-            Engine::Interrupt => self.interrupt,
-        }
-    }
 }
 
 impl std::ops::AddAssign for Occupancy {
@@ -213,87 +160,6 @@ impl std::ops::Add for Occupancy {
     fn add(mut self, rhs: Self) -> Self {
         self += rhs;
         self
-    }
-}
-
-/// Merges the busy-until cycles of the platform engines into one overlapped
-/// schedule.
-///
-/// The timeline is append-only and monotonic per engine: every
-/// [`Timeline::schedule`] call places work at
-/// `max(engine busy-until, not_before)`.  Dependencies between operations
-/// on *different* engines are expressed by passing the upstream span's
-/// `end` as `not_before`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Timeline {
-    busy_until: [u64; 4],
-    occupancy: Occupancy,
-}
-
-impl Timeline {
-    /// An empty timeline: every engine free at cycle 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `duration` busy cycles on `engine`, starting no earlier
-    /// than the engine's previous work and `not_before`.  Returns the
-    /// placed [`Span`].  A zero-length duration yields an empty span at the
-    /// resolved start cycle and leaves the engine's occupancy unchanged.
-    pub fn schedule(&mut self, engine: Engine, not_before: u64, duration: u64) -> Span {
-        let idx = engine.index();
-        let start = self.busy_until[idx].max(not_before);
-        let end = start + duration;
-        self.busy_until[idx] = end;
-        match engine {
-            Engine::ConfigLoad => self.occupancy.config_load += duration,
-            Engine::Dma => self.occupancy.dma += duration,
-            Engine::Compute => self.occupancy.compute += duration,
-            Engine::Interrupt => self.occupancy.interrupt += duration,
-        }
-        Span { engine, start, end }
-    }
-
-    /// First cycle at which `engine` has no scheduled work left.
-    pub fn free_at(&self, engine: Engine) -> u64 {
-        self.busy_until[engine.index()]
-    }
-
-    /// Per-engine busy totals.
-    pub fn occupancy(&self) -> Occupancy {
-        self.occupancy
-    }
-
-    /// Busy cycles of one engine.
-    pub fn busy_cycles(&self, engine: Engine) -> u64 {
-        self.occupancy.of(engine)
-    }
-
-    /// End-to-end latency of the overlapped schedule: the last cycle any
-    /// engine is busy.
-    pub fn wall_cycles(&self) -> u64 {
-        self.busy_until.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Cost of the same work executed strictly serially (sum of all
-    /// engines' busy cycles).
-    pub fn serial_cycles(&self) -> u64 {
-        self.occupancy.total()
-    }
-
-    /// Fraction of the serial cost hidden by overlap:
-    /// `(serial − wall) / serial`, or `0.0` for an empty timeline.
-    ///
-    /// `0.0` means fully serial (a single window cannot overlap with
-    /// anything); an overlap ratio of `0.4` means the pipelined schedule
-    /// finishes in 60 % of the serial cycles.
-    pub fn overlap_ratio(&self) -> f64 {
-        overlap_ratio(self.serial_cycles(), self.wall_cycles())
-    }
-
-    /// Clears all scheduled work, returning every engine to free-at-0.
-    pub fn reset(&mut self) {
-        *self = Self::default();
     }
 }
 
@@ -337,7 +203,13 @@ pub struct WindowSpans {
     pub irq: Span,
 }
 
-/// Builds the overlapped timeline of a double-buffered window stream.
+/// The overlapped schedule of a double-buffered window stream on the
+/// platform's engines.
+///
+/// The schedule is append-only and monotonic per engine: every operation
+/// lands at `max(engine busy-until, not_before)`, and dependencies between
+/// operations on *different* engines pass the upstream span's `end` as
+/// `not_before`.
 ///
 /// # Example
 ///
@@ -347,16 +219,20 @@ pub struct WindowSpans {
 /// let phases = WindowPhases { stage: 150, config: 0, compute: 700, drain: 150 };
 /// let mut schedule = StreamSchedule::new();
 /// for _ in 0..8 {
-///     schedule.push(phases);
+///     schedule.push(phases, 0);
 /// }
-/// let timeline = schedule.finish();
-/// // Staging and draining hide behind the array's compute time.
-/// assert!(timeline.wall_cycles() < timeline.serial_cycles());
-/// assert!(timeline.overlap_ratio() > 0.2);
+/// let (wall_cycles, busy) = schedule.finish();
+/// // Staging and draining hide behind the array's compute time: more than
+/// // a fifth of the serial cost disappears into the overlap.
+/// assert!(wall_cycles < busy.total());
+/// assert!(5 * (busy.total() - wall_cycles) > busy.total());
 /// ```
 #[derive(Debug, Default)]
 pub struct StreamSchedule {
-    timeline: Timeline,
+    /// First free cycle of each engine, indexed by `Engine::index`.
+    busy_until: [u64; 4],
+    /// Per-engine busy cycles scheduled so far.
+    occupancy: Occupancy,
     windows: usize,
     /// Compute-end cycle of the window last run in each SPM half-buffer.
     compute_end: [u64; 2],
@@ -368,50 +244,53 @@ pub struct StreamSchedule {
 }
 
 impl StreamSchedule {
-    /// An empty schedule.
+    /// An empty schedule: every engine free at cycle 0.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// First cycle at which `engine` has no work scheduled so far (the
-    /// final window's drain may still be pending — see
-    /// [`StreamSchedule::finish`]).  The pool's residency-aware placement
-    /// tie-breaks jobs on each array's [`Engine::Compute`] value.
-    pub fn free_at(&self, engine: Engine) -> u64 {
-        self.timeline.free_at(engine)
+    /// Schedules `duration` busy cycles on `engine`, starting no earlier
+    /// than the engine's previous work and `not_before`.  A zero-length
+    /// duration yields an empty span at the resolved start cycle and adds
+    /// no busy cycles.
+    fn schedule(&mut self, engine: Engine, not_before: u64, duration: u64) -> Span {
+        let idx = engine.index();
+        let start = self.busy_until[idx].max(not_before);
+        let end = start + duration;
+        self.busy_until[idx] = end;
+        match engine {
+            Engine::ConfigLoad => self.occupancy.config_load += duration,
+            Engine::Dma => self.occupancy.dma += duration,
+            Engine::Compute => self.occupancy.compute += duration,
+            Engine::Interrupt => self.occupancy.interrupt += duration,
+        }
+        Span { engine, start, end }
     }
 
-    /// The schedule's timeline as built so far.  [`StreamSchedule::finish`]
-    /// returns the completed timeline (with the last drain flushed); this
-    /// view exists for mid-stream queries like
-    /// [`StreamSchedule::free_at`].
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
+    /// First cycle at which `engine` has no work scheduled so far (the
+    /// final window's drain may still be pending — see
+    /// [`StreamSchedule::finish`]).  The pool's placement reads each
+    /// backend's [`Engine::Compute`] and [`Engine::ConfigLoad`] values.
+    pub fn free_at(&self, engine: Engine) -> u64 {
+        self.busy_until[engine.index()]
     }
 
     /// Stages a speculative configuration-word stream (a *prefetch*) onto
-    /// the schedule's [`Engine::ConfigLoad`] lane at the lane's earliest
-    /// free cycle, returning the placed [`Span`].
+    /// the [`Engine::ConfigLoad`] lane at the lane's earliest free cycle
+    /// no earlier than `not_before`, returning the placed [`Span`].
     ///
     /// The configuration streamer is idle while the array computes and the
     /// DMA stages, so a prefetch placed *before* its job's first window
     /// overlaps whatever backlog the schedule already carries — the reload
     /// leaves the launch's critical path.  Because per-engine placement is
-    /// monotonic ([`Timeline::schedule`]), the span
-    /// can never collide with the config span of a launch already pinned on
-    /// the lane, and every later [`StreamSchedule::push`] queues its own
-    /// config span behind the prefetch.
-    pub fn prefetch(&mut self, config_cycles: u64) -> Span {
-        self.prefetch_at(config_cycles, 0)
-    }
-
-    /// As [`StreamSchedule::prefetch`], but the staged stream starts no
-    /// earlier than `not_before` — the online serving layer stages a job's
-    /// reload when the job is *dispatched*, so the speculative streaming
-    /// must not be back-dated to before the dispatch decision existed.
-    pub fn prefetch_at(&mut self, config_cycles: u64, not_before: u64) -> Span {
-        self.timeline
-            .schedule(Engine::ConfigLoad, not_before, config_cycles)
+    /// monotonic, the span can never collide with the config span of a
+    /// launch already pinned on the lane, and every later
+    /// [`StreamSchedule::push`] queues its own config span behind the
+    /// prefetch.  The online serving layer passes the dispatch cycle as
+    /// `not_before`: the speculative streaming must not be back-dated to
+    /// before the dispatch decision existed.
+    pub fn prefetch(&mut self, config_cycles: u64, not_before: u64) -> Span {
+        self.schedule(Engine::ConfigLoad, not_before, config_cycles)
     }
 
     /// Services one completion interrupt on the interrupt engine: the
@@ -419,7 +298,7 @@ impl StreamSchedule {
     /// Cortex-M4 entry/exit latency ([`latency::COMPLETION_IRQ_CYCLES`])
     /// before it can react.
     fn service_irq(&mut self, not_before: u64) -> Span {
-        self.timeline.schedule(
+        self.schedule(
             Engine::Interrupt,
             not_before,
             latency::COMPLETION_IRQ_CYCLES,
@@ -432,7 +311,7 @@ impl StreamSchedule {
         if let Some((ready, duration)) = self.pending_drain.take() {
             let prev_slot = (self.windows - 1) % 2;
             if duration > 0 {
-                let span = self.timeline.schedule(Engine::Dma, ready, duration);
+                let span = self.schedule(Engine::Dma, ready, duration);
                 self.drain_end[prev_slot] = span.end;
             } else {
                 // Nothing to drain (e.g. a reduction read back over the
@@ -443,45 +322,34 @@ impl StreamSchedule {
         }
     }
 
-    /// Appends one window with the given phase durations, returning the
-    /// spans placed for it (its drain is scheduled behind the *next*
-    /// window's stage).
-    pub fn push(&mut self, phases: WindowPhases) -> WindowSpans {
-        self.push_at(phases, 0)
-    }
-
-    /// As [`StreamSchedule::push`], but the window's staging starts no
-    /// earlier than `not_before`.
+    /// Appends one window with the given phase durations whose staging
+    /// starts no earlier than `not_before`, returning the spans placed for
+    /// it (its drain is scheduled behind the *next* window's stage).
     ///
-    /// This is how an *arrival-stamped* job lands on a schedule: a window
-    /// cannot stage before its job exists, so the serving layer clamps the
-    /// first phase to the job's arrival (the rest of the chain follows
-    /// from it).  On a backlogged schedule the clamp is usually moot — the
-    /// per-engine lanes are monotonic, so the stage queues behind earlier
-    /// work anyway — but on an idle array it keeps the timeline honest:
-    /// the gap until the arrival shows up as idle time, not as work
-    /// magically done in the past.
-    pub fn push_at(&mut self, phases: WindowPhases, not_before: u64) -> WindowSpans {
+    /// `not_before` is how an *arrival-stamped* job lands on a schedule: a
+    /// window cannot stage before its job exists, so the serving layer
+    /// clamps the first phase to the job's arrival (the rest of the chain
+    /// follows from it); a plain stream passes `0`.  On a backlogged
+    /// schedule the clamp is usually moot — the per-engine lanes are
+    /// monotonic, so the stage queues behind earlier work anyway — but on
+    /// an idle array it keeps the schedule honest: the gap until the
+    /// arrival shows up as idle time, not as work magically done in the
+    /// past.
+    pub fn push(&mut self, phases: WindowPhases, not_before: u64) -> WindowSpans {
         let slot = self.windows % 2;
         // Stage into the half-buffer whose previous occupant (window w-2)
         // must have been consumed by its compute — and never before the
         // window exists.
         let input_free = self.compute_end[slot].max(not_before);
-        let stage = self
-            .timeline
-            .schedule(Engine::Dma, input_free, phases.stage);
+        let stage = self.schedule(Engine::Dma, input_free, phases.stage);
         // Drain window w-1 behind the launch.
         self.flush_pending_drain();
         // Cold launches stream configuration words once staging is done.
-        let config = self
-            .timeline
-            .schedule(Engine::ConfigLoad, stage.end, phases.config);
+        let config = self.schedule(Engine::ConfigLoad, stage.end, phases.config);
         // The array needs its inputs and configuration in place, and the
         // output half-buffer must have been drained (window w-2).
         let output_free = self.drain_end[slot];
-        let compute =
-            self.timeline
-                .schedule(Engine::Compute, config.end.max(output_free), phases.compute);
+        let compute = self.schedule(Engine::Compute, config.end.max(output_free), phases.compute);
         self.compute_end[slot] = compute.end;
         // The host learns of the completion through the kernel-done
         // interrupt and only then programs the drain.
@@ -496,18 +364,20 @@ impl StreamSchedule {
         }
     }
 
-    /// Drains the final window, services its DMA-done interrupt, and
-    /// returns the completed timeline.
-    pub fn finish(mut self) -> Timeline {
+    /// Drains the final window and services its DMA-done interrupt.
+    /// Returns the wall clock — the last cycle any engine is busy — and
+    /// the per-engine busy totals.
+    pub fn finish(mut self) -> (u64, Occupancy) {
         if let Some((ready, duration)) = self.pending_drain.take() {
             if duration > 0 {
-                let span = self.timeline.schedule(Engine::Dma, ready, duration);
+                let span = self.schedule(Engine::Dma, ready, duration);
                 // The stream is over when the host has serviced the final
                 // drain's DMA-done interrupt.
                 self.service_irq(span.end);
             }
         }
-        self.timeline
+        let wall_cycles = self.busy_until.into_iter().max().unwrap_or(0);
+        (wall_cycles, self.occupancy)
     }
 }
 
@@ -526,35 +396,49 @@ mod tests {
         }
     }
 
+    /// `true` if the two spans occupy the *same* engine during at least
+    /// one common cycle.  Spans on different engines never collide (they
+    /// model genuinely concurrent units), and zero-length spans collide
+    /// with nothing.
+    fn overlaps(a: &Span, b: &Span) -> bool {
+        a.engine == b.engine && a.start.max(b.start) < a.end.min(b.end)
+    }
+
+    fn duration(span: &Span) -> u64 {
+        span.end - span.start
+    }
+
     #[test]
     fn serial_chain_has_zero_overlap() {
-        let mut t = Timeline::new();
+        let mut t = StreamSchedule::new();
         let a = t.schedule(Engine::Dma, 0, 10);
         let b = t.schedule(Engine::ConfigLoad, a.end, 20);
         let c = t.schedule(Engine::Compute, b.end, 30);
         let d = t.schedule(Engine::Interrupt, c.end, 5);
         let e = t.schedule(Engine::Dma, d.end, 10);
         assert_eq!(e.end, 75);
-        assert_eq!(t.wall_cycles(), 75);
-        assert_eq!(t.serial_cycles(), 75);
-        assert_eq!(t.overlap_ratio(), 0.0);
-        assert_eq!(t.busy_cycles(Engine::Dma), 20);
-        assert_eq!(t.occupancy().compute, 30);
+        let (wall, busy) = t.finish();
+        assert_eq!(wall, 75);
+        assert_eq!(busy.total(), 75);
+        assert_eq!(overlap_ratio(busy.total(), wall), 0.0);
+        assert_eq!(busy.dma, 20);
+        assert_eq!(busy.compute, 30);
     }
 
     #[test]
     fn independent_engines_overlap() {
-        let mut t = Timeline::new();
+        let mut t = StreamSchedule::new();
         t.schedule(Engine::Compute, 0, 100);
         t.schedule(Engine::Dma, 0, 60);
-        assert_eq!(t.wall_cycles(), 100);
-        assert_eq!(t.serial_cycles(), 160);
-        assert!((t.overlap_ratio() - 60.0 / 160.0).abs() < 1e-12);
+        let (wall, busy) = t.finish();
+        assert_eq!(wall, 100);
+        assert_eq!(busy.total(), 160);
+        assert!((overlap_ratio(busy.total(), wall) - 60.0 / 160.0).abs() < 1e-12);
     }
 
     #[test]
     fn engine_order_is_monotonic() {
-        let mut t = Timeline::new();
+        let mut t = StreamSchedule::new();
         let a = t.schedule(Engine::Dma, 50, 10);
         // A later request with an earlier dependency still queues behind.
         let b = t.schedule(Engine::Dma, 0, 10);
@@ -565,14 +449,15 @@ mod tests {
 
     #[test]
     fn zero_duration_spans_are_empty_and_free() {
-        let mut t = Timeline::new();
+        let mut t = StreamSchedule::new();
         let s = t.schedule(Engine::ConfigLoad, 7, 0);
-        assert_eq!(s.duration(), 0);
+        assert_eq!(duration(&s), 0);
         assert_eq!((s.start, s.end), (7, 7));
-        assert_eq!(t.serial_cycles(), 0);
-        // An empty timeline's wall clock never ran.
-        assert_eq!(Timeline::new().wall_cycles(), 0);
-        assert_eq!(Timeline::new().overlap_ratio(), 0.0);
+        assert_eq!(t.finish().1.total(), 0);
+        // An empty schedule's wall clock never ran.
+        let (wall, busy) = StreamSchedule::new().finish();
+        assert_eq!(wall, 0);
+        assert_eq!(overlap_ratio(busy.total(), wall), 0.0);
     }
 
     #[test]
@@ -580,16 +465,16 @@ mod tests {
         let span = |engine, start, end| Span { engine, start, end };
         let a = span(Engine::ConfigLoad, 10, 20);
         // Same engine, shared cycles: collision (in both orders).
-        assert!(a.overlaps(&span(Engine::ConfigLoad, 15, 25)));
-        assert!(span(Engine::ConfigLoad, 15, 25).overlaps(&a));
-        assert!(a.overlaps(&span(Engine::ConfigLoad, 0, 11)));
+        assert!(overlaps(&a, &span(Engine::ConfigLoad, 15, 25)));
+        assert!(overlaps(&span(Engine::ConfigLoad, 15, 25), &a));
+        assert!(overlaps(&a, &span(Engine::ConfigLoad, 0, 11)));
         // Half-open intervals: touching end-to-start is not a collision.
-        assert!(!a.overlaps(&span(Engine::ConfigLoad, 20, 30)));
-        assert!(!a.overlaps(&span(Engine::ConfigLoad, 0, 10)));
+        assert!(!overlaps(&a, &span(Engine::ConfigLoad, 20, 30)));
+        assert!(!overlaps(&a, &span(Engine::ConfigLoad, 0, 10)));
         // Different engines run concurrently by construction.
-        assert!(!a.overlaps(&span(Engine::Compute, 10, 20)));
+        assert!(!overlaps(&a, &span(Engine::Compute, 10, 20)));
         // Zero-length spans occupy no cycle.
-        assert!(!a.overlaps(&span(Engine::ConfigLoad, 15, 15)));
+        assert!(!overlaps(&a, &span(Engine::ConfigLoad, 15, 15)));
     }
 
     #[test]
@@ -598,33 +483,23 @@ mod tests {
         // placed on ConfigLoad ahead of a launch can never be overlapped by
         // the launch's own (pinned) config span, because per-engine
         // placement is monotonic.
-        let mut t = Timeline::new();
+        let mut t = StreamSchedule::new();
         let prefetch = t.schedule(Engine::ConfigLoad, 0, 120);
         let launch_config = t.schedule(Engine::ConfigLoad, 30, 80);
-        assert!(!prefetch.overlaps(&launch_config));
+        assert!(!overlaps(&prefetch, &launch_config));
         assert_eq!(launch_config.start, prefetch.end);
     }
 
     #[test]
-    fn occupancy_accumulates_across_timelines() {
-        let mut a = Timeline::new();
+    fn occupancy_accumulates_across_schedules() {
+        let mut a = StreamSchedule::new();
         a.schedule(Engine::Dma, 0, 10);
-        let mut b = Timeline::new();
+        let mut b = StreamSchedule::new();
         b.schedule(Engine::Compute, 0, 20);
-        let sum = a.occupancy() + b.occupancy();
+        let sum = a.finish().1 + b.finish().1;
         assert_eq!(sum.total(), 30);
-        assert_eq!(sum.of(Engine::Dma), 10);
-        assert_eq!(sum.of(Engine::Compute), 20);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut t = Timeline::new();
-        t.schedule(Engine::Compute, 0, 99);
-        t.reset();
-        assert_eq!(t.wall_cycles(), 0);
-        assert_eq!(t.serial_cycles(), 0);
-        assert_eq!(t, Timeline::new());
+        assert_eq!(sum.dma, 10);
+        assert_eq!(sum.compute, 20);
     }
 
     #[test]
@@ -645,55 +520,48 @@ mod tests {
     }
 
     #[test]
-    fn engine_display_and_all() {
-        assert_eq!(Engine::ALL.len(), 4);
-        let names: Vec<String> = Engine::ALL.iter().map(|e| e.to_string()).collect();
-        assert_eq!(names, ["config-load", "dma", "compute", "interrupt"]);
-    }
-
-    #[test]
     fn empty_stream_is_free() {
-        let t = StreamSchedule::new().finish();
-        assert_eq!(t.wall_cycles(), 0);
-        assert_eq!(t.serial_cycles(), 0);
-        assert_eq!(t.overlap_ratio(), 0.0);
+        let (wall, busy) = StreamSchedule::new().finish();
+        assert_eq!(wall, 0);
+        assert_eq!(busy.total(), 0);
+        assert_eq!(overlap_ratio(busy.total(), wall), 0.0);
     }
 
     #[test]
     fn single_window_is_fully_serial() {
         let mut s = StreamSchedule::new();
         let p = phases(100, 50, 400, 120);
-        s.push(p);
-        let t = s.finish();
+        s.push(p, 0);
+        let (wall, busy) = s.finish();
         // stage → config → compute → kernel-done IRQ → drain → DMA-done
         // IRQ, nothing overlapping anything.
-        assert_eq!(t.wall_cycles(), p.total() + 2 * IRQ);
-        assert_eq!(t.serial_cycles(), t.wall_cycles());
-        assert_eq!(t.overlap_ratio(), 0.0);
+        assert_eq!(wall, p.total() + 2 * IRQ);
+        assert_eq!(busy.total(), wall);
+        assert_eq!(overlap_ratio(busy.total(), wall), 0.0);
     }
 
     #[test]
     fn single_window_without_drain_gets_one_interrupt() {
         let mut s = StreamSchedule::new();
-        s.push(phases(100, 0, 400, 0));
-        let t = s.finish();
-        assert_eq!(t.wall_cycles(), 500 + IRQ);
-        assert_eq!(t.busy_cycles(Engine::Interrupt), IRQ);
+        s.push(phases(100, 0, 400, 0), 0);
+        let (wall, busy) = s.finish();
+        assert_eq!(wall, 500 + IRQ);
+        assert_eq!(busy.interrupt, IRQ);
     }
 
     #[test]
     fn staging_overlaps_compute_of_the_previous_window() {
         let mut s = StreamSchedule::new();
         let p = phases(100, 0, 1_000, 100);
-        let w0 = s.push(p);
-        let w1 = s.push(p);
+        let w0 = s.push(p, 0);
+        let w1 = s.push(p, 0);
         // Window 1 stages while window 0 computes...
         assert!(w1.stage.start < w0.compute.end);
         // ...and the array relaunches as soon as the completion interrupt
         // and (already-finished) staging allow.
         assert_eq!(w1.compute.start, w0.compute.end);
-        let t = s.finish();
-        assert!(t.wall_cycles() < t.serial_cycles());
+        let (wall, busy) = s.finish();
+        assert!(wall < busy.total());
     }
 
     #[test]
@@ -701,13 +569,13 @@ mod tests {
         let mut s = StreamSchedule::new();
         let p = phases(150, 0, 700, 150);
         for _ in 0..4 {
-            s.push(p);
+            s.push(p, 0);
         }
-        let t = s.finish();
+        let (wall, busy) = s.finish();
         // The acceptance bound: strictly less than the per-window
         // DMA-in + compute + DMA-out sum, even before interrupt costs.
-        assert!(t.wall_cycles() < 4 * p.total());
-        assert!(t.overlap_ratio() > 0.0);
+        assert!(wall < 4 * p.total());
+        assert!(overlap_ratio(busy.total(), wall) > 0.0);
     }
 
     #[test]
@@ -717,9 +585,9 @@ mod tests {
         // without a buffer limit stage(2) would start immediately after
         // stage(1).
         let p = phases(1_000, 0, 10, 5);
-        let w0 = s.push(p);
-        let _w1 = s.push(p);
-        let w2 = s.push(p);
+        let w0 = s.push(p, 0);
+        let _w1 = s.push(p, 0);
+        let w2 = s.push(p, 0);
         assert!(
             w2.stage.start >= w0.compute.end,
             "window 2 must wait for window 0's half-buffer"
@@ -733,26 +601,26 @@ mod tests {
         let p = phases(50, 0, 900, 50);
         let mut prev_end = None;
         for _ in 0..6 {
-            let w = s.push(p);
+            let w = s.push(p, 0);
             if let Some(end) = prev_end {
                 assert_eq!(w.compute.start, end, "the array must never idle");
             }
             prev_end = Some(w.compute.end);
         }
-        let t = s.finish();
+        let (wall, busy) = s.finish();
         // Wall clock ≈ first stage + N computes + final IRQ/drain tail.
-        assert!(t.wall_cycles() < 6 * p.total());
-        assert_eq!(t.busy_cycles(Engine::Compute), 6 * 900);
+        assert!(wall < 6 * p.total());
+        assert_eq!(busy.compute, 6 * 900);
     }
 
     #[test]
     fn free_at_tracks_the_compute_engine_mid_stream() {
         let mut s = StreamSchedule::new();
         assert_eq!(s.free_at(Engine::Compute), 0);
-        let w0 = s.push(phases(100, 0, 400, 50));
+        let w0 = s.push(phases(100, 0, 400, 50), 0);
         assert_eq!(s.free_at(Engine::Compute), w0.compute.end);
-        assert_eq!(s.timeline().busy_cycles(Engine::Compute), 400);
-        let w1 = s.push(phases(100, 0, 400, 50));
+        assert_eq!(s.occupancy.compute, 400);
+        let w1 = s.push(phases(100, 0, 400, 50), 0);
         assert_eq!(s.free_at(Engine::Compute), w1.compute.end);
         s.finish();
     }
@@ -763,10 +631,10 @@ mod tests {
         // the idle ConfigLoad lane entirely during the backlog, and the
         // next job's first window launches warm (zero-length config span).
         let mut s = StreamSchedule::new();
-        let backlog = s.push(phases(100, 0, 2_000, 100));
+        let backlog = s.push(phases(100, 0, 2_000, 100), 0);
         let before = s.free_at(Engine::Compute);
-        let prefetch = s.prefetch(300);
-        assert_eq!(prefetch.duration(), 300);
+        let prefetch = s.prefetch(300, 0);
+        assert_eq!(duration(&prefetch), 300);
         assert!(
             prefetch.end <= before,
             "prefetch [{}, {}) must end inside the backlog (compute free at {before})",
@@ -775,15 +643,15 @@ mod tests {
         );
         // The compute lane is untouched by the prefetch.
         assert_eq!(s.free_at(Engine::Compute), before);
-        let warm = s.push(phases(100, 0, 400, 100));
-        assert_eq!(warm.config.duration(), 0);
+        let warm = s.push(phases(100, 0, 400, 100), 0);
+        assert_eq!(duration(&warm.config), 0);
         assert_eq!(warm.compute.start, backlog.compute.end);
         // Monotonic lane order: the prefetch collides with neither the
         // earlier launch's config span nor the warm window's.
-        assert!(!prefetch.overlaps(&backlog.config));
-        assert!(!prefetch.overlaps(&warm.config));
-        let t = s.finish();
-        assert_eq!(t.busy_cycles(Engine::ConfigLoad), 300);
+        assert!(!overlaps(&prefetch, &backlog.config));
+        assert!(!overlaps(&prefetch, &warm.config));
+        let (_, busy) = s.finish();
+        assert_eq!(busy.config_load, 300);
     }
 
     #[test]
@@ -792,60 +660,60 @@ mod tests {
         // still runs concurrently with the first window's DMA staging
         // instead of serialising stage -> config -> compute.
         let mut cold = StreamSchedule::new();
-        cold.push(phases(200, 300, 400, 100));
-        let cold_t = cold.finish();
+        cold.push(phases(200, 300, 400, 100), 0);
+        let (cold_wall, cold_busy) = cold.finish();
 
         let mut prefetched = StreamSchedule::new();
-        let span = prefetched.prefetch(300);
+        let span = prefetched.prefetch(300, 0);
         assert_eq!((span.start, span.end), (0, 300));
-        let w = prefetched.push(phases(200, 0, 400, 100));
-        assert!(!span.overlaps(&w.config));
-        let t = prefetched.finish();
+        let w = prefetched.push(phases(200, 0, 400, 100), 0);
+        assert!(!overlaps(&span, &w.config));
+        let (wall, busy) = prefetched.finish();
         // config ∥ stage: the window computes at max(stage, prefetch) = 300
         // instead of stage + config = 500.
         assert_eq!(w.compute.start, 300);
-        assert!(t.wall_cycles() < cold_t.wall_cycles());
+        assert!(wall < cold_wall);
         // Same total work either way.
-        assert_eq!(t.serial_cycles(), cold_t.serial_cycles());
+        assert_eq!(busy.total(), cold_busy.total());
     }
 
     #[test]
-    fn push_at_delays_an_idle_schedule_to_the_arrival() {
+    fn push_delays_an_idle_schedule_to_the_arrival() {
         // An idle array must not stage a window before the window's job
         // arrived: the gap is idle time, not back-dated work.
         let mut s = StreamSchedule::new();
-        let w = s.push_at(phases(100, 0, 400, 50), 1_000);
+        let w = s.push(phases(100, 0, 400, 50), 1_000);
         assert_eq!(w.stage.start, 1_000);
         assert_eq!(w.compute.start, 1_100);
-        let t = s.finish();
+        let (wall, busy) = s.finish();
         // The wall clock includes the arrival gap; the busy cycles do not.
-        assert!(t.wall_cycles() >= 1_500);
-        assert_eq!(t.busy_cycles(Engine::Compute), 400);
+        assert!(wall >= 1_500);
+        assert_eq!(busy.compute, 400);
     }
 
     #[test]
-    fn push_at_is_a_no_op_behind_a_backlog() {
+    fn push_clamp_is_a_no_op_behind_a_backlog() {
         // With a backlog past the arrival, the clamped push places exactly
         // what an unclamped push would: the lanes are already monotonic.
         let p = phases(100, 0, 800, 100);
         let mut clamped = StreamSchedule::new();
         let mut plain = StreamSchedule::new();
-        plain.push(p);
-        clamped.push(p);
-        let a = plain.push(p);
-        let b = clamped.push_at(p, 50);
+        plain.push(p, 0);
+        clamped.push(p, 0);
+        let a = plain.push(p, 0);
+        let b = clamped.push(p, 50);
         assert_eq!(a, b);
         plain.finish();
         clamped.finish();
     }
 
     #[test]
-    fn prefetch_at_respects_the_dispatch_cycle() {
+    fn prefetch_respects_the_dispatch_cycle() {
         let mut s = StreamSchedule::new();
-        let span = s.prefetch_at(300, 2_000);
+        let span = s.prefetch(300, 2_000);
         assert_eq!((span.start, span.end), (2_000, 2_300));
         // A later prefetch queues behind it on the ConfigLoad lane.
-        let next = s.prefetch_at(100, 0);
+        let next = s.prefetch(100, 0);
         assert_eq!(next.start, 2_300);
         s.finish();
     }
@@ -853,10 +721,10 @@ mod tests {
     #[test]
     fn cold_config_load_only_delays_the_first_window() {
         let mut s = StreamSchedule::new();
-        let w0 = s.push(phases(100, 300, 500, 100));
-        let w1 = s.push(phases(100, 0, 500, 100));
-        assert_eq!(w0.config.duration(), 300);
-        assert_eq!(w1.config.duration(), 0);
+        let w0 = s.push(phases(100, 300, 500, 100), 0);
+        let w1 = s.push(phases(100, 0, 500, 100), 0);
+        assert_eq!(duration(&w0.config), 300);
+        assert_eq!(duration(&w1.config), 0);
         assert_eq!(w1.compute.start, w0.compute.end);
         s.finish();
     }

@@ -148,20 +148,29 @@ pub struct SizeAwareLru;
 
 impl EvictionPolicy for SizeAwareLru {
     fn select_victim<'a>(&self, candidates: &[ResidentProgram<'a>]) -> Option<&'a str> {
-        // Age rank: most recent gets 1, oldest gets candidates.len().
-        let mut by_recency: Vec<&ResidentProgram<'a>> = candidates.iter().collect();
-        by_recency.sort_by_key(|c| std::cmp::Reverse(c.last_use));
-        by_recency
-            .iter()
-            .enumerate()
-            .max_by_key(|(rank, c)| {
-                (
-                    c.words as u64 * (*rank as u64 + 1),
-                    std::cmp::Reverse(c.last_use),
-                )
-            })
-            .map(|(_, c)| c.key)
+        size_weighted_lru(candidates.iter())
     }
+}
+
+/// The ranking behind [`SizeAwareLru`] and each side of [`ArcPolicy`]:
+/// the candidate with the highest `words × age-rank` score, where the age
+/// rank counts up from the most recently used candidate (1) to the least
+/// recently used (N); equal scores go to the older program.
+fn size_weighted_lru<'c, 'a: 'c>(
+    candidates: impl Iterator<Item = &'c ResidentProgram<'a>>,
+) -> Option<&'a str> {
+    let mut by_recency: Vec<&ResidentProgram<'a>> = candidates.collect();
+    by_recency.sort_by_key(|c| std::cmp::Reverse(c.last_use));
+    by_recency
+        .iter()
+        .enumerate()
+        .max_by_key(|(rank, c)| {
+            (
+                c.words as u64 * (*rank as u64 + 1),
+                std::cmp::Reverse(c.last_use),
+            )
+        })
+        .map(|(_, c)| c.key)
 }
 
 /// Ghost entries [`ArcPolicy`] remembers per side, and the clamp on its
@@ -259,26 +268,15 @@ impl ArcPolicy {
 impl EvictionPolicy for ArcPolicy {
     fn select_victim<'a>(&self, candidates: &[ResidentProgram<'a>]) -> Option<&'a str> {
         let state = self.lock();
-        // Within a side, age rank is weighted by footprint exactly like
-        // [`SizeAwareLru`]: one large coldish eviction frees more room
-        // than a cascade through small warm programs, and uniform sizes
-        // degrade to plain LRU order.
+        // Within a side, candidates rank exactly like [`SizeAwareLru`]: one
+        // large coldish eviction frees more room than a cascade through
+        // small warm programs, and uniform sizes degrade to plain LRU.
         let pick = |side: Option<bool>| {
-            let mut members: Vec<&ResidentProgram<'a>> = candidates
-                .iter()
-                .filter(|c| side.is_none_or(|freq| state.reused.contains(c.key) == freq))
-                .collect();
-            members.sort_by_key(|c| std::cmp::Reverse(c.last_use));
-            members
-                .iter()
-                .enumerate()
-                .max_by_key(|(rank, c)| {
-                    (
-                        c.words as u64 * (*rank as u64 + 1),
-                        std::cmp::Reverse(c.last_use),
-                    )
-                })
-                .map(|(_, c)| c.key)
+            size_weighted_lru(
+                candidates
+                    .iter()
+                    .filter(|c| side.is_none_or(|freq| state.reused.contains(c.key) == freq)),
+            )
         };
         let recency_size = candidates
             .iter()

@@ -321,9 +321,6 @@ pub enum Objective {
     /// behaviour, and the default).
     #[default]
     Cycles,
-    /// Fewest estimated nanojoules, ties broken by earlier completion.
-    /// Ignores backlog-induced waiting entirely — throughput may suffer.
-    Energy,
     /// Smallest energy × completion product — the paper's headline
     /// figure of merit, trading a little latency for large energy wins
     /// (and vice versa) without a tuning knob.
@@ -386,7 +383,6 @@ impl Placement for CostAware {
     fn name(&self) -> &'static str {
         match self.objective {
             Objective::Cycles => "cost-aware",
-            Objective::Energy => "cost-aware/energy",
             Objective::EnergyDelayProduct => "cost-aware/edp",
             Objective::EnergyUnderDeadline => "cost-aware/energy-deadline",
         }
@@ -434,7 +430,6 @@ impl Placement for CostAware {
         };
         let chosen = match self.objective {
             Objective::Cycles => backends.iter().min_by_key(|a| tail(a)).copied(),
-            Objective::Energy => min_energy(&mut backends.iter()),
             Objective::EnergyDelayProduct => min_edp(&mut backends.iter()),
             Objective::EnergyUnderDeadline => match job.deadline {
                 // Cheapest joules among the backends that still make the
@@ -590,6 +585,15 @@ impl<K, I> Ticket<'_, K, I> {
         }
     }
 }
+
+/// The latest arrival or deadline cycle [`Pool::serve`] admits:
+/// `u64::MAX >> 2`, about 1,800 years at 80 MHz.  The serve loop's clocks
+/// start at 0 or an admitted arrival, and placement, projection and the
+/// schedules only add modelled or estimated work to them; while a run's
+/// work stays below 2⁶² cycles (far beyond what a host can simulate),
+/// every such sum stays below 2⁶³ and cannot overflow.  Deadlines are
+/// only compared, but share the bound.
+const CYCLE_HORIZON: u64 = u64::MAX >> 2;
 
 /// A backend's run queue: committed-but-unstarted tickets, each with the
 /// cycle it was committed at.
@@ -984,7 +988,7 @@ impl Pool {
             return;
         };
         if let Ok(Some(staged)) = session.prefetch_key(ticket.kernel, &ticket.key) {
-            let span = schedules[target].prefetch_at(staged.config_cycles, not_before);
+            let span = schedules[target].prefetch(staged.config_cycles, not_before);
             let report = &mut wave.arrays[target].report;
             report.prefetched += 1;
             if span.end <= backlog {
@@ -1011,7 +1015,8 @@ impl Pool {
     /// plans ahead if asked to, and runs windows on per-backend
     /// [`StreamSchedule`]s.
     ///
-    /// Every job is priced at admission, so a job no backend can serve
+    /// Every job is priced at admission, so a job no backend can serve —
+    /// or whose arrival or deadline cycle lies beyond [`CYCLE_HORIZON`] —
     /// fails before any work.
     pub(crate) fn serve<'k, K, J, W, F>(
         &mut self,
@@ -1028,6 +1033,11 @@ impl Pool {
     {
         let mut pending: VecDeque<Ticket<'k, K, W::IntoIter>> = VecDeque::new();
         for (seq, job) in jobs.into_iter().enumerate() {
+            if job.arrival_cycle.max(job.deadline_cycle.unwrap_or(0)) > CYCLE_HORIZON {
+                return Err(RuntimeError::invalid_input(format!(
+                    "job {seq}: arrival or deadline cycle beyond the {CYCLE_HORIZON}-cycle horizon"
+                )));
+            }
             let key = job.kernel.cache_key();
             // Admission prices the job against every backend once; the
             // ticket carries the pricing through dispatch and stealing.
@@ -1076,9 +1086,7 @@ impl Pool {
         }
         result?;
         for (backend, schedule) in report.fleet.arrays.iter_mut().zip(schedules) {
-            let timeline = schedule.finish();
-            backend.report.wall_cycles = timeline.wall_cycles();
-            backend.report.busy = timeline.occupancy();
+            (backend.report.wall_cycles, backend.report.busy) = schedule.finish();
         }
         report.latencies.sort_unstable_by_key(|l| l.job);
         Ok(report)
@@ -1288,7 +1296,7 @@ impl Pool {
                         // job as they land, so even an aborted run's
                         // routes price the work actually done.
                         report.fleet.routes[route].energy_nj += window_nj;
-                        let spans = schedules[i].push_at(phases, assign_cycle);
+                        let spans = schedules[i].push(phases, assign_cycle);
                         first_compute.get_or_insert(spans.compute.start);
                         completed = spans.irq.end;
                         compute_cycles += phases.compute;
@@ -2409,9 +2417,6 @@ mod tests {
             |obj: Objective, job: &JobView| CostAware::with_objective(obj).place(job, &views);
         // Cycles: the warm array completes first (2 000 vs 2 200).
         assert_eq!(place(Objective::Cycles, &job).backend, 0);
-        // Energy: 2 x 13 000 nJ on the engine vs 2 x 67 000 nJ warm on
-        // the array.
-        assert_eq!(place(Objective::Energy, &job).backend, 1);
         // EDP: 26 000 x 2 200 beats 134 000 x 2 000 comfortably.
         assert_eq!(place(Objective::EnergyDelayProduct, &job).backend, 1);
         // No deadline: EnergyUnderDeadline falls back to EDP.
@@ -2471,7 +2476,6 @@ mod tests {
         };
         for objective in [
             Objective::Cycles,
-            Objective::Energy,
             Objective::EnergyDelayProduct,
             Objective::EnergyUnderDeadline,
         ] {

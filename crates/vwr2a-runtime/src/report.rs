@@ -277,12 +277,6 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// An empty report over `arrays` CGRA-array backends (the homogeneous
-    /// fleet; see [`FleetReport::for_kinds`] for mixed ones).
-    pub fn new(arrays: usize) -> Self {
-        Self::for_kinds(&vec![BackendKind::Array; arrays])
-    }
-
     /// An empty report over one backend per entry of `kinds`, named
     /// `{kind}-{index}`.
     pub fn for_kinds(kinds: &[BackendKind]) -> Self {
@@ -797,7 +791,7 @@ mod tests {
 
     #[test]
     fn fleet_report_merges_concurrent_arrays() {
-        let mut fleet = FleetReport::new(2);
+        let mut fleet = FleetReport::for_kinds(&[BackendKind::Array; 2]);
         assert_eq!(fleet.wall_cycles(), 0);
         assert_eq!(fleet.occupancy(), 0.0);
         fleet.jobs = 2;
@@ -842,7 +836,7 @@ mod tests {
 
     fn serve_report(totals: &[u64]) -> ServeReport {
         ServeReport {
-            fleet: FleetReport::new(1),
+            fleet: FleetReport::for_kinds(&[BackendKind::Array]),
             latencies: totals
                 .iter()
                 .enumerate()

@@ -382,17 +382,12 @@ impl Server {
         }
     }
 
-    /// Replaces the scheduling policy, builder-style.
+    /// Replaces the scheduling policy, builder-style (queued state such as
+    /// deficit counters starts fresh; the pool's residency is unaffected).
     #[must_use]
     pub fn with_policy(mut self, policy: impl SchedPolicy + 'static) -> Self {
-        self.set_policy(policy);
-        self
-    }
-
-    /// Replaces the scheduling policy (queued state such as deficit
-    /// counters starts fresh; the pool's residency is unaffected).
-    pub fn set_policy(&mut self, policy: impl SchedPolicy + 'static) {
         self.policy = Box::new(policy);
+        self
     }
 
     /// Name of the active scheduling policy.
@@ -405,11 +400,6 @@ impl Server {
     pub fn with_stealing(mut self, stealing: bool) -> Self {
         self.stealing = stealing;
         self
-    }
-
-    /// `true` if the work-stealing pass is enabled.
-    pub fn stealing(&self) -> bool {
-        self.stealing
     }
 
     /// Sets the per-backend run-queue depth, builder-style (default 2).
@@ -457,19 +447,9 @@ impl Server {
         self
     }
 
-    /// `true` if the whole-queue lookahead planner is active.
-    pub fn lookahead(&self) -> bool {
-        self.lookahead
-    }
-
     /// The wrapped pool (residency inspection).
     pub fn pool(&self) -> &Pool {
         &self.pool
-    }
-
-    /// Unwraps the server, returning the pool with all residency intact.
-    pub fn into_pool(self) -> Pool {
-        self.pool
     }
 
     /// Serves a batch of arrival-stamped jobs and collects each job's
@@ -513,11 +493,16 @@ impl Server {
     /// # Errors
     ///
     /// As [`Pool::run_stream`], plus [`RuntimeError::Sched`] if the
-    /// policy returns an out-of-range queue index.  The first error
-    /// aborts the run; completed work still shows in the array sessions'
-    /// lifetime counters, and the server stays valid and reusable.
+    /// policy returns an out-of-range queue index, and
+    /// [`RuntimeError::InvalidInput`] — before any job runs — if a job's
+    /// arrival or deadline cycle exceeds `u64::MAX >> 2` (about 1,800
+    /// years at 80 MHz; no cycle sum of the serving model can overflow
+    /// below it).  The first error aborts the run; completed work still
+    /// shows in the array sessions' lifetime counters, and the server
+    /// stays valid and reusable.
     ///
     /// [`RuntimeError::Sched`]: crate::RuntimeError::Sched
+    /// [`RuntimeError::InvalidInput`]: crate::RuntimeError::InvalidInput
     pub fn run_stream<'k, K, J, W, F>(&mut self, jobs: J, sink: F) -> Result<ServeReport>
     where
         K: Kernel + 'k,
@@ -1001,10 +986,41 @@ mod tests {
             "expected Sched, got {err:?}"
         );
         // The server recovers with a sane policy.
-        server.set_policy(Fifo);
+        server = server.with_policy(Fifo);
         server
             .run_batch([ServeJob::new(&kernel, ws.iter().map(Vec::as_slice), 0, 0)])
             .unwrap();
+    }
+
+    #[test]
+    fn cycle_stamps_beyond_the_horizon_are_rejected_before_any_work() {
+        // An arrival this close to u64::MAX would overflow placement's
+        // cycle sums (`free_config_at + reload_cycles`): admission rejects
+        // it, and a deadline past the horizon, with a typed error before
+        // any job of the batch runs.
+        let kernel = BakedScaleKernel::new(2);
+        let ws = windows(1, 0);
+        let job = |arrival| ServeJob::new(&kernel, ws.iter().map(Vec::as_slice), 0, arrival);
+        let mut server = Server::new(Pool::new(2));
+        for batch in [
+            vec![job(u64::MAX - 5)],
+            vec![job(0), job(10).with_deadline(u64::MAX)],
+        ] {
+            let err = server.run_batch(batch).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::InvalidInput { .. }),
+                "expected InvalidInput, got {err:?}"
+            );
+        }
+        assert_eq!(server.pool().array(0).unwrap().loaded_programs(), 0);
+        assert_eq!(server.pool().array(1).unwrap().loaded_programs(), 0);
+        // The server still serves a normal job afterwards.
+        let (outputs, report) = server.run_batch([job(0)]).unwrap();
+        assert_eq!(
+            outputs[0][0],
+            ws[0].iter().map(|v| v * 2).collect::<Vec<_>>()
+        );
+        assert_eq!(report.latencies.len(), 1);
     }
 
     #[test]

@@ -219,24 +219,27 @@ pub struct Prefetch {
     pub counters: vwr2a_core::ActivityCounters,
 }
 
-/// Split-borrow view of the session state the residency manager mutates
-/// (constructible from both [`Session`] and [`LaunchCtx`], whose fields
-/// are disjoint borrows of the same session).
-struct Residency<'a> {
-    accel: &'a mut Vwr2a,
-    programs: &'a mut HashMap<String, Loaded>,
-    policy: &'a dyn EvictionPolicy,
-    clock: &'a mut u64,
+/// A session's configuration-memory registry: the resident programs by
+/// cache key, the eviction policy that picks victims among them, and the
+/// planner's needed-soon shield.  [`LaunchCtx`] borrows it next to the
+/// accelerator, so registration, prefetch and auxiliary launches share
+/// one load path.
+#[derive(Debug)]
+struct Registry {
+    programs: HashMap<String, Loaded>,
+    policy: Box<dyn EvictionPolicy>,
+    /// Logical clock stamping every load and launch (`last_use`).
+    clock: u64,
     /// Keys a scheduler announced queued jobs will need (see
     /// [`Session::set_needed_soon`]): shielded from eviction while any
     /// other resident can make room.
-    needed_soon: &'a HashSet<String>,
+    needed_soon: HashSet<String>,
     /// Count of evictions the needed-soon shield redirected away from an
     /// announced key (see [`Session::evictions_averted`]).
-    averted: &'a mut u64,
+    averted: u64,
 }
 
-impl Residency<'_> {
+impl Registry {
     /// Loads `program` under `key`, evicting policy-chosen unpinned
     /// residents until it fits; each eviction is recorded in `evicted` as
     /// it happens, so the count survives even an error return.  Fails with
@@ -256,6 +259,7 @@ impl Residency<'_> {
     /// instead.
     fn load(
         &mut self,
+        accel: &mut Vwr2a,
         key: &str,
         program: &KernelProgram,
         pinned: &[String],
@@ -280,12 +284,12 @@ impl Residency<'_> {
             .filter(|(key, _)| unpinned(key))
             .map(|(_, loaded)| loaded.words)
             .sum();
-        if needed > self.accel.config_mem().free_words() + evictable {
-            return Err(full(self.accel).into());
+        if needed > accel.config_mem().free_words() + evictable {
+            return Err(full(accel).into());
         }
-        while needed > self.accel.config_mem().free_words() {
+        while needed > accel.config_mem().free_words() {
             let programs = &self.programs;
-            let needed_soon = self.needed_soon;
+            let needed_soon = &self.needed_soon;
             let snapshot =
                 |include_needed: bool, include_prefetched: bool| -> Vec<ResidentProgram<'_>> {
                     programs
@@ -310,7 +314,7 @@ impl Residency<'_> {
             // unpinned.
             let shielded = snapshot(false, false);
             if speculative && shielded.is_empty() {
-                return Err(full(self.accel).into());
+                return Err(full(accel).into());
             }
             let unshielded = snapshot(true, false);
             let used_shield = !shielded.is_empty() && shielded.len() < unshielded.len();
@@ -327,14 +331,14 @@ impl Residency<'_> {
                 // Refusal — or a rogue policy naming a pinned or
                 // non-resident program, which must not break the pin
                 // guarantee.
-                _ => return Err(full(self.accel).into()),
+                _ => return Err(full(accel).into()),
             };
             if used_shield {
                 // Count the shield's effect: without it the policy would
                 // have victimised a program a queued job needs.
                 if let Some(would) = self.policy.select_victim(&unshielded) {
                     if would != victim && needed_soon.contains(would) {
-                        *self.averted += 1;
+                        self.averted += 1;
                     }
                 }
             }
@@ -342,19 +346,19 @@ impl Residency<'_> {
                 .programs
                 .remove(&victim)
                 .expect("victim validated against the candidate set");
-            self.accel.unload_kernel(entry.id)?;
+            accel.unload_kernel(entry.id)?;
             self.policy.note_eviction(&victim, entry.launches);
             *evicted += 1;
         }
-        let id = self.accel.load_kernel(program)?;
+        let id = accel.load_kernel(program)?;
         self.policy.note_load(key);
-        *self.clock += 1;
+        self.clock += 1;
         self.programs.insert(
             key.to_string(),
             Loaded {
                 id,
                 launches: 0,
-                last_use: *self.clock,
+                last_use: self.clock,
                 words: needed,
                 prefetched: false,
             },
@@ -380,11 +384,7 @@ impl Residency<'_> {
 #[derive(Debug)]
 pub struct LaunchCtx<'a> {
     accel: &'a mut Vwr2a,
-    programs: &'a mut HashMap<String, Loaded>,
-    policy: &'a dyn EvictionPolicy,
-    clock: &'a mut u64,
-    needed_soon: &'a HashSet<String>,
-    averted: &'a mut u64,
+    registry: &'a mut Registry,
     /// The invocation's primary program (the kernel's own cache key).
     primary_key: &'a str,
     /// Programs this invocation depends on; never offered for eviction.
@@ -462,18 +462,17 @@ impl LaunchCtx<'_> {
         key: &str,
         build: impl FnOnce() -> Result<KernelProgram>,
     ) -> Result<u64> {
-        if !self.programs.contains_key(key) {
+        if !self.registry.programs.contains_key(key) {
             let program = build()?;
             validate_fit(self.accel.geometry(), &program)?;
-            Residency {
-                accel: &mut *self.accel,
-                programs: &mut *self.programs,
-                policy: self.policy,
-                clock: &mut *self.clock,
-                needed_soon: self.needed_soon,
-                averted: &mut *self.averted,
-            }
-            .load(key, &program, &self.pinned, false, &mut self.evictions)?;
+            self.registry.load(
+                self.accel,
+                key,
+                &program,
+                &self.pinned,
+                false,
+                &mut self.evictions,
+            )?;
         }
         if !self.pinned.iter().any(|p| p == key) {
             self.pinned.push(key.to_string());
@@ -482,9 +481,10 @@ impl LaunchCtx<'_> {
     }
 
     fn launch_key(&mut self, key: &str) -> Result<u64> {
-        *self.clock += 1;
-        let now = *self.clock;
+        self.registry.clock += 1;
+        let now = self.registry.clock;
         let entry = self
+            .registry
             .programs
             .get_mut(key)
             .expect("program registered before launch");
@@ -561,16 +561,9 @@ impl LaunchCtx<'_> {
 #[derive(Debug)]
 pub struct Session {
     accel: Vwr2a,
-    programs: HashMap<String, Loaded>,
-    policy: Box<dyn EvictionPolicy>,
-    clock: u64,
+    registry: Registry,
     evictions: u64,
     prefetches: u64,
-    /// Cache keys a scheduler announced queued jobs will need soon (see
-    /// [`Session::set_needed_soon`]).
-    needed_soon: HashSet<String>,
-    /// Evictions the needed-soon shield redirected onto another resident.
-    evictions_averted: u64,
     /// Per-engine busy cycles accumulated over the session's lifetime
     /// (interrupt servicing is schedule-level and not included).
     busy: Occupancy,
@@ -593,20 +586,22 @@ impl Session {
     pub fn with_policy(accel: Vwr2a, policy: impl EvictionPolicy + 'static) -> Self {
         Self {
             accel,
-            programs: HashMap::new(),
-            policy: Box::new(policy),
-            clock: 0,
+            registry: Registry {
+                programs: HashMap::new(),
+                policy: Box::new(policy),
+                clock: 0,
+                needed_soon: HashSet::new(),
+                averted: 0,
+            },
             evictions: 0,
             prefetches: 0,
-            needed_soon: HashSet::new(),
-            evictions_averted: 0,
             busy: Occupancy::default(),
         }
     }
 
     /// Replaces the eviction policy (resident programs are unaffected).
     pub fn set_eviction_policy(&mut self, policy: impl EvictionPolicy + 'static) {
-        self.policy = Box::new(policy);
+        self.registry.policy = Box::new(policy);
     }
 
     /// Enables or disables the accelerator's warm-window replay cache
@@ -635,7 +630,7 @@ impl Session {
 
     /// Number of distinct programs resident in the configuration memory.
     pub fn loaded_programs(&self) -> usize {
-        self.programs.len()
+        self.registry.programs.len()
     }
 
     /// Total programs evicted from the configuration memory over the
@@ -666,15 +661,15 @@ impl Session {
     /// The serving layer's lookahead planner derives this set from its
     /// admission and run queues each scheduling round.
     pub fn set_needed_soon(&mut self, keys: impl IntoIterator<Item = String>) {
-        self.needed_soon.clear();
-        self.needed_soon.extend(keys);
+        self.registry.needed_soon.clear();
+        self.registry.needed_soon.extend(keys);
     }
 
     /// Evictions the needed-soon shield redirected over the session's
     /// lifetime: times an eviction would have victimised an announced key
     /// but took another resident instead.
     pub fn evictions_averted(&self) -> u64 {
-        self.evictions_averted
+        self.registry.averted
     }
 
     /// `true` if the kernel's next launch will be warm: its program is
@@ -683,9 +678,7 @@ impl Session {
     /// pressure reports `false` until it is reloaded and launched (or
     /// prefetched) again.
     pub fn is_warm<K: Kernel>(&self, kernel: &K) -> bool {
-        self.programs
-            .get(&kernel.cache_key())
-            .is_some_and(|p| p.launches > 0 || p.prefetched)
+        self.is_warm_key(&kernel.cache_key())
     }
 
     /// `true` if the kernel's program is resident in the configuration
@@ -700,13 +693,14 @@ impl Session {
     /// [`Session::is_resident`] by raw [`Kernel::cache_key`], for callers
     /// that track programs by key (the pool's placement strategies).
     pub fn is_resident_key(&self, key: &str) -> bool {
-        self.programs.contains_key(key)
+        self.registry.programs.contains_key(key)
     }
 
     /// [`Session::is_warm`] by raw [`Kernel::cache_key`], for callers that
     /// track programs by key (the pool's backend views).
     pub fn is_warm_key(&self, key: &str) -> bool {
-        self.programs
+        self.registry
+            .programs
             .get(key)
             .is_some_and(|p| p.launches > 0 || p.prefetched)
     }
@@ -737,13 +731,13 @@ impl Session {
     /// Returns `Ok(None)` when there is nothing to stage (the program is
     /// already warm, or already prefetched and awaiting its launch);
     /// otherwise `Ok(Some(_))` with the [`Prefetch`] accounting.  Until it
-    /// launches (or is explicitly [`Session::unload`]ed) a prefetched
-    /// program is **soft-pinned against eviction**: evicting it would
-    /// waste the hidden reload and silently turn its launch cold again, so
-    /// the session only offers it as a victim when no other resident can
-    /// make room — a stale prefetch degrades back to a cold reload instead
-    /// of wedging the configuration memory.  The launch itself then counts
-    /// as warm — the reload happened, but off the launch's critical path.
+    /// launches, a prefetched program is **soft-pinned against eviction**:
+    /// evicting it would waste the hidden reload and silently turn its
+    /// launch cold again, so the session only offers it as a victim when
+    /// no other resident can make room — a stale prefetch degrades back
+    /// to a cold reload instead of wedging the configuration memory.  The
+    /// launch itself then counts as warm — the reload happened, but off
+    /// the launch's critical path.
     ///
     /// # Errors
     ///
@@ -767,6 +761,7 @@ impl Session {
     ) -> Result<Option<Prefetch>> {
         let evictions = self.register_internal_with(kernel, key, true)?;
         let entry = self
+            .registry
             .programs
             .get_mut(key)
             .expect("program registered by prefetch");
@@ -776,8 +771,8 @@ impl Session {
         let before = self.accel.counters();
         let config_cycles = self.accel.prefetch_kernel(entry.id)?;
         entry.prefetched = true;
-        self.clock += 1;
-        entry.last_use = self.clock;
+        self.registry.clock += 1;
+        entry.last_use = self.registry.clock;
         self.prefetches += 1;
         self.busy.config_load += config_cycles;
         Ok(Some(Prefetch {
@@ -785,20 +780,6 @@ impl Session {
             evictions,
             counters: self.accel.counters() - before,
         }))
-    }
-
-    /// Explicitly unloads a kernel's program from the configuration memory,
-    /// reclaiming its words.  Returns `true` if the program was resident.
-    /// Its next use is rebuilt, reloaded and launched cold — exactly like a
-    /// policy eviction, but not counted in [`Session::evictions`].
-    pub fn unload<K: Kernel>(&mut self, kernel: &K) -> Result<bool> {
-        match self.programs.remove(&kernel.cache_key()) {
-            Some(entry) => {
-                self.accel.unload_kernel(entry.id)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
     }
 
     /// Loads the kernel's program (cache key `key`) if absent, returning
@@ -818,12 +799,12 @@ impl Session {
         key: &str,
         speculative: bool,
     ) -> Result<u64> {
-        if self.programs.contains_key(key) {
+        if self.registry.programs.contains_key(key) {
             // An invocation (or prefetch) came back for a resident program:
             // the once-per-invocation reuse signal adaptive policies
             // promote on.  Raw launch counts cannot stand in for this —
             // one FIR invocation issues two launches.
-            self.policy.note_use(key);
+            self.registry.policy.note_use(key);
             return Ok(0);
         }
         let geometry = *self.accel.geometry();
@@ -854,15 +835,14 @@ impl Session {
         let program = kernel.program(&geometry)?;
         validate_fit(&geometry, &program)?;
         let mut evicted = 0;
-        let result = Residency {
-            accel: &mut self.accel,
-            programs: &mut self.programs,
-            policy: &*self.policy,
-            clock: &mut self.clock,
-            needed_soon: &self.needed_soon,
-            averted: &mut self.evictions_averted,
-        }
-        .load(key, &program, &[], speculative, &mut evicted);
+        let result = self.registry.load(
+            &mut self.accel,
+            key,
+            &program,
+            &[],
+            speculative,
+            &mut evicted,
+        );
         self.evictions += evicted;
         result.map(|()| evicted)
     }
@@ -888,10 +868,8 @@ impl Session {
         let mut report = RunReport::new(kernel.name());
         let mut schedule = StreamSchedule::new();
         let (output, phases) = self.run_into(kernel, &kernel.cache_key(), input, &mut report)?;
-        schedule.push(phases);
-        let timeline = schedule.finish();
-        report.wall_cycles = timeline.wall_cycles();
-        report.busy = timeline.occupancy();
+        schedule.push(phases, 0);
+        (report.wall_cycles, report.busy) = schedule.finish();
         Ok((output, report))
     }
 
@@ -954,12 +932,10 @@ impl Session {
         let key = kernel.cache_key();
         for input in inputs {
             let (output, phases) = self.run_into(kernel, &key, input.borrow(), &mut report)?;
-            schedule.push(phases);
+            schedule.push(phases, 0);
             sink(output)?;
         }
-        let timeline = schedule.finish();
-        report.wall_cycles = timeline.wall_cycles();
-        report.busy = timeline.occupancy();
+        (report.wall_cycles, report.busy) = schedule.finish();
         Ok(report)
     }
 
@@ -980,11 +956,7 @@ impl Session {
         let before = self.accel.counters();
         let mut ctx = LaunchCtx {
             accel: &mut self.accel,
-            programs: &mut self.programs,
-            policy: &*self.policy,
-            clock: &mut self.clock,
-            needed_soon: &self.needed_soon,
-            averted: &mut self.evictions_averted,
+            registry: &mut self.registry,
             primary_key: key,
             pinned: vec![key.to_string()],
             phases: WindowPhases::default(),
@@ -1731,10 +1703,6 @@ mod tests {
             busy.total(),
             (first.busy + second.busy).total() - first.busy.interrupt - second.busy.interrupt
         );
-
-        // Eviction (here: explicit unload) drops residency again.
-        session.unload(&kernel).unwrap();
-        assert!(!session.is_resident(&kernel));
     }
 
     #[test]
@@ -1990,21 +1958,5 @@ mod tests {
             kernel.config_words(&geometry).unwrap(),
             kernel.program(&geometry).unwrap().config_words()
         );
-    }
-
-    #[test]
-    fn explicit_unload_forces_a_cold_relaunch() {
-        let mut session = Session::new();
-        let kernel = ScaleKernel::new(4);
-        let input = [5i32, 6, 7];
-        session.run(&kernel, &input[..]).unwrap();
-        assert!(session.is_warm(&kernel));
-        assert!(session.unload(&kernel).unwrap());
-        assert!(!session.is_warm(&kernel));
-        assert!(!session.unload(&kernel).unwrap(), "already gone");
-        let (out, report) = session.run(&kernel, &input[..]).unwrap();
-        assert_eq!(out, vec![20, 24, 28]);
-        assert_eq!(report.cold_launches, 1);
-        assert_eq!(session.evictions(), 0, "explicit unloads are not evictions");
     }
 }

@@ -5,9 +5,8 @@
 //! features from the FFT of the filtered signal (Sec. 4.4.2).  The programs
 //! here implement those pieces on the scalar ISS: [`stats_program`] produces
 //! mean/median/RMS of an integer array whose length is only known at run
-//! time, [`band_energy_program`] reduces an interleaved spectrum to per-band
-//! energies, and [`isqrt_program`] exposes the integer square root used by
-//! the RMS computation for standalone testing.
+//! time, and [`band_energy_program`] reduces an interleaved spectrum to
+//! per-band energies.
 
 use crate::cpu::asm::{BranchCond, CpuAsm};
 use crate::cpu::CpuInstr;
@@ -83,45 +82,6 @@ fn emit_isqrt(a: &mut CpuAsm, value_reg: u8, result_reg: u8, t0: u8, t1: u8) {
     });
     a.jump(loop_top);
     a.bind(loop_end);
-}
-
-/// Standalone integer square root: reads one word at `value_addr`, writes
-/// `floor(sqrt(value))` to `out_addr`.
-///
-/// # Errors
-///
-/// Returns an assembler error only on an internal generator bug.
-///
-/// # Example
-///
-/// ```
-/// use vwr2a_soc::cpu::kernels::isqrt_program;
-/// assert!(!isqrt_program(0, 1).unwrap().is_empty());
-/// ```
-pub fn isqrt_program(value_addr: usize, out_addr: usize) -> Result<Vec<CpuInstr>> {
-    let mut a = CpuAsm::new();
-    a.push(CpuInstr::Li { rd: ZERO, imm: 0 });
-    a.push(CpuInstr::Li {
-        rd: 1,
-        imm: value_addr as i32,
-    });
-    a.push(CpuInstr::Lw {
-        rd: 2,
-        rs1: 1,
-        offset: 0,
-    });
-    emit_isqrt(&mut a, 2, 3, 4, 5);
-    a.push(CpuInstr::Li {
-        rd: 1,
-        imm: out_addr as i32,
-    });
-    a.push(CpuInstr::Sw {
-        rs2: 3,
-        rs1: 1,
-        offset: 0,
-    });
-    a.push(CpuInstr::Halt);
-    a.build()
 }
 
 /// Mean / median / RMS of an integer array whose length is stored in memory.
@@ -523,29 +483,6 @@ mod tests {
         }
         cpu.run(program, &mut sram).unwrap();
         sram
-    }
-
-    #[test]
-    fn isqrt_is_exact_floor() {
-        for v in [
-            0i32,
-            1,
-            2,
-            3,
-            4,
-            15,
-            16,
-            17,
-            99,
-            100,
-            1_000_000,
-            2_000_000_000,
-        ] {
-            let program = isqrt_program(0, 1).unwrap();
-            let sram = run(&program, &[(0, vec![v])]);
-            let expected = (v as f64).sqrt().floor() as i32;
-            assert_eq!(sram.dump(1, 1).unwrap()[0], expected, "isqrt({v})");
-        }
     }
 
     #[test]

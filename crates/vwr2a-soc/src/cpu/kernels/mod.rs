@@ -18,7 +18,7 @@ pub mod fir;
 pub mod svm;
 
 pub use delineation::delineation_program;
-pub use features::{band_energy_program, isqrt_program, stats_program};
+pub use features::{band_energy_program, stats_program};
 pub use fft::{cfft_q15_program, rfft_q15_program};
 pub use fir::fir_q15_program;
 pub use svm::svm_program;

@@ -295,10 +295,10 @@ fn pipelined_stream_overlaps_phases_with_bit_identical_outputs() {
 
 #[test]
 fn runtime_reexports_cover_tuning_without_a_core_dependency() {
-    // DmaConfig and the timeline types are reachable through
+    // DmaConfig and the schedule types are reachable through
     // `vwr2a::runtime` alone, so session users can tune DMA timing and
     // inspect schedules without depending on vwr2a-core directly.
-    use vwr2a::runtime::{DmaConfig, Engine, Occupancy, StreamSchedule, Timeline, WindowPhases};
+    use vwr2a::runtime::{DmaConfig, Occupancy, StreamSchedule, WindowPhases};
 
     let dma = DmaConfig {
         setup_cycles: 8,
@@ -320,17 +320,17 @@ fn runtime_reexports_cover_tuning_without_a_core_dependency() {
     // The schedule machinery itself is usable stand-alone.
     let mut schedule = StreamSchedule::new();
     for _ in 0..4 {
-        schedule.push(WindowPhases {
+        let phases = WindowPhases {
             stage: 100,
             config: 0,
             compute: 400,
             drain: 100,
-        });
+        };
+        schedule.push(phases, 0);
     }
-    let timeline: Timeline = schedule.finish();
-    assert!(timeline.wall_cycles() < timeline.serial_cycles());
-    let occupancy: Occupancy = timeline.occupancy();
-    assert_eq!(occupancy.of(Engine::Compute), 1600);
+    let (wall_cycles, occupancy): (u64, Occupancy) = schedule.finish();
+    assert!(wall_cycles < occupancy.total());
+    assert_eq!(occupancy.compute, 1600);
 }
 
 #[test]
