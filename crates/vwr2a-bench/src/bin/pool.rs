@@ -25,7 +25,10 @@
 //! the whole-queue lookahead planner + ARC adaptive eviction.  The
 //! warm-window replay cache is what makes a thousand simulated arrays
 //! affordable on the host — repeated `(program, window)` launches replay
-//! instead of re-interpreting (see `BENCH_replay.json`).
+//! instead of re-interpreting (see `BENCH_replay.json`).  Each large-fleet
+//! cell also prints one `Host time: <arrays> arrays, <config>: <N> us/job`
+//! line: host time of the server run alone (execution included) per job,
+//! which shows how per-job dispatch cost grows with fleet width.
 //!
 //! Run with `--smoke` for the fast CI configuration.  In every mode the
 //! binary *fails fast* (non-zero exit) if `CostAware` ever pays more cold
@@ -34,6 +37,8 @@
 //! on both cold reloads and fleet wall cycles, or if the lookahead planner
 //! ever pays more cold reloads (or hides fewer) than the plain serving
 //! configuration at any fleet scale.
+
+use std::time::{Duration, Instant};
 
 use vwr2a_core::geometry::Geometry;
 use vwr2a_dsp::fir::design_lowpass;
@@ -124,6 +129,9 @@ struct FleetCell {
     jobs: usize,
     baseline: ServeReport,
     planned: ServeReport,
+    /// Host time of the baseline and the lookahead server run (the serve
+    /// call alone: no fleet build, no oracle).
+    host: [Duration; 2],
 }
 
 /// Serves one `jobs`-deep burst (single-window FIR jobs over a 6-program
@@ -149,7 +157,7 @@ fn large_fleet(arrays: usize, jobs: usize) -> FleetCell {
             .map(|(pick, w, _, _)| (&kernels[*pick], std::iter::once(w.as_slice()))),
     )
     .expect("serial reference runs");
-    let run = |plan: bool| -> ServeReport {
+    let run = |plan: bool| -> (ServeReport, Duration) {
         let mut sessions = constrained_sessions(arrays, 2 * program_words);
         if plan {
             for session in &mut sessions {
@@ -163,6 +171,7 @@ fn large_fleet(arrays: usize, jobs: usize) -> FleetCell {
             .with_policy(WeightedFair::new())
             .with_stealing(true)
             .with_lookahead(plan);
+        let start = Instant::now();
         let (outputs, report) = server
             .run_batch(job_list.iter().map(|(pick, w, tenant, arrival)| {
                 ServeJob::new(
@@ -173,22 +182,26 @@ fn large_fleet(arrays: usize, jobs: usize) -> FleetCell {
                 )
             }))
             .expect("large-fleet burst serves");
+        let host = start.elapsed();
         assert_eq!(
             outputs, serial,
             "served outputs must be bit-identical to the serial reference"
         );
-        report
+        (report, host)
     };
+    let (baseline, baseline_host) = run(false);
+    let (planned, planned_host) = run(true);
     FleetCell {
         arrays,
         jobs,
-        baseline: run(false),
-        planned: run(true),
+        baseline,
+        planned,
+        host: [baseline_host, planned_host],
     }
 }
 
 fn main() {
-    let host = std::time::Instant::now();
+    let host = Instant::now();
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (array_counts, mixes, jobs, windows_per_job): (&[usize], &[usize], usize, usize) = if smoke
     {
@@ -302,6 +315,17 @@ fn main() {
                 report.plan.batched_jobs,
                 report.plan.evictions_averted,
                 report.fleet.wall_cycles(),
+            );
+        }
+    }
+    // Per-job dispatch cost against fleet width: host time of each server
+    // run (execution included) over its jobs.
+    for cell in &fleet_cells {
+        for (name, host) in ["baseline", "lookahead"].into_iter().zip(cell.host) {
+            println!(
+                "Host time: {} arrays, {name}: {:.0} us/job",
+                cell.arrays,
+                host.as_secs_f64() * 1e6 / cell.jobs as f64
             );
         }
     }

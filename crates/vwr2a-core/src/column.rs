@@ -151,15 +151,6 @@ impl Column {
         &self.vwrs[id.index()]
     }
 
-    /// Mutable access to a very-wide register (host-side test/seed access).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not exist in this geometry.
-    pub fn vwr_mut(&mut self, id: VwrId) -> &mut Vwr {
-        &mut self.vwrs[id.index()]
-    }
-
     /// The scalar register file.
     pub fn srf(&self) -> &Srf {
         &self.srf
@@ -831,11 +822,16 @@ mod tests {
     fn mxcu_index_takes_effect_next_cycle() {
         let g = Geometry::paper();
         let (mut col, mut spm) = paper_column();
-        // VWR A word 0 of RC0 slice = 7, word 1 = 9.
-        col.vwr_mut(VwrId::A).write_word(0, 7).unwrap();
-        col.vwr_mut(VwrId::A).write_word(1, 9).unwrap();
+        // VWR A word 0 of RC0 slice = 7, word 1 = 9, loaded from the SPM.
+        let mut line = vec![0; g.vwr_words];
+        line[..2].copy_from_slice(&[7, 9]);
+        spm.write_line(0, &line).unwrap();
 
         let mut bld = ColumnProgramBuilder::new(g.rcs_per_column);
+        bld.push(bld.row().lsu(LsuInstr::LoadVwr {
+            vwr: VwrId::A,
+            line: LsuAddr::Imm(0),
+        }));
         // Cycle 1: read A (k=0) into R0 and bump k.
         bld.push(
             bld.row()

@@ -16,9 +16,9 @@
 //!   like `arm_fir_q15`); the MXCU index walks down the taps and back.
 //! * Both columns run the same program on different input blocks; the block
 //!   loop is driven by the host, which rewrites the two SRF line pointers
-//!   and relaunches the kernel.  Under a [`Session`] only the very first
-//!   launch of the session is cold — every later block, and every later
-//!   window of a batch, reuses the resident configuration.
+//!   and relaunches the kernel.  Under a [`vwr2a_runtime::Session`] only
+//!   the very first launch of the session is cold — every later block, and
+//!   every later window of a batch, reuses the resident configuration.
 
 use crate::error::{KernelError, Result};
 use vwr2a_core::builder::ColumnProgramBuilder;
@@ -27,7 +27,7 @@ use vwr2a_core::isa::{
     LcuCond, LcuInstr, LcuSrc, LsuAddr, LsuInstr, MxcuInstr, RcDst, RcInstr, RcOpcode, RcSrc,
 };
 use vwr2a_core::program::KernelProgram;
-use vwr2a_runtime::{Kernel, LaunchCtx, Offload, Resources, RuntimeError, Session};
+use vwr2a_runtime::{Kernel, LaunchCtx, Offload, Resources, RuntimeError};
 use vwr2a_soc::cpu::{Cpu, CpuInstr};
 use vwr2a_soc::sram::Sram;
 
@@ -292,19 +292,6 @@ impl FirKernel {
         prog.push(CpuInstr::Halt);
         prog
     }
-
-    /// Convenience wrapper: runs the filter in a throwaway [`Session`].
-    ///
-    /// Repeated-invocation workloads should hold their own session so the
-    /// configuration load is paid once; this exists for one-shot callers
-    /// and tests.
-    ///
-    /// # Errors
-    ///
-    /// As [`Session::run`].
-    pub fn run_once(&self, input: &[i32]) -> vwr2a_runtime::Result<Vec<i32>> {
-        Session::new().run(self, input).map(|(out, _)| out)
-    }
 }
 
 impl Kernel for FirKernel {
@@ -412,6 +399,7 @@ mod tests {
     use super::*;
     use vwr2a_dsp::fir::{design_lowpass, fir_q15, PAPER_FIR_TAPS};
     use vwr2a_dsp::fixed::Q15;
+    use vwr2a_runtime::Session;
 
     fn paper_taps() -> Vec<i32> {
         design_lowpass(PAPER_FIR_TAPS, 0.12)
@@ -428,7 +416,7 @@ mod tests {
         let input_f: Vec<f64> = (0..n).map(|i| 0.6 * (i as f64 * 0.09).sin()).collect();
         let input: Vec<i32> = input_f.iter().map(|&v| Q15::from_f64(v).0 as i32).collect();
         let kernel = FirKernel::new(&taps, n).unwrap();
-        let output = kernel.run_once(&input).unwrap();
+        let (output, _) = Session::new().run(&kernel, &input).unwrap();
 
         let taps_q: Vec<Q15> = taps.iter().map(|&t| Q15(t as i16)).collect();
         let input_q: Vec<Q15> = input.iter().map(|&v| Q15(v as i16)).collect();
@@ -495,7 +483,7 @@ mod tests {
         assert!(FirKernel::new(&[40_000], 128).is_err());
         assert!(FirKernel::new(&[1], 0).is_err());
         let k = FirKernel::new(&[1, 2, 3], 64).unwrap();
-        assert!(k.run_once(&[0; 32]).is_err());
+        assert!(Session::new().run(&k, &[0; 32]).is_err());
         assert_eq!(k.taps(), &[1, 2, 3]);
         assert_eq!(k.len(), 64);
         assert!(!k.is_empty());
@@ -509,7 +497,7 @@ mod tests {
         let taps = paper_taps();
         let kernel = FirKernel::new(&taps, 96).unwrap();
         let input: Vec<i32> = (0..96).map(|i| (i * 2731) % 65536 - 32768).collect();
-        let array_out = kernel.run_once(&input).unwrap();
+        let (array_out, _) = Session::new().run(&kernel, &input).unwrap();
         let mut cpu = Cpu::new();
         let mut sram = Sram::paper();
         let (cpu_out, stats) = kernel.execute_cpu(&mut cpu, &mut sram, &input).unwrap();

@@ -175,6 +175,21 @@ impl Backend {
         }
     }
 
+    /// Every program resident here, by cache key, with whether a launch of
+    /// it would be warm: an array's resident programs, the engine's
+    /// current programming (warm), nothing on the host CPU.
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (&str, bool)> {
+        let (session, programmed) = match self {
+            Backend::Array(session) => (Some(session.residents()), None),
+            Backend::Fft(fft) => (None, fft.programmed.as_deref()),
+            Backend::Cpu(_) => (None, None),
+        };
+        session
+            .into_iter()
+            .flatten()
+            .chain(programmed.map(|key| (key, true)))
+    }
+
     /// Lifetime compute-busy cycles — the cross-wave load metric behind
     /// [`crate::pool::BackendView::busy_compute`].
     pub fn busy_compute(&self) -> u64 {

@@ -106,11 +106,12 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 use vwr2a_core::geometry::Geometry;
 use vwr2a_energy::EnergyModel;
 
-use crate::backend::{Backend, BackendKind};
+use crate::backend::{Backend, BackendKind, Offload};
 use crate::error::{Result, RuntimeError};
 use crate::pipeline::{Engine, StreamSchedule};
 use crate::report::{FleetReport, JobLatency, JobRoute, PlannerStats, RunReport, ServeReport};
@@ -402,10 +403,14 @@ impl Placement for CostAware {
             };
             a.free_compute_at.max(reload_done)
         };
-        let completion = |a: &BackendView| ready_at(a) + job.windows as u64 * a.window_cycles;
+        // The window count is a caller's hint, not a modelled quantity, so
+        // products and sums over it saturate instead of overflowing.
+        let windows = job.windows as u64;
+        let completion =
+            |a: &BackendView| ready_at(a).saturating_add(windows.saturating_mul(a.window_cycles));
         let energy = |a: &BackendView| {
             let reload_nj = if a.warm { 0 } else { a.reload_energy_nj };
-            reload_nj + job.windows as u64 * a.window_energy_nj
+            reload_nj.saturating_add(windows.saturating_mul(a.window_energy_nj))
         };
         // Energy × delay in u128: both factors are u64, the product must
         // not wrap for long backlogs.
@@ -417,7 +422,7 @@ impl Placement for CostAware {
                 completion(a),
                 ready_at(a),
                 // Prefer the cheaper total pressure on ties.
-                a.free_compute_at + reload(a),
+                a.free_compute_at.saturating_add(reload(a)),
                 a.busy_compute,
                 a.index,
             )
@@ -488,7 +493,9 @@ enum BackendPrice {
     },
 }
 
-/// Per-job, per-backend pricing computed once at admission.
+/// Per-job, per-backend pricing computed at admission, once per distinct
+/// cache key and [`Offload`] declaration of a serve, and shared by the
+/// tickets that have both.
 #[derive(Debug, Clone)]
 struct JobPricing {
     /// Scalar reload cost: the footprint on the first array backend whose
@@ -508,28 +515,43 @@ struct JobPricing {
     per_backend: Vec<BackendPrice>,
 }
 
+/// Dense id of an interned [`Kernel::cache_key`]: the pool numbers every
+/// key it admits, in first-admission order, and keeps the numbering across
+/// waves, so the serve loop's per-backend bookkeeping compares integers
+/// instead of hashing key strings.
+type KeyId = usize;
+
 /// Observed `(compute cycles, windows)` totals.
 type Observed = (u64, u64);
 
 /// The pool's online per-program cost model for the arrays: cumulative
-/// compute cycles and windows per cache key, learned from every job an
-/// array completed, plus the running total over all keys (the cold-start
-/// fallback).  Offload backends price windows from their own models, so
-/// only array observations are kept.  Backs the array columns of every
-/// [`BackendView`] and the projected backlogs stealing reasons over.
+/// compute cycles and windows per key id, learned from every job an array
+/// completed, plus the running total over all keys (the cold-start
+/// fallback), each with its mean cached as it is learned.  Offload backends
+/// price windows from their own models, so only array observations are
+/// kept.  Backs the array columns of every [`BackendView`] and the
+/// projected backlogs stealing reasons over.
 #[derive(Debug, Default)]
 struct Estimator {
     total: Observed,
-    keys: HashMap<String, Observed>,
+    /// Mean of `total` ([`Estimator::mean`]).
+    total_mean: Option<u64>,
+    /// Per key id, the key's totals and their mean, grown as keys are
+    /// learned (an id past the end has not run on an array yet).
+    keys: Vec<(Observed, Option<u64>)>,
 }
 
 impl Estimator {
     /// Folds one array-completed job's observed cost into the model.
-    fn learn(&mut self, key: String, cycles: u64, windows: u64) {
-        let entry = self.keys.entry(key).or_default();
-        for observed in [&mut self.total, entry] {
+    fn learn(&mut self, key: KeyId, cycles: u64, windows: u64) {
+        if self.keys.len() <= key {
+            self.keys.resize(key + 1, ((0, 0), None));
+        }
+        let (observed, mean) = &mut self.keys[key];
+        for (observed, mean) in [(observed, mean), (&mut self.total, &mut self.total_mean)] {
             observed.0 += cycles;
             observed.1 += windows;
+            *mean = Self::mean(*observed);
         }
     }
 
@@ -538,17 +560,39 @@ impl Estimator {
         cycles.checked_div(windows).map(|mean| mean.max(1))
     }
 
-    /// Estimated cycles of one array window of a job with cache key `key`:
+    /// Estimated cycles of one array window of a job with key id `key`:
     /// the key's learned mean, else the mean over every key, else the
     /// program's footprint — both cold-start values raised to the job's
     /// [`JobPricing::accel_floor`].  Always at least 1.
-    fn array_window(&self, key: &str, pricing: &JobPricing) -> u64 {
-        if let Some(mean) = self.keys.get(key).copied().and_then(Self::mean) {
+    fn array_window(&self, key: KeyId, pricing: &JobPricing) -> u64 {
+        if let Some(&(_, Some(mean))) = self.keys.get(key) {
             return mean;
         }
-        Self::mean(self.total)
+        self.total_mean
             .unwrap_or_else(|| (pricing.config_words as u64).max(1))
             .max(pricing.accel_floor)
+    }
+}
+
+/// One backend's resident programs by key id, each with its warm flag: the
+/// serve loop's integer copy of [`Backend::is_resident`] and
+/// [`Backend::is_warm`].  Keys the pool never admitted (auxiliary programs)
+/// are left out, since no ticket asks about them.
+#[derive(Debug, Default)]
+struct Residents {
+    /// `true` on the host CPU, which holds nothing and is always warm.
+    always_warm: bool,
+    /// `(key id, warm)` per resident program.
+    programs: Vec<(KeyId, bool)>,
+}
+
+impl Residents {
+    /// `(resident, warm)` of the program with key id `key`.
+    fn of(&self, key: KeyId) -> (bool, bool) {
+        match self.programs.iter().find(|(id, _)| *id == key) {
+            Some(&(_, warm)) => (true, warm),
+            None => (false, self.always_warm),
+        }
     }
 }
 
@@ -557,11 +601,16 @@ struct Ticket<'k, K, I> {
     seq: usize,
     kernel: &'k K,
     windows: I,
+    /// The kernel's [`Kernel::cache_key`], for session calls and the views
+    /// placement and scheduling policies see.
     key: String,
-    /// Per-backend cycles-and-joules pricing, computed once at admission.
-    /// An ineligible price marks a backend that cannot serve this job;
+    /// `key`'s interned id, for everything the serve loop compares.
+    key_id: KeyId,
+    /// Per-backend cycles-and-joules pricing, computed at admission and
+    /// shared by every ticket of the same key and offload declaration.  An
+    /// ineligible price marks a backend that cannot serve this job;
     /// dispatch and stealing never commit the job there.
-    pricing: JobPricing,
+    pricing: Rc<JobPricing>,
     windows_hint: usize,
     tenant: TenantId,
     arrival: u64,
@@ -588,11 +637,13 @@ impl<K, I> Ticket<'_, K, I> {
 
 /// The latest arrival or deadline cycle [`Pool::serve`] admits:
 /// `u64::MAX >> 2`, about 1,800 years at 80 MHz.  The serve loop's clocks
-/// start at 0 or an admitted arrival, and placement, projection and the
-/// schedules only add modelled or estimated work to them; while a run's
-/// work stays below 2⁶² cycles (far beyond what a host can simulate),
-/// every such sum stays below 2⁶³ and cannot overflow.  Deadlines are
-/// only compared, but share the bound.
+/// start at 0 or an admitted arrival, and the schedules only add modelled
+/// work to them; while a run's work stays below 2⁶² cycles (far beyond
+/// what a host can simulate), every such sum stays below 2⁶³ and cannot
+/// overflow.  Deadlines are only compared, but share the bound.  The
+/// horizon bounds stamps, not window-count hints: a caller may hint any
+/// `usize`, so the estimates placement and projection derive from hints
+/// saturate instead.
 const CYCLE_HORIZON: u64 = u64::MAX >> 2;
 
 /// A backend's run queue: committed-but-unstarted tickets, each with the
@@ -642,9 +693,16 @@ pub struct Pool {
     /// per key and geometry rather than once per job or per backend (the
     /// hook may build the whole program to count).
     footprints: HashMap<Geometry, HashMap<String, Option<usize>>>,
+    /// Every cache key admitted so far, by its [`KeyId`].
+    key_ids: HashMap<String, KeyId>,
     /// The learned per-program array costs behind projected backlogs and
     /// the array columns of [`BackendView`].
     estimates: Estimator,
+    /// Per backend, the admitted programs resident there.  Rebuilt at the
+    /// start of every serve, and refreshed wherever the serve loop changes
+    /// a backend's residency: after a job's windows run there, and after
+    /// a prefetch is staged there.
+    residency: Vec<Residents>,
 }
 
 impl Pool {
@@ -692,7 +750,9 @@ impl Pool {
             backends: Vec::with_capacity(backends.len()),
             placement: Box::new(CostAware::default()),
             footprints: HashMap::new(),
+            key_ids: HashMap::new(),
             estimates: Estimator::default(),
+            residency: Vec::new(),
         };
         for backend in backends {
             pool.push_backend(backend);
@@ -867,14 +927,29 @@ impl Pool {
         words
     }
 
-    /// Prices `kernel` against every backend of the fleet (see
-    /// [`JobPricing`]).  An array can serve the job when its geometry
-    /// builds the program, an offload backend when its model prices a
-    /// window ([`Backend::window_cycles`]).  Errs if *no* backend can serve
-    /// the job, naming the first array (whose geometry failed) or, in an
-    /// all-offload fleet, the first backend.
-    fn price_job<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<JobPricing> {
-        let offload = kernel.offload();
+    /// The [`KeyId`] of `key`, numbering it if the pool has not seen it.
+    fn intern(&mut self, key: &str) -> KeyId {
+        if let Some(&id) = self.key_ids.get(key) {
+            return id;
+        }
+        let id = self.key_ids.len();
+        self.key_ids.insert(key.to_string(), id);
+        id
+    }
+
+    /// Prices `kernel` (cache key `key`, offload declaration `offload`)
+    /// against every backend of the fleet (see [`JobPricing`]).  An array
+    /// can serve the job when its geometry builds the program, an offload
+    /// backend when its model prices a window ([`Backend::window_cycles`]).
+    /// Errs if *no* backend can serve the job, naming the first array
+    /// (whose geometry failed) or, in an all-offload fleet, the first
+    /// backend.
+    fn price_job<K: Kernel>(
+        &mut self,
+        kernel: &K,
+        key: &str,
+        offload: &Offload,
+    ) -> Result<JobPricing> {
         let model = EnergyModel::calibrated();
         let mut per_backend = Vec::with_capacity(self.backends.len());
         let mut config_words = None;
@@ -901,7 +976,7 @@ impl Pool {
                 }
             } else {
                 let kind = self.backends[index].kind();
-                match self.backends[index].window_cycles(&offload) {
+                match self.backends[index].window_cycles(offload) {
                     Some(window_cycles) => {
                         if kind == BackendKind::FftAccel {
                             accel_floor =
@@ -1006,6 +1081,41 @@ impl Pool {
             report.prefetch_energy_nj += staged_nj;
             report.counters += staged.counters;
         }
+        // Whatever the outcome: a speculative load that failed may already
+        // have evicted residents to make room.
+        self.refresh_residency(target);
+    }
+
+    /// Re-reads backend `index`'s resident programs into its residency
+    /// view, in place.
+    fn refresh_residency(&mut self, index: usize) {
+        let backend = &self.backends[index];
+        let view = &mut self.residency[index];
+        view.always_warm = backend.kind() == BackendKind::Cpu;
+        view.programs.clear();
+        let key_ids = &self.key_ids;
+        view.programs.extend(
+            backend
+                .residents()
+                .filter_map(|(key, warm)| Some((*key_ids.get(key)?, warm))),
+        );
+    }
+
+    /// `(resident, warm)` of `ticket`'s program on backend `index`, read
+    /// from the residency view (debug builds check it against the
+    /// backend).
+    fn residency_of<K, I>(&self, index: usize, ticket: &Ticket<'_, K, I>) -> (bool, bool) {
+        let state = self.residency[index].of(ticket.key_id);
+        debug_assert_eq!(
+            state,
+            (
+                self.backends[index].is_resident(&ticket.key),
+                self.backends[index].is_warm(&ticket.key)
+            ),
+            "stale residency view of backend {index} for key {}",
+            ticket.key
+        );
+        state
     }
 
     /// The pool's one executor, behind both [`Pool::run_stream`] and
@@ -1032,6 +1142,10 @@ impl Pool {
         F: FnMut(usize, K::Output) -> Result<()>,
     {
         let mut pending: VecDeque<Ticket<'k, K, W::IntoIter>> = VecDeque::new();
+        // This serve's prices, per key id: one per distinct offload
+        // declaration.  A price reads only the key's footprint, the
+        // declaration and the fleet, so tickets sharing both share it.
+        let mut prices: Vec<Vec<(Offload, Rc<JobPricing>)>> = Vec::new();
         for (seq, job) in jobs.into_iter().enumerate() {
             if job.arrival_cycle.max(job.deadline_cycle.unwrap_or(0)) > CYCLE_HORIZON {
                 return Err(RuntimeError::invalid_input(format!(
@@ -1039,9 +1153,21 @@ impl Pool {
                 )));
             }
             let key = job.kernel.cache_key();
-            // Admission prices the job against every backend once; the
-            // ticket carries the pricing through dispatch and stealing.
-            let pricing = self.price_job(job.kernel, &key)?;
+            let key_id = self.intern(&key);
+            let offload = job.kernel.offload();
+            if prices.len() <= key_id {
+                prices.resize_with(key_id + 1, Vec::new);
+            }
+            // Admission prices the job against every backend; the ticket
+            // carries the pricing through dispatch and stealing.
+            let pricing = match prices[key_id].iter().find(|(seen, _)| *seen == offload) {
+                Some((_, pricing)) => Rc::clone(pricing),
+                None => {
+                    let pricing = Rc::new(self.price_job(job.kernel, &key, &offload)?);
+                    prices[key_id].push((offload, Rc::clone(&pricing)));
+                    pricing
+                }
+            };
             let windows = job.windows.into_iter();
             pending.push_back(Ticket {
                 seq,
@@ -1049,6 +1175,7 @@ impl Pool {
                 windows_hint: windows.size_hint().0,
                 windows,
                 key,
+                key_id,
                 pricing,
                 tenant: job.tenant,
                 arrival: job.arrival_cycle,
@@ -1071,6 +1198,13 @@ impl Pool {
             steals: 0,
             plan: PlannerStats::default(),
         };
+        // Residency persists across waves: rebuild every backend's view,
+        // now that every admitted key has its id.
+        self.residency
+            .resize_with(self.backends.len(), Residents::default);
+        for index in 0..self.backends.len() {
+            self.refresh_residency(index);
+        }
         let averted_before = self.evictions_averted();
         let result = self.serve_loop(pending, sink, &mut dispatch, &mut schedules, &mut report);
         if dispatch.lookahead {
@@ -1116,6 +1250,9 @@ impl Pool {
         let mut queue: VecDeque<Ticket<'k, K, I>> = VecDeque::new();
         let mut assigned: Vec<RunQueue<'k, K, I>> =
             (0..backends).map(|_| VecDeque::new()).collect();
+        // Per backend, the key ids of the run queue last announced as
+        // needed-soon (`None` until the first announcement).
+        let mut announced: Vec<Option<Vec<KeyId>>> = vec![None; backends];
         let mut now = 0u64;
 
         loop {
@@ -1179,7 +1316,7 @@ impl Pool {
                 if plan.prefetch {
                     self.stage_prefetch(chosen, &ticket, now, schedules, &mut report.fleet);
                 }
-                let head_key = dispatch.lookahead.then(|| ticket.key.clone());
+                let head_key = dispatch.lookahead.then_some(ticket.key_id);
                 assigned[chosen].push_back((ticket, now));
                 progressed = true;
                 if batch {
@@ -1198,7 +1335,7 @@ impl Pool {
                     while assigned[chosen].len() < depth {
                         let Some(next) = queue
                             .iter()
-                            .position(|t| t.key == head_key && t.eligible(chosen))
+                            .position(|t| t.key_id == head_key && t.eligible(chosen))
                         else {
                             break;
                         };
@@ -1230,11 +1367,25 @@ impl Pool {
                 // programs those arrays actually need (and starving the
                 // speculative prefetches below, which refuse to evict
                 // shielded residents).  Runs after stealing, against each
-                // job's final backend.
-                for (backend, run_queue) in self.backends.iter_mut().zip(&assigned) {
-                    if let Backend::Array(session) = backend {
-                        session.set_needed_soon(run_queue.iter().map(|(t, _)| t.key.clone()));
+                // job's final backend, and only where a run queue's keys
+                // changed since its last announcement.
+                for ((backend, run_queue), last) in
+                    self.backends.iter_mut().zip(&assigned).zip(&mut announced)
+                {
+                    let Backend::Array(session) = backend else {
+                        continue;
+                    };
+                    let ids = run_queue.iter().map(|(t, _)| t.key_id);
+                    if last
+                        .as_ref()
+                        .is_some_and(|last| ids.clone().eq(last.iter().copied()))
+                    {
+                        continue;
                     }
+                    session.set_needed_soon(run_queue.iter().map(|(t, _)| t.key.clone()));
+                    let last = last.get_or_insert_with(Vec::new);
+                    last.clear();
+                    last.extend(ids);
                 }
                 // Pipelined prefetch: stage the program of every job
                 // *waiting* in an array's run queue on the
@@ -1248,11 +1399,11 @@ impl Pool {
                         continue;
                     }
                     for (ticket, _) in run_queue {
-                        if self.backends[i].is_warm(&ticket.key) {
+                        if self.residency_of(i, ticket).1 {
                             continue;
                         }
                         self.stage_prefetch(i, ticket, now, schedules, &mut report.fleet);
-                        if self.backends[i].is_warm(&ticket.key) {
+                        if self.residency_of(i, ticket).1 {
                             report.plan.planned_prefetches += 1;
                         }
                     }
@@ -1306,8 +1457,10 @@ impl Pool {
                     // Learn the kernel's observed array cost; offload
                     // backends price windows from their own models.
                     if kind == BackendKind::Array {
-                        self.estimates.learn(ticket.key, compute_cycles, count);
+                        self.estimates.learn(ticket.key_id, compute_cycles, count);
                     }
+                    // The windows loaded, evicted or reprogrammed here.
+                    self.refresh_residency(i);
                     // The host knows the job is done once the last
                     // window's completion interrupt was serviced.
                     let service_start = first_compute.unwrap_or(completed);
@@ -1407,7 +1560,8 @@ impl Pool {
                 // the donor (whose projection includes the job) does today.
                 if target == donor
                     || assigned[target].len() >= depth
-                    || projections[target] + self.est_cost(ticket, target) >= projections[donor]
+                    || projections[target].saturating_add(self.est_cost(ticket, target))
+                        >= projections[donor]
                 {
                     return Ok(());
                 }
@@ -1435,22 +1589,22 @@ impl Pool {
         match ticket.pricing.per_backend[backend] {
             BackendPrice::Offload { window_cycles, .. } => window_cycles.max(1),
             BackendPrice::Array { .. } | BackendPrice::Ineligible => {
-                self.estimates.array_window(&ticket.key, &ticket.pricing)
+                self.estimates.array_window(ticket.key_id, &ticket.pricing)
             }
         }
     }
 
     /// Estimated compute cost of a queued job on the backend it is queued
-    /// on (its window hint times the per-window estimate; an opaque
-    /// hint-less stream estimates free — the estimator corrects itself
-    /// once the job has actually run).
+    /// on (its window hint times the per-window estimate, saturating; an
+    /// opaque hint-less stream estimates free — the estimator corrects
+    /// itself once the job has actually run).
     fn est_cost<K, I>(&self, ticket: &Ticket<'_, K, I>, backend: usize) -> u64 {
-        ticket.windows_hint as u64 * self.per_window_estimate_on(ticket, backend)
+        (ticket.windows_hint as u64).saturating_mul(self.per_window_estimate_on(ticket, backend))
     }
 
     /// Projected compute horizon of one backend: its schedule's compute
     /// backlog (clamped to `now`) plus the estimated cost of every job
-    /// queued on it.
+    /// queued on it, saturating.
     fn projection<K, I>(
         &self,
         backend: usize,
@@ -1458,11 +1612,10 @@ impl Pool {
         schedules: &[StreamSchedule],
         assigned: &[RunQueue<'_, K, I>],
     ) -> u64 {
-        schedules[backend].free_at(Engine::Compute).max(now)
-            + assigned[backend]
-                .iter()
-                .map(|(t, _)| self.est_cost(t, backend))
-                .sum::<u64>()
+        assigned[backend].iter().fold(
+            schedules[backend].free_at(Engine::Compute).max(now),
+            |horizon, (t, _)| horizon.saturating_add(self.est_cost(t, backend)),
+        )
     }
 
     /// The [`BackendView`]s placement sees for `ticket` at dispatch and
@@ -1478,7 +1631,7 @@ impl Pool {
         assigned: &[RunQueue<'_, K, I>],
         open: impl Fn(usize) -> bool,
     ) -> Vec<BackendView> {
-        let array_window = self.estimates.array_window(&ticket.key, &ticket.pricing);
+        let array_window = self.estimates.array_window(ticket.key_id, &ticket.pricing);
         let array_window_nj = BackendKind::Array.window_nj(array_window);
         let mut views = Vec::new();
         for (index, price) in ticket.pricing.per_backend.iter().enumerate() {
@@ -1502,11 +1655,12 @@ impl Pool {
                 continue;
             }
             let backend = &self.backends[index];
+            let (resident, warm) = self.residency_of(index, ticket);
             views.push(BackendView {
                 index,
                 kind: backend.kind(),
-                resident: backend.is_resident(&ticket.key),
-                warm: backend.is_warm(&ticket.key),
+                resident,
+                warm,
                 free_compute_at: self.projection(index, now, schedules, assigned),
                 free_config_at: schedules[index].free_at(Engine::ConfigLoad).max(now),
                 busy_compute: backend.busy_compute(),
@@ -2703,7 +2857,9 @@ mod tests {
 
     /// A ticket with explicit admission prices, as the estimator tests
     /// need — never materialised, so the empty windows iterator is fine.
+    /// Its key is interned in `pool`.
     fn priced_ticket<'k>(
+        pool: &mut Pool,
         kernel: &'k BakedScaleKernel,
         key: &str,
         windows_hint: usize,
@@ -2714,7 +2870,8 @@ mod tests {
             kernel,
             windows: std::iter::empty(),
             key: key.to_string(),
-            pricing,
+            key_id: pool.intern(key),
+            pricing: Rc::new(pricing),
             windows_hint,
             tenant: 0,
             arrival: 0,
@@ -2731,10 +2888,11 @@ mod tests {
         // FFT job projected a near-zero horizon, starving the stealing
         // pass of drift it should have seen.  The fix consults the placed
         // backend's modelled per-window cycles first.
-        let pool = Pool::new(1).with_backend(FftBackend::new());
+        let mut pool = Pool::new(1).with_backend(FftBackend::new());
         let kernel = BakedScaleKernel::new(2);
         let modelled = 3_523;
         let ticket = priced_ticket(
+            &mut pool,
             &kernel,
             "fft-512",
             4,
@@ -2761,9 +2919,10 @@ mod tests {
 
     #[test]
     fn cold_array_keys_keep_the_footprint_proxy() {
-        let pool = Pool::new(1);
+        let mut pool = Pool::new(1);
         let kernel = BakedScaleKernel::new(2);
         let ticket = priced_ticket(
+            &mut pool,
             &kernel,
             "arrayish",
             2,
@@ -2803,7 +2962,10 @@ mod tests {
             .unwrap();
         let array_compute = array.arrays[0].report.busy.compute;
         assert_eq!(pool.estimates.total, (array_compute, 2));
-        assert_eq!(pool.estimates.keys[&key], (array_compute, 2));
+        assert_eq!(
+            pool.estimates.keys[pool.key_ids[&key]].0,
+            (array_compute, 2)
+        );
     }
 
     #[test]
@@ -2860,6 +3022,7 @@ mod tests {
         let kernel = BakedScaleKernel::new(2);
         let modelled = 3_523;
         let ticket = priced_ticket(
+            &mut pool,
             &kernel,
             "fft-256",
             1,
@@ -2882,11 +3045,12 @@ mod tests {
         // array — the engine's modelled window floors it.
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
         // A crumb-dominated array-wide mean is floored the same way.
-        pool.estimates.learn("crumb".to_string(), 3_000, 10);
+        let crumb = pool.intern("crumb");
+        pool.estimates.learn(crumb, 3_000, 10);
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), modelled);
         // A learned mean for the key itself is a measurement: trusted
         // as-is, even above the floor.
-        pool.estimates.learn("fft-256".to_string(), 40_000, 10);
+        pool.estimates.learn(ticket.key_id, 40_000, 10);
         assert_eq!(pool.per_window_estimate_on(&ticket, 0), 4_000);
     }
 
@@ -2898,14 +3062,18 @@ mod tests {
             .with_backend(FftBackend::new())
             .with_backend(CpuBackend::new());
         let kernel = FftishKernel::new(3, 256);
-        let pricing = pool.price_job(&kernel, &kernel.cache_key()).unwrap();
+        let pricing = pool
+            .price_job(&kernel, &kernel.cache_key(), &kernel.offload())
+            .unwrap();
         let modelled = Backend::from(FftBackend::new())
             .window_cycles(&kernel.offload())
             .unwrap();
         assert_eq!(pricing.accel_floor, modelled);
         assert_eq!(pricing.per_backend[2], BackendPrice::Ineligible);
         let crumb = BakedScaleKernel::new(2).with_cpu_offload(10);
-        let pricing = pool.price_job(&crumb, &crumb.cache_key()).unwrap();
+        let pricing = pool
+            .price_job(&crumb, &crumb.cache_key(), &crumb.offload())
+            .unwrap();
         assert_eq!(pricing.accel_floor, 0);
         assert_eq!(pricing.per_backend[1], BackendPrice::Ineligible);
         assert!(matches!(

@@ -315,27 +315,41 @@ impl SchedPolicy for WeightedFair {
         }
         // Round-robin over the active tenants (deterministic BTreeSet
         // order), starting after the cursor, adding one unit per visit
-        // until some tenant affords its head job.  Deficits grow every
-        // round, so this terminates.
-        let order: Vec<TenantId> = tenants
+        // until some tenant affords its head job — in closed form, so a
+        // huge window hint costs no rounds.  The tenant at position `p`
+        // with deficit `d` and head cost `c` first affords its head on its
+        // visit `max(1, c - d)`; the smallest `(visit, p)` wins.  Every
+        // tenant up to the winner was visited that many times, every one
+        // after it once fewer, and only visited tenants gain an entry.
+        let order: Vec<(TenantId, usize)> = tenants
             .iter()
             .filter(|&&t| Some(t) > self.current)
             .chain(tenants.iter().filter(|&&t| Some(t) <= self.current))
-            .copied()
+            .map(|&t| (t, Self::head(queue, t)))
             .collect();
-        loop {
-            for &tenant in &order {
-                let head = Self::head(queue, tenant);
-                let cost = Self::cost(&queue[head]);
-                let deficit = self.deficits.entry(tenant).or_insert(0);
-                *deficit += 1;
-                if *deficit >= cost {
-                    *deficit -= cost;
-                    self.current = Some(tenant);
-                    return head;
-                }
+        let Some((visits, winner)) = order
+            .iter()
+            .enumerate()
+            .map(|(p, &(tenant, head))| {
+                let deficit = self.deficits.get(&tenant).copied().unwrap_or(0);
+                (Self::cost(&queue[head]).saturating_sub(deficit).max(1), p)
+            })
+            .min()
+        else {
+            return 0;
+        };
+        for (p, &(tenant, _)) in order.iter().enumerate() {
+            let credit = if p <= winner { visits } else { visits - 1 };
+            if credit > 0 {
+                *self.deficits.entry(tenant).or_insert(0) += credit;
             }
         }
+        let (tenant, head) = order[winner];
+        if let Some(deficit) = self.deficits.get_mut(&tenant) {
+            *deficit -= Self::cost(&queue[head]);
+        }
+        self.current = Some(tenant);
+        head
     }
 }
 
@@ -1021,6 +1035,121 @@ mod tests {
             ws[0].iter().map(|v| v * 2).collect::<Vec<_>>()
         );
         assert_eq!(report.latencies.len(), 1);
+    }
+
+    #[test]
+    fn a_huge_window_hint_neither_overflows_placement_nor_projection() {
+        // The horizon bounds cycle stamps, not window-count hints: a job
+        // hinting `usize::MAX` windows is placed, projected and considered
+        // for stealing on saturating estimates, and runs until its sink
+        // stops it.
+        let kernel = BakedScaleKernel::new(2);
+        let ws = windows(1, 0);
+        let endless = std::iter::repeat_n(ws[0].as_slice(), usize::MAX);
+        let mut server = Server::new(Pool::new(2));
+        let mut delivered = 0;
+        let err = server
+            .run_stream([ServeJob::new(&kernel, endless, 0, 0)], |_, _| {
+                delivered += 1;
+                if delivered == 2 {
+                    Err(RuntimeError::sink("enough"))
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Sink { .. }),
+            "expected Sink, got {err:?}"
+        );
+        assert_eq!(delivered, 2);
+    }
+
+    #[test]
+    fn weighted_fair_dispatches_a_huge_job_without_spinning() {
+        // Credit accrues one unit per visit; a job costing `u64::MAX`
+        // units must still dispatch at once, and leave no credit behind.
+        let mut wf = WeightedFair::new();
+        let mut huge = queued(0, 0, 0);
+        huge.windows = usize::MAX;
+        assert_eq!(wf.select(0, &[huge]), 0);
+        assert_eq!(wf.deficits.get(&0), Some(&0));
+        // Behind a short job of another tenant, the short job goes first
+        // and the huge one next.
+        let mut wf = WeightedFair::new();
+        let queue = [huge, queued(1, 1, 0)];
+        assert_eq!(wf.select(0, &queue), 1);
+        assert_eq!(wf.select(0, &queue[..1]), 0);
+    }
+
+    /// [`WeightedFair::select`] as one visit per loop iteration: the
+    /// round-robin the closed form must reproduce, state included.
+    fn select_by_visits(wf: &mut WeightedFair, queue: &[QueuedJob<'_>]) -> usize {
+        let tenants: BTreeSet<TenantId> = queue.iter().map(|q| q.tenant).collect();
+        wf.deficits.retain(|t, _| tenants.contains(t));
+        if let Some(current) = wf.current.filter(|t| tenants.contains(t)) {
+            let head = WeightedFair::head(queue, current);
+            let cost = WeightedFair::cost(&queue[head]);
+            let deficit = wf.deficits.entry(current).or_insert(0);
+            if *deficit >= cost {
+                *deficit -= cost;
+                return head;
+            }
+        }
+        let order: Vec<TenantId> = tenants
+            .iter()
+            .filter(|&&t| Some(t) > wf.current)
+            .chain(tenants.iter().filter(|&&t| Some(t) <= wf.current))
+            .copied()
+            .collect();
+        loop {
+            for &tenant in &order {
+                let head = WeightedFair::head(queue, tenant);
+                let cost = WeightedFair::cost(&queue[head]);
+                let deficit = wf.deficits.entry(tenant).or_insert(0);
+                *deficit += 1;
+                if *deficit >= cost {
+                    *deficit -= cost;
+                    wf.current = Some(tenant);
+                    return head;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn weighted_fair_closed_form_matches_visit_by_visit_credit() {
+        // SplitMix64 over small queues, deficits and cursors: the closed
+        // form picks the same job and leaves the same deficits and cursor.
+        let mut state = 0x5eed_u64;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..2_000 {
+            let mut wf = WeightedFair::new();
+            for tenant in 0..5 {
+                if draw(2) == 0 {
+                    wf.deficits.insert(tenant, draw(9));
+                }
+            }
+            wf.current = (draw(3) > 0).then(|| draw(5) as TenantId);
+            let queue: Vec<QueuedJob> = (0..1 + draw(6) as usize)
+                .map(|seq| {
+                    let mut job = queued(seq, draw(4) as TenantId, draw(3));
+                    job.windows = draw(8) as usize;
+                    job.priority = draw(2) as u8;
+                    job
+                })
+                .collect();
+            let mut reference = wf.clone();
+            let expected = select_by_visits(&mut reference, &queue);
+            assert_eq!(wf.select(0, &queue), expected, "case {case}: {queue:?}");
+            assert_eq!(wf, reference, "case {case}: {queue:?}");
+        }
     }
 
     #[test]

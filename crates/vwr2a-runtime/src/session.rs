@@ -187,6 +187,14 @@ struct Loaded {
     prefetched: bool,
 }
 
+impl Loaded {
+    /// `true` if the program's next launch is warm: it has launched before
+    /// or its words were prefetched.
+    fn warm(&self) -> bool {
+        self.launches > 0 || self.prefetched
+    }
+}
+
 /// Validates a built program's footprint (column count, program length,
 /// SPM lines and SRF indices) against the geometry, reporting misfits as
 /// [`RuntimeError::Resources`] instead of a mid-run simulator error.
@@ -699,10 +707,16 @@ impl Session {
     /// [`Session::is_warm`] by raw [`Kernel::cache_key`], for callers that
     /// track programs by key (the pool's backend views).
     pub fn is_warm_key(&self, key: &str) -> bool {
+        self.registry.programs.get(key).is_some_and(Loaded::warm)
+    }
+
+    /// Every resident program's cache key, with whether its next launch is
+    /// warm ([`Session::is_warm_key`]).
+    pub(crate) fn residents(&self) -> impl Iterator<Item = (&str, bool)> {
         self.registry
             .programs
-            .get(key)
-            .is_some_and(|p| p.launches > 0 || p.prefetched)
+            .iter()
+            .map(|(key, loaded)| (key.as_str(), loaded.warm()))
     }
 
     /// Per-engine busy cycles accumulated over every invocation of the
@@ -765,7 +779,7 @@ impl Session {
             .programs
             .get_mut(key)
             .expect("program registered by prefetch");
-        if entry.launches > 0 || entry.prefetched {
+        if entry.warm() {
             return Ok(None);
         }
         let before = self.accel.counters();

@@ -495,6 +495,33 @@ proptest! {
     }
 
     #[test]
+    fn isa_decoders_never_panic_and_round_trip_what_they_accept(
+        word in any::<u64>(),
+        width in 0u32..64,
+    ) {
+        // Uniform words rarely hit the narrow slot encodings, so each case
+        // also decodes a copy truncated to its low `width` bits.
+        for word in [word, word & ((1u64 << width) - 1)] {
+            if let Ok(instr) = decode_rc(word) {
+                let back = encode_rc(&instr).and_then(decode_rc).ok();
+                prop_assert_eq!(back, Some(instr), "RC word {:#x}", word);
+            }
+            if let Ok(instr) = decode_lsu(word) {
+                let back = encode_lsu(&instr).and_then(decode_lsu).ok();
+                prop_assert_eq!(back, Some(instr), "LSU word {:#x}", word);
+            }
+            if let Ok(instr) = decode_mxcu(word) {
+                let back = encode_mxcu(&instr).and_then(decode_mxcu).ok();
+                prop_assert_eq!(back, Some(instr), "MXCU word {:#x}", word);
+            }
+            if let Ok(instr) = decode_lcu(word) {
+                let back = encode_lcu(&instr).and_then(decode_lcu).ok();
+                prop_assert_eq!(back, Some(instr), "LCU word {:#x}", word);
+            }
+        }
+    }
+
+    #[test]
     fn shuffle_interleave_and_prune_are_inverses(
         a in prop::collection::vec(any::<i32>(), 128),
         b in prop::collection::vec(any::<i32>(), 128),
