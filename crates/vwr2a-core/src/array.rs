@@ -10,7 +10,7 @@
 
 use crate::column::Column;
 use crate::config_mem::{ConfigMemory, KernelId};
-use crate::dma::{Dma, DmaConfig};
+use crate::dma;
 use crate::error::{CoreError, Result};
 use crate::geometry::Geometry;
 use crate::program::KernelProgram;
@@ -58,7 +58,6 @@ pub struct Vwr2a {
     spm: Spm,
     columns: Vec<Column>,
     config_mem: ConfigMemory,
-    dma: Dma,
     counters: ActivityCounters,
     cycle_limit: u64,
     /// Replay cache on/off (see [`Vwr2a::set_replay_enabled`]).
@@ -74,8 +73,7 @@ pub struct Vwr2a {
 }
 
 impl Vwr2a {
-    /// Creates an accelerator with the paper's geometry and default DMA
-    /// timing.
+    /// Creates an accelerator with the paper's geometry.
     pub fn new() -> Self {
         Self::with_geometry(Geometry::paper()).expect("paper geometry is valid")
     }
@@ -88,16 +86,6 @@ impl Vwr2a {
     /// Returns [`CoreError::InvalidGeometry`] if the geometry is
     /// inconsistent.
     pub fn with_geometry(geometry: Geometry) -> Result<Self> {
-        Self::with_geometry_and_dma(geometry, DmaConfig::default())
-    }
-
-    /// Creates an accelerator with custom geometry and DMA timing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidGeometry`] if the geometry is
-    /// inconsistent.
-    pub fn with_geometry_and_dma(geometry: Geometry, dma: DmaConfig) -> Result<Self> {
         geometry.validate()?;
         Ok(Self {
             geometry,
@@ -106,7 +94,6 @@ impl Vwr2a {
                 .map(|_| Column::new(geometry))
                 .collect(),
             config_mem: ConfigMemory::new(geometry.config_words),
-            dma: Dma::new(dma),
             counters: ActivityCounters::new(),
             cycle_limit: DEFAULT_CYCLE_LIMIT,
             replay_enabled: true,
@@ -240,8 +227,7 @@ impl Vwr2a {
     /// Returns [`CoreError::InvalidDmaTransfer`] or
     /// [`CoreError::SpmOutOfRange`].
     pub fn dma_to_spm(&mut self, data: &[i32], spm_word_addr: usize) -> Result<u64> {
-        self.dma
-            .copy_to_spm(data, &mut self.spm, spm_word_addr, &mut self.counters)
+        dma::copy_to_spm(data, &mut self.spm, spm_word_addr, &mut self.counters)
     }
 
     /// Transfers data from the SPM back to system memory through the DMA,
@@ -252,8 +238,7 @@ impl Vwr2a {
     /// Returns [`CoreError::InvalidDmaTransfer`] or
     /// [`CoreError::SpmOutOfRange`].
     pub fn dma_from_spm(&mut self, spm_word_addr: usize, len: usize) -> Result<(Vec<i32>, u64)> {
-        self.dma
-            .copy_from_spm(&self.spm, spm_word_addr, len, &mut self.counters)
+        dma::copy_from_spm(&self.spm, spm_word_addr, len, &mut self.counters)
     }
 
     /// The configuration memory (read-only view, e.g. for a runtime that

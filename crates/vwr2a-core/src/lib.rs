@@ -14,7 +14,7 @@
 //! * VLIW-style **specialised slots** per column — load-store unit,
 //!   loop-control unit and multiplexer-control unit ([`isa`]) — sharing one
 //!   program counter with the four RCs.
-//! * A **DMA** ([`dma::Dma`]) between the SPM and system memory and a
+//! * A **DMA** ([`dma`]) between the SPM and system memory and a
 //!   **configuration memory** ([`config_mem::ConfigMemory`]) holding encoded
 //!   kernels.
 //!

@@ -1,8 +1,4 @@
-//! Minimal complex-number types used by the reference FFTs.
-//!
-//! Two flavours are provided: [`Complex`] (double precision, the golden
-//! model) and [`ComplexI32`] (a pair of 32-bit integers interpreted in a
-//! caller-chosen Q format, used when checking the fixed-point kernels).
+//! The double-precision complex number used by the reference FFTs.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Neg, Sub};
@@ -102,69 +98,6 @@ impl Neg for Complex {
     }
 }
 
-/// A complex number whose parts are 32-bit integers in a caller-chosen
-/// fixed-point format.
-///
-/// The VWR2A FFT kernels keep real and imaginary parts in separate VWR
-/// words; this type is the host-side mirror used to seed scratchpad memory
-/// and to check results.
-///
-/// # Example
-///
-/// ```
-/// use vwr2a_dsp::complex::ComplexI32;
-///
-/// let x = ComplexI32::new(100, -5);
-/// assert_eq!(x.re, 100);
-/// assert_eq!(x.im, -5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub struct ComplexI32 {
-    /// Real part (raw fixed-point bits).
-    pub re: i32,
-    /// Imaginary part (raw fixed-point bits).
-    pub im: i32,
-}
-
-impl ComplexI32 {
-    /// Creates a fixed-point complex number from raw parts.
-    pub fn new(re: i32, im: i32) -> Self {
-        Self { re, im }
-    }
-
-    /// Converts to a floating-point [`Complex`] given the number of
-    /// fractional bits.
-    ///
-    /// ```
-    /// use vwr2a_dsp::complex::ComplexI32;
-    /// let x = ComplexI32::new(1 << 16, -(1 << 15));
-    /// let f = x.to_f64(16);
-    /// assert_eq!(f.re, 1.0);
-    /// assert_eq!(f.im, -0.5);
-    /// ```
-    pub fn to_f64(self, frac_bits: u32) -> Complex {
-        let k = (1u64 << frac_bits) as f64;
-        Complex::new(self.re as f64 / k, self.im as f64 / k)
-    }
-
-    /// Builds from a floating-point complex by rounding to `frac_bits`
-    /// fractional bits (saturating at the i32 range).
-    pub fn from_f64(c: Complex, frac_bits: u32) -> Self {
-        let k = (1u64 << frac_bits) as f64;
-        let clamp = |v: f64| -> i32 {
-            let v = (v * k).round();
-            if v > i32::MAX as f64 {
-                i32::MAX
-            } else if v < i32::MIN as f64 {
-                i32::MIN
-            } else {
-                v as i32
-            }
-        };
-        Self::new(clamp(c.re), clamp(c.im))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,22 +129,5 @@ mod tests {
             let w = Complex::from_angle(theta);
             assert!((w.abs() - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn fixed_round_trip() {
-        let c = Complex::new(0.125, -0.75);
-        let fx = ComplexI32::from_f64(c, 16);
-        let back = fx.to_f64(16);
-        assert!((back.re - c.re).abs() < 1e-4);
-        assert!((back.im - c.im).abs() < 1e-4);
-    }
-
-    #[test]
-    fn fixed_saturates_out_of_range() {
-        let c = Complex::new(1e9, -1e9);
-        let fx = ComplexI32::from_f64(c, 16);
-        assert_eq!(fx.re, i32::MAX);
-        assert_eq!(fx.im, i32::MIN);
     }
 }

@@ -25,13 +25,6 @@ pub enum DspError {
     },
     /// The input was empty where a non-empty slice is required.
     EmptyInput,
-    /// Two inputs that must have matching lengths do not.
-    LengthMismatch {
-        /// Length of the first operand.
-        expected: usize,
-        /// Length of the second operand.
-        actual: usize,
-    },
     /// A parameter is outside its supported range.
     InvalidParameter {
         /// Human-readable description of the parameter and its constraint.
@@ -46,9 +39,6 @@ impl fmt::Display for DspError {
                 write!(f, "length {len} is not a power of two")
             }
             DspError::EmptyInput => write!(f, "input slice is empty"),
-            DspError::LengthMismatch { expected, actual } => {
-                write!(f, "length mismatch: expected {expected}, got {actual}")
-            }
             DspError::InvalidParameter { what } => write!(f, "invalid parameter: {what}"),
         }
     }
@@ -64,11 +54,6 @@ mod tests {
     fn display_messages_are_lowercase_and_specific() {
         let e = DspError::LengthNotPowerOfTwo { len: 12 };
         assert_eq!(e.to_string(), "length 12 is not a power of two");
-        let e = DspError::LengthMismatch {
-            expected: 4,
-            actual: 7,
-        };
-        assert_eq!(e.to_string(), "length mismatch: expected 4, got 7");
         let e = DspError::EmptyInput;
         assert_eq!(e.to_string(), "input slice is empty");
         let e = DspError::InvalidParameter {

@@ -4,7 +4,8 @@
 //! The VWR2A paper evaluates the accelerator on biosignal kernels: radix-2
 //! FFTs (complex and real-valued), an 11-tap FIR filter, statistical feature
 //! extraction (mean, median, RMS) and an SVM classifier.  This crate provides
-//! *reference* implementations of all of them, in three arithmetic flavours:
+//! *reference* implementations of all of them except the SVM, in three
+//! arithmetic flavours:
 //!
 //! * `f64` floating point — the golden model used to validate everything
 //!   else;
@@ -16,7 +17,9 @@
 //!
 //! The simulated accelerators (`vwr2a-core`, `vwr2a-fftaccel`) and the CPU
 //! baseline programs are all verified against this crate in the workspace
-//! integration tests.
+//! integration tests.  The SVM's decision is a single dot product, so the
+//! tests of its CPU and array programs compute their expected values
+//! directly.
 //!
 //! # Example
 //!
@@ -48,6 +51,5 @@ pub mod fft_q15;
 pub mod fir;
 pub mod fixed;
 pub mod stats;
-pub mod svm;
 
 pub use error::DspError;

@@ -14,8 +14,10 @@
 //!   against the `vwr2a-dsp` golden FFT.
 //! * **In time** — a cycle model charges each radix-4/radix-2 pass, the
 //!   input/output transfers over the dual-port memory and a fixed
-//!   programming overhead; constants are chosen so the cycle counts land in
-//!   the ranges of Table 2.
+//!   programming overhead ([`SETUP_CYCLES`]); the engine's constants (an
+//!   18-bit datapath, 4096 points at most, 0.55 radix-2 butterflies and one
+//!   IO word per cycle) are chosen so the cycle counts land in the ranges of
+//!   Table 2.
 //! * **In activity** — [`FftAccelStats`] reports per-component event counts
 //!   (memory accesses, butterfly operations, DMA words) consumed by the
 //!   `vwr2a-energy` crate to produce the accelerator column of Table 3 and
@@ -26,4 +28,4 @@
 
 pub mod model;
 
-pub use model::{FftAccelConfig, FftAccelError, FftAccelStats, FftAccelerator};
+pub use model::{FftAccelError, FftAccelStats, FftAccelerator, SETUP_CYCLES};

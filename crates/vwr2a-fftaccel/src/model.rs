@@ -17,19 +17,6 @@ pub enum FftAccelError {
         /// The maximum supported length.
         max: usize,
     },
-    /// The accelerator configuration is degenerate (non-finite or
-    /// non-positive rates, a `max_points` the address generators cannot
-    /// express) — running it would silently saturate the cycle model.
-    InvalidConfig {
-        /// What is wrong with the configuration.
-        what: String,
-    },
-    /// The cycle model overflowed the `u64` cycle counter for this
-    /// configuration × size; earlier revisions saturated silently here.
-    CostOverflow {
-        /// The quantity that overflowed.
-        what: String,
-    },
 }
 
 impl fmt::Display for FftAccelError {
@@ -39,45 +26,50 @@ impl fmt::Display for FftAccelError {
                 f,
                 "fft size {n} not supported (power of two of 8..={max} required)"
             ),
-            FftAccelError::InvalidConfig { what } => {
-                write!(f, "invalid accelerator configuration: {what}")
-            }
-            FftAccelError::CostOverflow { what } => {
-                write!(f, "cycle model overflow: {what}")
-            }
         }
     }
 }
 
 impl Error for FftAccelError {}
 
-/// Timing and datapath parameters of the accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FftAccelConfig {
-    /// Internal datapath width in bits (the MUSEIC engine uses 18).
-    pub datapath_bits: u32,
-    /// Maximum supported transform size.
-    pub max_points: usize,
-    /// Cycles to program the engine and start it (register writes from the
-    /// CPU over the slave port).
-    pub setup_cycles: u64,
-    /// Butterflies processed per cycle (the engine datapath processes one
-    /// radix-4 butterfly, i.e. two radix-2 equivalents, per cycle).
-    pub radix2_butterflies_per_cycle: f64,
-    /// Cycles per input/output word moved through the dual-port memory.
-    pub io_cycles_per_word: f64,
+// The engine's datapath and timing.  With at most `MAX_POINTS` points the
+// largest cycle sum the model forms is 61127 (a 4096-point complex run:
+// 60 setup + 44683 butterfly + 16384 IO cycles), so no sum can overflow.
+
+/// Internal datapath width in bits (the MUSEIC engine uses 18).
+const DATAPATH_BITS: u32 = 18;
+/// Largest supported transform size.
+const MAX_POINTS: usize = 4096;
+/// Cycles to program the engine and start it (register writes from the CPU
+/// over the slave port), paid on every run.
+pub const SETUP_CYCLES: u64 = 60;
+/// Radix-2-equivalent butterflies retired per cycle, averaged over the
+/// mixed radix-2/4 passes and chosen so the cycle counts land in the
+/// ranges of Table 2.
+const RADIX2_BUTTERFLIES_PER_CYCLE: f64 = 0.55;
+/// Cycles per input/output word moved through the dual-port memory.
+const IO_CYCLES_PER_WORD: u64 = 1;
+
+fn check_size(n: usize) -> Result<(), FftAccelError> {
+    if n < 8 || !n.is_power_of_two() || n > MAX_POINTS {
+        return Err(FftAccelError::UnsupportedSize { n, max: MAX_POINTS });
+    }
+    Ok(())
 }
 
-impl Default for FftAccelConfig {
-    fn default() -> Self {
-        Self {
-            datapath_bits: 18,
-            max_points: 4096,
-            setup_cycles: 60,
-            radix2_butterflies_per_cycle: 0.55,
-            io_cycles_per_word: 1.0,
-        }
-    }
+/// The cycles of one `n`-point complex run: programming, butterfly passes
+/// and IO.
+fn complex_cycles(n: usize) -> u64 {
+    // Odd log2 sizes need one extra radix-2 pass, which is slightly less
+    // efficient (visible in Table 2 as the non-monotonic speed-up across
+    // sizes).
+    let stages = n.trailing_zeros();
+    let butterflies = (n as u64 / 2) * u64::from(stages);
+    let radix2_pass_penalty = if stages % 2 == 1 { 1.15 } else { 1.0 };
+    let compute_cycles =
+        (butterflies as f64 / RADIX2_BUTTERFLIES_PER_CYCLE * radix2_pass_penalty) as u64;
+    let io_words = 4 * n as u64; // complex in + complex out
+    SETUP_CYCLES + compute_cycles + io_words * IO_CYCLES_PER_WORD
 }
 
 /// Activity statistics of one accelerator run.
@@ -119,94 +111,13 @@ pub struct FftAccelStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct FftAccelerator {
-    config: FftAccelConfig,
-}
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct FftAccelerator;
 
 impl FftAccelerator {
-    /// Creates an accelerator with the default (paper-like) configuration.
+    /// Creates the accelerator.
     pub fn new() -> Self {
-        Self::with_config(FftAccelConfig::default())
-    }
-
-    /// Creates an accelerator with a custom configuration.
-    pub fn with_config(config: FftAccelConfig) -> Self {
-        Self { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> FftAccelConfig {
-        self.config
-    }
-
-    fn check_config(&self) -> Result<(), FftAccelError> {
-        let c = &self.config;
-        let invalid = |what: &str| {
-            Err(FftAccelError::InvalidConfig {
-                what: what.to_string(),
-            })
-        };
-        if !(2..=32).contains(&c.datapath_bits) {
-            return invalid("datapath_bits must be in 2..=32");
-        }
-        if c.max_points < 8 || !c.max_points.is_power_of_two() {
-            return invalid("max_points must be a power of two >= 8");
-        }
-        if c.max_points > 1 << 32 {
-            return invalid("max_points exceeds the engine's 32-bit address generators");
-        }
-        if !c.radix2_butterflies_per_cycle.is_finite() || c.radix2_butterflies_per_cycle <= 0.0 {
-            return invalid("radix2_butterflies_per_cycle must be finite and positive");
-        }
-        if !c.io_cycles_per_word.is_finite() || c.io_cycles_per_word < 0.0 {
-            return invalid("io_cycles_per_word must be finite and non-negative");
-        }
-        Ok(())
-    }
-
-    fn check_size(&self, n: usize) -> Result<(), FftAccelError> {
-        self.check_config()?;
-        if n < 8 || !n.is_power_of_two() || n > self.config.max_points {
-            return Err(FftAccelError::UnsupportedSize {
-                n,
-                max: self.config.max_points,
-            });
-        }
-        Ok(())
-    }
-
-    /// Converts a modelled cycle quantity to `u64`, refusing the silent
-    /// saturation `as u64` would perform on non-finite or oversized values.
-    fn cycles_u64(value: f64, what: &str) -> Result<u64, FftAccelError> {
-        if !value.is_finite() || value < 0.0 || value >= u64::MAX as f64 {
-            return Err(FftAccelError::CostOverflow {
-                what: what.to_string(),
-            });
-        }
-        Ok(value as u64)
-    }
-
-    /// The cycle model of one `n`-point complex pass: `(compute, io)`
-    /// cycles, exclusive of the programming overhead.
-    fn complex_cycle_model(&self, n: usize) -> Result<(u64, u64), FftAccelError> {
-        // The mixed radix-2/4 engine retires roughly two radix-2-equivalent
-        // butterflies per cycle; odd log2 sizes need one extra radix-2 pass
-        // which is slightly less efficient (visible in Table 2 as the
-        // non-monotonic speed-up across sizes).
-        let stages = n.trailing_zeros();
-        let butterflies = (n as u64 / 2) * u64::from(stages);
-        let radix2_pass_penalty = if stages % 2 == 1 { 1.15 } else { 1.0 };
-        let compute_cycles = Self::cycles_u64(
-            butterflies as f64 / self.config.radix2_butterflies_per_cycle * radix2_pass_penalty,
-            "butterfly cycles",
-        )?;
-        let io_words = 4 * n as u64; // complex in + complex out
-        let io_cycles = Self::cycles_u64(
-            io_words as f64 * self.config.io_cycles_per_word,
-            "io cycles",
-        )?;
-        Ok((compute_cycles, io_cycles))
+        Self
     }
 
     /// Projects the total cycles of one `n`-point run — setup, butterfly
@@ -216,33 +127,17 @@ impl FftAccelerator {
     ///
     /// # Errors
     ///
-    /// [`FftAccelError::UnsupportedSize`] for unsupported lengths,
-    /// [`FftAccelError::InvalidConfig`] / [`FftAccelError::CostOverflow`]
-    /// for degenerate configurations instead of a silently saturated count.
+    /// [`FftAccelError::UnsupportedSize`] for unsupported lengths.
     pub fn projected_cycles(&self, n: usize, real: bool) -> Result<u64, FftAccelError> {
-        self.check_size(n)?;
-        let overflow = || FftAccelError::CostOverflow {
-            what: "total cycles".to_string(),
-        };
+        check_size(n)?;
         if real {
             // The real flow runs an n/2-point complex FFT plus one
             // recombination cycle per output bin (see `run_real`).
             let half = n / 2;
-            self.check_size(half)?;
-            let (compute, io) = self.complex_cycle_model(half)?;
-            self.config
-                .setup_cycles
-                .checked_add(compute)
-                .and_then(|c| c.checked_add(io))
-                .and_then(|c| c.checked_add(half as u64 + 1))
-                .ok_or_else(overflow)
+            check_size(half)?;
+            Ok(complex_cycles(half) + half as u64 + 1)
         } else {
-            let (compute, io) = self.complex_cycle_model(n)?;
-            self.config
-                .setup_cycles
-                .checked_add(compute)
-                .and_then(|c| c.checked_add(io))
-                .ok_or_else(overflow)
+            Ok(complex_cycles(n))
         }
     }
 
@@ -258,12 +153,12 @@ impl FftAccelerator {
         input: &[Complex],
     ) -> Result<(Vec<Complex>, FftAccelStats), FftAccelError> {
         let n = input.len();
-        self.check_size(n)?;
+        check_size(n)?;
         let mut stats = FftAccelStats::default();
 
         // Fixed-point mirror of the datapath: 18-bit samples with block
         // dynamic scaling per stage.
-        let scale_in = (1 << (self.config.datapath_bits - 2)) as f64;
+        let scale_in = (1 << (DATAPATH_BITS - 2)) as f64;
         let mut re: Vec<i64> = input.iter().map(|c| (c.re * scale_in) as i64).collect();
         let mut im: Vec<i64> = input.iter().map(|c| (c.im * scale_in) as i64).collect();
         let mut block_exponent = 0i32;
@@ -274,7 +169,7 @@ impl FftAccelerator {
         while len <= n {
             // Dynamic scaling: if any value risks overflowing the 18-bit
             // range after a butterfly, scale the whole block down by 2.
-            let limit = 1i64 << (self.config.datapath_bits - 2);
+            let limit = 1i64 << (DATAPATH_BITS - 2);
             let needs_scale = re.iter().chain(im.iter()).any(|&v| v.abs() >= limit);
             if needs_scale {
                 for v in re.iter_mut().chain(im.iter_mut()) {
@@ -296,10 +191,10 @@ impl FftAccelerator {
                     let vi = (br * wi + bi * wr) >> 15;
                     let ar = re[i + j];
                     let ai = im[i + j];
-                    re[i + j] = saturate(ar + vr, self.config.datapath_bits) as i64;
-                    im[i + j] = saturate(ai + vi, self.config.datapath_bits) as i64;
-                    re[i + j + len / 2] = saturate(ar - vr, self.config.datapath_bits) as i64;
-                    im[i + j + len / 2] = saturate(ai - vi, self.config.datapath_bits) as i64;
+                    re[i + j] = saturate(ar + vr, DATAPATH_BITS) as i64;
+                    im[i + j] = saturate(ai + vi, DATAPATH_BITS) as i64;
+                    re[i + j + len / 2] = saturate(ar - vr, DATAPATH_BITS) as i64;
+                    im[i + j + len / 2] = saturate(ai - vi, DATAPATH_BITS) as i64;
                     stats.butterflies += 1;
                     stats.memory_accesses += 8;
                     stats.twiddle_reads += 1;
@@ -318,18 +213,10 @@ impl FftAccelerator {
             .map(|(&r, &i)| Complex::new(r as f64 * out_scale, i as f64 * out_scale))
             .collect();
 
-        // Cycle model: programming + IO + butterfly passes (shared with
-        // `projected_cycles`, so scheduler projections match executions).
-        let (compute_cycles, io_cycles) = self.complex_cycle_model(n)?;
+        // Cycle model: shared with `projected_cycles`, so scheduler
+        // projections match executions.
         stats.io_words = 4 * n as u64;
-        stats.cycles = self
-            .config
-            .setup_cycles
-            .checked_add(compute_cycles)
-            .and_then(|c| c.checked_add(io_cycles))
-            .ok_or_else(|| FftAccelError::CostOverflow {
-                what: "total cycles".to_string(),
-            })?;
+        stats.cycles = complex_cycles(n);
         Ok((spectrum, stats))
     }
 
@@ -342,7 +229,7 @@ impl FftAccelerator {
     /// Returns [`FftAccelError::UnsupportedSize`] for unsupported lengths.
     pub fn run_real(&self, input: &[f64]) -> Result<(Vec<Complex>, FftAccelStats), FftAccelError> {
         let n = input.len();
-        self.check_size(n)?;
+        check_size(n)?;
         let packed: Vec<Complex> = (0..n / 2)
             .map(|i| Complex::new(input[2 * i], input[2 * i + 1]))
             .collect();
@@ -360,21 +247,11 @@ impl FftAccelerator {
             let w = Complex::from_angle(-std::f64::consts::TAU * k as f64 / n as f64);
             out.push((e + w * odd).scale(0.5));
         }
-        stats.cycles = stats.cycles.checked_add(half as u64 + 1).ok_or_else(|| {
-            FftAccelError::CostOverflow {
-                what: "total cycles".to_string(),
-            }
-        })?;
+        stats.cycles += half as u64 + 1;
         stats.memory_accesses += 3 * (half as u64 + 1);
         stats.twiddle_reads += half as u64 + 1;
         stats.io_words += half as u64 + 1;
         Ok((out, stats))
-    }
-}
-
-impl Default for FftAccelerator {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -465,18 +342,59 @@ mod tests {
     }
 
     #[test]
+    fn datapath_quantisation_is_bit_exact() {
+        // One 8-point run with one dynamic-scaling event, pinned exactly:
+        // each output times N * 2^16 is the engine's integer result
+        // rescaled by its block exponent, so another datapath width, or
+        // another scaling threshold, moves these values.
+        let input: Vec<Complex> = (0..8)
+            .map(|i| Complex::new(0.9 - 0.23 * i as f64, 0.31 * (i as f64).sin()))
+            .collect();
+        let (spectrum, stats) = FftAccelerator::new().run_complex(&input).unwrap();
+        let raw: Vec<(f64, f64)> = spectrum
+            .iter()
+            .map(|c| (c.re * 524288.0, c.im * 524288.0))
+            .collect();
+        assert_eq!(
+            raw,
+            [
+                (49806.0, 11250.0),
+                (102892.0, -96910.0),
+                (41694.0, -88464.0),
+                (54594.0, -42872.0),
+                (60294.0, -16406.0),
+                (65988.0, 7074.0),
+                (78894.0, 32120.0),
+                (17690.0, 194204.0),
+            ]
+        );
+        assert_eq!(stats.scaling_events, 1);
+    }
+
+    #[test]
     fn projected_cycles_match_executed_cycles() {
+        // Every supported size, so the largest cycle sums (the 61127-cycle
+        // bound next to the constants) run too.
         let accel = FftAccelerator::new();
-        for n in [64usize, 256, 512, 1024] {
+        for n in (3..=12).map(|log2| 1usize << log2) {
             let sig_c: Vec<Complex> = (0..n)
                 .map(|i| Complex::new((i as f64 * 0.37).sin() * 0.4, 0.0))
                 .collect();
             let (_, stats) = accel.run_complex(&sig_c).unwrap();
             assert_eq!(accel.projected_cycles(n, false).unwrap(), stats.cycles);
-            let sig_r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 0.4).collect();
-            let (_, stats) = accel.run_real(&sig_r).unwrap();
-            assert_eq!(accel.projected_cycles(n, true).unwrap(), stats.cycles);
+            if n >= 16 {
+                let sig_r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 0.4).collect();
+                let (_, stats) = accel.run_real(&sig_r).unwrap();
+                assert_eq!(accel.projected_cycles(n, true).unwrap(), stats.cycles);
+            }
         }
+        assert_eq!(accel.projected_cycles(MAX_POINTS, false), Ok(61127));
+        let too_big = vec![Complex::default(); 8192];
+        assert_eq!(
+            accel.run_complex(&too_big),
+            Err(FftAccelError::UnsupportedSize { n: 8192, max: 4096 })
+        );
+        assert!(accel.run_real(&vec![0.0; 8192]).is_err());
     }
 
     #[test]
@@ -497,77 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_configs_are_typed_errors_not_saturation() {
-        // A zero butterfly rate used to divide to infinity and saturate the
-        // `as u64` cast to u64::MAX; it must surface as a typed error now.
-        let zero_rate = FftAccelerator::with_config(FftAccelConfig {
-            radix2_butterflies_per_cycle: 0.0,
-            ..FftAccelConfig::default()
-        });
-        let sig: Vec<Complex> = (0..64).map(|_| Complex::new(0.1, 0.0)).collect();
-        assert!(matches!(
-            zero_rate.run_complex(&sig),
-            Err(FftAccelError::InvalidConfig { .. })
-        ));
-        assert!(matches!(
-            zero_rate.projected_cycles(64, false),
-            Err(FftAccelError::InvalidConfig { .. })
-        ));
-
-        // A NaN IO rate is equally degenerate.
-        let nan_io = FftAccelerator::with_config(FftAccelConfig {
-            io_cycles_per_word: f64::NAN,
-            ..FftAccelConfig::default()
-        });
-        assert!(matches!(
-            nan_io.projected_cycles(64, false),
-            Err(FftAccelError::InvalidConfig { .. })
-        ));
-
-        // `max_points` beyond the address generators, or not a power of
-        // two, is rejected before any size check can "pass" against it.
-        for max_points in [0usize, 6, 1 << 40] {
-            let bad_max = FftAccelerator::with_config(FftAccelConfig {
-                max_points,
-                ..FftAccelConfig::default()
-            });
-            assert!(matches!(
-                bad_max.projected_cycles(64, false),
-                Err(FftAccelError::InvalidConfig { .. })
-            ));
-        }
-    }
-
-    #[test]
-    fn tiny_rates_overflow_loudly_not_silently() {
-        // A denormal-small (but still positive and finite) rate pushes the
-        // butterfly cycle count past u64::MAX: the model must say so.
-        let slow = FftAccelerator::with_config(FftAccelConfig {
-            radix2_butterflies_per_cycle: 1e-18,
-            ..FftAccelConfig::default()
-        });
-        assert!(matches!(
-            slow.projected_cycles(4096, false),
-            Err(FftAccelError::CostOverflow { .. })
-        ));
-        let sig: Vec<Complex> = (0..4096).map(|_| Complex::new(0.1, 0.0)).collect();
-        assert!(matches!(
-            slow.run_complex(&sig),
-            Err(FftAccelError::CostOverflow { .. })
-        ));
-    }
-
-    #[test]
     fn error_displays_name_the_failure() {
-        let err = FftAccelError::InvalidConfig {
-            what: "x".to_string(),
-        };
-        assert!(err
-            .to_string()
-            .contains("invalid accelerator configuration"));
-        let err = FftAccelError::CostOverflow {
-            what: "total cycles".to_string(),
-        };
-        assert!(err.to_string().contains("overflow"));
+        let err = FftAccelError::UnsupportedSize { n: 100, max: 4096 };
+        assert_eq!(
+            err.to_string(),
+            "fft size 100 not supported (power of two of 8..=4096 required)"
+        );
     }
 }

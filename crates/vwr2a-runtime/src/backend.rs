@@ -207,9 +207,11 @@ impl Backend {
     pub fn window_cycles(&self, offload: &Offload) -> Option<u64> {
         match self {
             Backend::Array(_) => None,
-            Backend::Fft(fft) => {
+            Backend::Fft(_) => {
                 let shape = offload.fft?;
-                fft.accel.projected_cycles(shape.points, shape.real).ok()
+                FftAccelerator
+                    .projected_cycles(shape.points, shape.real)
+                    .ok()
             }
             Backend::Cpu(_) => offload.cpu_cycles,
         }
@@ -249,36 +251,24 @@ impl Backend {
 ///
 /// The engine has no configuration memory — it is programmed over the
 /// slave port before every run, which its cycle model charges as
-/// `setup_cycles` on each window — so "residency" degenerates to *which
-/// job shape it was last programmed for*.  It accepts only FFT-shaped
-/// jobs ([`Offload::fft`]); its per-window cost is projected from its own
-/// [`vwr2a_fftaccel::FftAccelConfig`] cycle model, so scheduler
-/// projections match executions exactly.
+/// [`vwr2a_fftaccel::SETUP_CYCLES`] on each window — so "residency"
+/// degenerates to *which job shape it was last programmed for*.  It
+/// accepts only FFT-shaped jobs ([`Offload::fft`]); its per-window cost is
+/// projected from the engine's own cycle model, so scheduler projections
+/// match executions exactly.
 #[derive(Debug)]
 pub struct FftBackend {
-    accel: FftAccelerator,
     programmed: Option<String>,
     busy_compute: u64,
 }
 
 impl FftBackend {
-    /// An FFT backend around the default (paper-like) engine.
+    /// An FFT backend around the engine.
     pub fn new() -> Self {
-        Self::with_accelerator(FftAccelerator::new())
-    }
-
-    /// An FFT backend around a custom-configured engine.
-    pub fn with_accelerator(accel: FftAccelerator) -> Self {
         Self {
-            accel,
             programmed: None,
             busy_compute: 0,
         }
-    }
-
-    /// The wrapped accelerator model.
-    pub fn accelerator(&self) -> &FftAccelerator {
-        &self.accel
     }
 
     /// Runs one window, folding launch/cycle accounting into `report`.
@@ -290,14 +280,14 @@ impl FftBackend {
         report: &mut RunReport,
     ) -> Result<(K::Output, WindowPhases)> {
         let warm = self.programmed.as_deref() == Some(key);
-        let (output, stats) = kernel.execute_fft(&self.accel, input)?;
+        let (output, stats) = kernel.execute_fft(&FftAccelerator, input)?;
         report.energy_nj += EnergyModel::calibrated().price_fft(&stats);
         self.programmed = Some(key.to_string());
         // The engine pays its register programming on every run; splitting
         // it onto the config lane lets it overlap the previous window's
         // butterflies on the stream schedule, like the host programming
         // the engine while it finishes.
-        let setup = self.accel.config().setup_cycles.min(stats.cycles);
+        let setup = vwr2a_fftaccel::SETUP_CYCLES.min(stats.cycles);
         let phases = WindowPhases {
             stage: 0,
             config: setup,

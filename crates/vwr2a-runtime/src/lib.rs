@@ -74,9 +74,8 @@
 //!   top.
 //!
 //! The engine schedule lives in [`pipeline`] and is re-exported here
-//! ([`StreamSchedule`], [`Engine`], [`Occupancy`], [`Span`]), next to the core's
-//! [`DmaConfig`] for DMA-timing tuning, so runtime users do not need a
-//! direct `vwr2a-core` dependency.
+//! ([`StreamSchedule`], [`Engine`], [`Occupancy`], [`Span`]), so runtime
+//! users do not need a direct `vwr2a-core` dependency.
 //!
 //! See [`Session`] for a runnable example, and [`pool`] for the fleet.
 
@@ -111,4 +110,3 @@ pub use serve::{
 pub use session::{
     Kernel, LaunchCtx, Prefetch, Resources, Session, SRF_READ_CYCLES, SRF_WRITE_CYCLES,
 };
-pub use vwr2a_core::dma::DmaConfig;

@@ -91,7 +91,7 @@
 //! ```
 
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::error::Result;
@@ -273,18 +273,6 @@ impl WeightedFair {
         Self::default()
     }
 
-    /// Index of `tenant`'s head job: highest priority, then earliest
-    /// arrival, then submission order.
-    fn head(queue: &[QueuedJob<'_>], tenant: TenantId) -> usize {
-        queue
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| q.tenant == tenant)
-            .min_by_key(|(_, q)| (std::cmp::Reverse(q.priority), q.arrival_cycle, q.seq))
-            .map(|(i, _)| i)
-            .expect("tenant has a queued job")
-    }
-
     /// A job's cost in deficit units: its window count, floored at 1 so
     /// even an opaque (hint-less) stream drains some budget.
     fn cost(job: &QueuedJob<'_>) -> u64 {
@@ -298,14 +286,22 @@ impl SchedPolicy for WeightedFair {
     }
 
     fn select(&mut self, _now: u64, queue: &[QueuedJob<'_>]) -> usize {
-        let tenants: BTreeSet<TenantId> = queue.iter().map(|q| q.tenant).collect();
+        // Every tenant's head job (highest priority, then earliest arrival,
+        // then submission order), in one pass over the queue.
+        let rank = |q: &QueuedJob<'_>| (std::cmp::Reverse(q.priority), q.arrival_cycle, q.seq);
+        let mut heads: BTreeMap<TenantId, usize> = BTreeMap::new();
+        for (i, q) in queue.iter().enumerate() {
+            let head = heads.entry(q.tenant).or_insert(i);
+            if rank(q) < rank(&queue[*head]) {
+                *head = i;
+            }
+        }
         // Idle tenants lose their credit: deficits only persist while a
         // tenant has work queued.
-        self.deficits.retain(|t, _| tenants.contains(t));
+        self.deficits.retain(|t, _| heads.contains_key(t));
         // A tenant mid-burst keeps the cursor while its deficit covers
         // its next head job — no new credit.
-        if let Some(current) = self.current.filter(|t| tenants.contains(t)) {
-            let head = Self::head(queue, current);
+        if let Some((&current, &head)) = self.current.and_then(|t| heads.get_key_value(&t)) {
             let cost = Self::cost(&queue[head]);
             let deficit = self.deficits.entry(current).or_insert(0);
             if *deficit >= cost {
@@ -313,7 +309,7 @@ impl SchedPolicy for WeightedFair {
                 return head;
             }
         }
-        // Round-robin over the active tenants (deterministic BTreeSet
+        // Round-robin over the active tenants (deterministic BTreeMap
         // order), starting after the cursor, adding one unit per visit
         // until some tenant affords its head job — in closed form, so a
         // huge window hint costs no rounds.  The tenant at position `p`
@@ -321,11 +317,11 @@ impl SchedPolicy for WeightedFair {
         // visit `max(1, c - d)`; the smallest `(visit, p)` wins.  Every
         // tenant up to the winner was visited that many times, every one
         // after it once fewer, and only visited tenants gain an entry.
-        let order: Vec<(TenantId, usize)> = tenants
+        let order: Vec<(TenantId, usize)> = heads
             .iter()
-            .filter(|&&t| Some(t) > self.current)
-            .chain(tenants.iter().filter(|&&t| Some(t) <= self.current))
-            .map(|&t| (t, Self::head(queue, t)))
+            .filter(|(&t, _)| Some(t) > self.current)
+            .chain(heads.iter().filter(|(&t, _)| Some(t) <= self.current))
+            .map(|(&t, &head)| (t, head))
             .collect();
         let Some((visits, winner)) = order
             .iter()
@@ -541,6 +537,7 @@ mod tests {
     use crate::report::PlannerStats;
     use crate::testing::BakedScaleKernel;
     use crate::RuntimeError;
+    use std::collections::BTreeSet;
 
     fn windows(count: usize, seed: i32) -> Vec<Vec<i32>> {
         (0..count)
@@ -1082,13 +1079,26 @@ mod tests {
         assert_eq!(wf.select(0, &queue[..1]), 0);
     }
 
-    /// [`WeightedFair::select`] as one visit per loop iteration: the
-    /// round-robin the closed form must reproduce, state included.
+    /// Index of `tenant`'s head job: highest priority, then earliest
+    /// arrival, then submission order.
+    fn head_of(queue: &[QueuedJob<'_>], tenant: TenantId) -> usize {
+        queue
+            .iter()
+            .enumerate()
+            .filter(|(_, q)| q.tenant == tenant)
+            .min_by_key(|(_, q)| (std::cmp::Reverse(q.priority), q.arrival_cycle, q.seq))
+            .map(|(i, _)| i)
+            .expect("tenant has a queued job")
+    }
+
+    /// [`WeightedFair::select`] as one visit per loop iteration, each
+    /// visit scanning the queue for its tenant's head: the round-robin the
+    /// closed form must reproduce, state included.
     fn select_by_visits(wf: &mut WeightedFair, queue: &[QueuedJob<'_>]) -> usize {
         let tenants: BTreeSet<TenantId> = queue.iter().map(|q| q.tenant).collect();
         wf.deficits.retain(|t, _| tenants.contains(t));
         if let Some(current) = wf.current.filter(|t| tenants.contains(t)) {
-            let head = WeightedFair::head(queue, current);
+            let head = head_of(queue, current);
             let cost = WeightedFair::cost(&queue[head]);
             let deficit = wf.deficits.entry(current).or_insert(0);
             if *deficit >= cost {
@@ -1104,7 +1114,7 @@ mod tests {
             .collect();
         loop {
             for &tenant in &order {
-                let head = WeightedFair::head(queue, tenant);
+                let head = head_of(queue, tenant);
                 let cost = WeightedFair::cost(&queue[head]);
                 let deficit = wf.deficits.entry(tenant).or_insert(0);
                 *deficit += 1;

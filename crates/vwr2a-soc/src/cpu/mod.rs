@@ -236,36 +236,31 @@ pub enum CpuInstr {
     Halt,
 }
 
-/// Cycle-cost parameters of the CPU model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CpuConfig {
-    /// Cycles for ALU, move and compare instructions.
-    pub alu_cycles: u64,
-    /// Cycles for multiply and multiply-accumulate.
-    pub mul_cycles: u64,
-    /// Cycles for a signed division (the M4's `SDIV` takes 2–12 cycles).
-    pub div_cycles: u64,
-    /// Cycles for a load or store (pipelined back-to-back accesses on the
-    /// M4 effectively cost 1–2 cycles each).
-    pub mem_cycles: u64,
-    /// Cycles for a non-taken branch.
-    pub branch_cycles: u64,
-    /// Cycles for a taken branch or jump (pipeline refill).
-    pub taken_branch_cycles: u64,
+/// The M4-like cycle cost of each instruction class.
+struct Cycles {
+    /// ALU, move and compare instructions.
+    alu: u64,
+    /// Multiply and multiply-accumulate.
+    mul: u64,
+    /// A signed division (the M4's `SDIV` takes 2–12 cycles).
+    div: u64,
+    /// A load or store (pipelined back-to-back accesses on the M4
+    /// effectively cost 1–2 cycles each).
+    mem: u64,
+    /// A non-taken branch.
+    branch: u64,
+    /// A taken branch or jump (pipeline refill).
+    taken_branch: u64,
 }
 
-impl Default for CpuConfig {
-    fn default() -> Self {
-        Self {
-            alu_cycles: 1,
-            mul_cycles: 1,
-            div_cycles: 7,
-            mem_cycles: 2,
-            branch_cycles: 1,
-            taken_branch_cycles: 3,
-        }
-    }
-}
+const CYCLES: Cycles = Cycles {
+    alu: 1,
+    mul: 1,
+    div: 7,
+    mem: 2,
+    branch: 1,
+    taken_branch: 3,
+};
 
 /// Execution statistics of one CPU program run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -316,28 +311,16 @@ pub struct CpuRunStats {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cpu {
     regs: [i32; NUM_REGS],
-    config: CpuConfig,
     cycle_limit: u64,
 }
 
 impl Cpu {
-    /// Creates a CPU with the default (M4-like) cycle model.
+    /// Creates a CPU with the M4-like cycle model.
     pub fn new() -> Self {
-        Self::with_config(CpuConfig::default())
-    }
-
-    /// Creates a CPU with a custom cycle model.
-    pub fn with_config(config: CpuConfig) -> Self {
         Self {
             regs: [0; NUM_REGS],
-            config,
             cycle_limit: 500_000_000,
         }
-    }
-
-    /// The cycle-cost configuration.
-    pub fn config(&self) -> CpuConfig {
-        self.config
     }
 
     /// Sets the cycle budget after which [`SocError::CycleLimitExceeded`] is
@@ -393,7 +376,6 @@ impl Cpu {
     pub fn run(&mut self, program: &[CpuInstr], sram: &mut Sram) -> Result<CpuRunStats> {
         let mut stats = CpuRunStats::default();
         let mut pc = 0usize;
-        let cfg = self.config;
         loop {
             let instr = *program.get(pc).ok_or(SocError::MissingHalt)?;
             stats.instructions += 1;
@@ -402,37 +384,37 @@ impl Cpu {
                 CpuInstr::Li { rd, imm } => {
                     self.w(rd, imm)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Mv { rd, rs } => {
                     let v = self.r(rs)?;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Add { rd, rs1, rs2 } => {
                     let v = self.r(rs1)?.wrapping_add(self.r(rs2)?);
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Addi { rd, rs1, imm } => {
                     let v = self.r(rs1)?.wrapping_add(imm);
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Sub { rd, rs1, rs2 } => {
                     let v = self.r(rs1)?.wrapping_sub(self.r(rs2)?);
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Mul { rd, rs1, rs2 } => {
                     let v = self.r(rs1)?.wrapping_mul(self.r(rs2)?);
                     self.w(rd, v)?;
                     stats.mul_ops += 1;
-                    stats.cycles += cfg.mul_cycles;
+                    stats.cycles += CYCLES.mul;
                 }
                 CpuInstr::Mla { rd, rs1, rs2 } => {
                     let v = self
@@ -440,7 +422,7 @@ impl Cpu {
                         .wrapping_add(self.r(rs1)?.wrapping_mul(self.r(rs2)?));
                     self.w(rd, v)?;
                     stats.mul_ops += 1;
-                    stats.cycles += cfg.mul_cycles;
+                    stats.cycles += CYCLES.mul;
                 }
                 CpuInstr::Div { rd, rs1, rs2 } => {
                     let b = self.r(rs2)?;
@@ -451,49 +433,49 @@ impl Cpu {
                     };
                     self.w(rd, v)?;
                     stats.mul_ops += 1;
-                    stats.cycles += cfg.div_cycles;
+                    stats.cycles += CYCLES.div;
                 }
                 CpuInstr::And { rd, rs1, rs2 } => {
                     let v = self.r(rs1)? & self.r(rs2)?;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Or { rd, rs1, rs2 } => {
                     let v = self.r(rs1)? | self.r(rs2)?;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Xor { rd, rs1, rs2 } => {
                     let v = self.r(rs1)? ^ self.r(rs2)?;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Sll { rd, rs1, shamt } => {
                     let v = ((self.r(rs1)? as u32) << (shamt & 31)) as i32;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Srl { rd, rs1, shamt } => {
                     let v = ((self.r(rs1)? as u32) >> (shamt & 31)) as i32;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Sra { rd, rs1, shamt } => {
                     let v = self.r(rs1)? >> (shamt & 31);
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Slt { rd, rs1, rs2 } => {
                     let v = i32::from(self.r(rs1)? < self.r(rs2)?);
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Ssat { rd, rs, bits } => {
                     let bits = bits.clamp(1, 32) as u32;
@@ -510,7 +492,7 @@ impl Cpu {
                     let v = (self.r(rs)? as i64).clamp(min, max) as i32;
                     self.w(rd, v)?;
                     stats.alu_ops += 1;
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                 }
                 CpuInstr::Lw { rd, rs1, offset } => {
                     let addr = self.r(rs1)?.wrapping_add(offset);
@@ -523,7 +505,7 @@ impl Cpu {
                     let v = sram.read_word(addr as usize)?;
                     self.w(rd, v)?;
                     stats.loads += 1;
-                    stats.cycles += cfg.mem_cycles;
+                    stats.cycles += CYCLES.mem;
                 }
                 CpuInstr::Sw { rs2, rs1, offset } => {
                     let addr = self.r(rs1)?.wrapping_add(offset);
@@ -535,7 +517,7 @@ impl Cpu {
                     }
                     sram.write_word(addr as usize, self.r(rs2)?)?;
                     stats.stores += 1;
-                    stats.cycles += cfg.mem_cycles;
+                    stats.cycles += CYCLES.mem;
                 }
                 CpuInstr::Beq { rs1, rs2, target }
                 | CpuInstr::Bne { rs1, rs2, target }
@@ -558,10 +540,10 @@ impl Cpu {
                             });
                         }
                         stats.taken_branches += 1;
-                        stats.cycles += cfg.taken_branch_cycles;
+                        stats.cycles += CYCLES.taken_branch;
                         next_pc = target;
                     } else {
-                        stats.cycles += cfg.branch_cycles;
+                        stats.cycles += CYCLES.branch;
                     }
                 }
                 CpuInstr::Jump { target } => {
@@ -573,11 +555,11 @@ impl Cpu {
                     }
                     stats.branches += 1;
                     stats.taken_branches += 1;
-                    stats.cycles += cfg.taken_branch_cycles;
+                    stats.cycles += CYCLES.taken_branch;
                     next_pc = target;
                 }
                 CpuInstr::Halt => {
-                    stats.cycles += cfg.alu_cycles;
+                    stats.cycles += CYCLES.alu;
                     return Ok(stats);
                 }
             }
@@ -720,7 +702,6 @@ mod tests {
 
     #[test]
     fn cycle_model_weights_memory_and_branches() {
-        let cfg = CpuConfig::default();
         let program = vec![
             CpuInstr::Li { rd: 1, imm: 5 },
             CpuInstr::Sw {
@@ -739,7 +720,7 @@ mod tests {
         let (_, _, stats) = run_program(&program);
         assert_eq!(
             stats.cycles,
-            cfg.alu_cycles + 2 * cfg.mem_cycles + cfg.taken_branch_cycles + cfg.alu_cycles
+            CYCLES.alu + 2 * CYCLES.mem + CYCLES.taken_branch + CYCLES.alu
         );
     }
 
