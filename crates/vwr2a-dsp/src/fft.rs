@@ -16,7 +16,8 @@ pub fn is_power_of_two(n: usize) -> bool {
     n != 0 && (n & (n - 1)) == 0
 }
 
-/// Reverses the lowest `bits` bits of `x`.
+/// Reverses the lowest `bits` bits of `x` (`bits <= usize::BITS`); the bits
+/// of `x` above them are ignored.
 ///
 /// ```
 /// use vwr2a_dsp::fft::bit_reverse;
@@ -24,13 +25,10 @@ pub fn is_power_of_two(n: usize) -> bool {
 /// assert_eq!(bit_reverse(1, 3), 4);
 /// ```
 pub fn bit_reverse(x: usize, bits: u32) -> usize {
-    let mut v = 0usize;
-    for i in 0..bits {
-        if x & (1 << i) != 0 {
-            v |= 1 << (bits - 1 - i);
-        }
+    if bits == 0 {
+        return 0;
     }
-    v
+    x.reverse_bits() >> (usize::BITS - bits)
 }
 
 /// Permutes `data` into bit-reversed index order in place.
@@ -284,6 +282,41 @@ mod tests {
         assert_eq!(half.len(), n / 2 + 1);
         for k in 0..=n / 2 {
             assert!(close(half[k], full[k], 1e-9), "bin {k}");
+        }
+    }
+
+    /// The bit-at-a-time loop `bit_reverse` replaced, kept as its oracle.
+    fn bit_reverse_by_loop(x: usize, bits: u32) -> usize {
+        let mut v = 0usize;
+        for i in 0..bits {
+            if x & (1 << i) != 0 {
+                v |= 1 << (bits - 1 - i);
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn bit_reverse_matches_the_bit_loop() {
+        // Two bits above the width too: both must ignore them.
+        for bits in 0..=16u32 {
+            for x in 0..(1usize << (bits + 2)) {
+                assert_eq!(
+                    bit_reverse(x, bits),
+                    bit_reverse_by_loop(x, bits),
+                    "{x} {bits}"
+                );
+            }
+        }
+        for x in [
+            0,
+            1,
+            2,
+            0x8000_0000_0000_0000,
+            0x0123_4567_89ab_cdef,
+            usize::MAX,
+        ] {
+            assert_eq!(bit_reverse(x, 64), bit_reverse_by_loop(x, 64), "{x}");
         }
     }
 

@@ -9,7 +9,8 @@
 //!   bits discarded (Sec. 3.1), so data with 16 fractional bits stays in the
 //!   same format across multiplications.
 //! * **18-bit saturating** — the fixed-function FFT accelerator's internal
-//!   representation with block dynamic scaling (Sec. 4.1).
+//!   representation with block dynamic scaling (Sec. 4.1), modelled in the
+//!   `vwr2a-fftaccel` crate.
 //!
 //! The free functions here are deliberately small and branch-free so they can
 //! double as the semantic reference for the corresponding simulator ALU ops.
@@ -135,27 +136,6 @@ pub fn mul_fxp(a: i32, b: i32) -> i32 {
     (((a as i64) * (b as i64)) >> Q16_FRAC_BITS) as i32
 }
 
-/// Saturates `v` to a signed `bits`-wide integer range.
-///
-/// Used by the fixed-function FFT accelerator model (18-bit datapath).
-///
-/// ```
-/// use vwr2a_dsp::fixed::saturate;
-/// assert_eq!(saturate(200_000, 18), 131_071);
-/// assert_eq!(saturate(-200_000, 18), -131_072);
-/// assert_eq!(saturate(1234, 18), 1234);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `bits` is zero or greater than 32.
-pub fn saturate(v: i64, bits: u32) -> i32 {
-    assert!((1..=32).contains(&bits), "bit width must be in 1..=32");
-    let max = (1i64 << (bits - 1)) - 1;
-    let min = -(1i64 << (bits - 1));
-    v.clamp(min, max) as i32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,22 +183,6 @@ mod tests {
         assert_eq!(mul_fxp(1 << 16, 1 << 16), 1 << 16);
         assert_eq!(mul_fxp(-(1 << 16), 1 << 16), -(1 << 16));
         assert_eq!(mul_fxp(3 << 16, 1 << 15), 3 << 15);
-    }
-
-    #[test]
-    fn saturate_bounds() {
-        assert_eq!(saturate(i64::MAX, 32), i32::MAX);
-        assert_eq!(saturate(i64::MIN, 32), i32::MIN);
-        assert_eq!(saturate(0, 1), 0);
-        assert_eq!(saturate(5, 4), 5);
-        assert_eq!(saturate(9, 4), 7);
-        assert_eq!(saturate(-9, 4), -8);
-    }
-
-    #[test]
-    #[should_panic(expected = "bit width")]
-    fn saturate_rejects_zero_width() {
-        let _ = saturate(1, 0);
     }
 
     #[test]

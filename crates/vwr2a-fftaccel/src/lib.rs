@@ -11,7 +11,13 @@
 //!   [`FftAccelerator::run_real`] compute the transform with 18-bit
 //!   saturating arithmetic and per-stage block dynamic scaling, so outputs
 //!   (and their quantisation behaviour) are realistic and are validated
-//!   against the `vwr2a-dsp` golden FFT.
+//!   against the `vwr2a-dsp` golden FFT.  Every entry point runs one
+//!   fixed-point datapath that, like the engine, reads its twiddles from a
+//!   ROM built once per supported size.  The complex FFT kernel's entry,
+//!   [`FftAccelerator::run_complex_q16`], feeds it `Q15.16` words directly:
+//!   the datapath's input scale is `2^16` and every renormalisation factor
+//!   is a power of two, so it returns exactly `run_complex`'s spectrum
+//!   times `N` without a float round trip.
 //! * **In time** — a cycle model charges each radix-4/radix-2 pass, the
 //!   input/output transfers over the dual-port memory and a fixed
 //!   programming overhead ([`SETUP_CYCLES`]); the engine's constants (an

@@ -34,7 +34,6 @@ use vwr2a_core::builder::ColumnProgramBuilder;
 use vwr2a_core::geometry::Geometry;
 use vwr2a_core::isa::RcOpcode;
 use vwr2a_core::program::{ColumnProgram, KernelProgram};
-use vwr2a_dsp::complex::Complex;
 use vwr2a_dsp::fft::bit_reverse;
 use vwr2a_dsp::fixed::{from_q16, mul_fxp, to_q16};
 use vwr2a_fftaccel::{FftAccelStats, FftAccelerator};
@@ -419,20 +418,11 @@ impl Kernel for FftKernel {
             }
             .into());
         }
-        let packed: Vec<Complex> = input
-            .re
-            .iter()
-            .zip(&input.im)
-            .map(|(&re, &im)| Complex::new(from_q16(re), from_q16(im)))
-            .collect();
-        let (bins, stats) = accel
-            .run_complex(&packed)
+        // The engine's Q15.16 entry returns the unnormalised DFT, the scale
+        // of the array's stage flow.
+        let (re, im, stats) = accel
+            .run_complex_q16(&input.re, &input.im)
             .map_err(|e| vwr2a_runtime::RuntimeError::invalid_input(e.to_string()))?;
-        // The engine renormalises to `X[k]/N`; undo that so magnitudes sit
-        // on the same unnormalised-DFT scale as the array's stage flow.
-        let scale = n as f64;
-        let re = bins.iter().map(|c| to_q16(c.re * scale)).collect();
-        let im = bins.iter().map(|c| to_q16(c.im * scale)).collect();
         Ok((Spectrum::new(re, im), stats))
     }
 }

@@ -44,10 +44,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.cold_launches,
         report.warm_launches
     );
+    // The array returns the unnormalised DFT and the engine `X[k]/N`, so
+    // the engine's bin times N lands on the array's magnitude.
+    let k = peak_vwr2a;
     println!(
-        "  VWR2A bin {} value = {:.2} (unnormalised DFT)",
-        peak_vwr2a,
-        from_q16(spectrum.re[peak_vwr2a])
+        "  bin {k} magnitude (unnormalised DFT): VWR2A {:.2}, FFT accelerator × N {:.2}",
+        from_q16(spectrum.re[k]).hypot(from_q16(spectrum.im[k])),
+        spectrum_accel[k].abs() * n as f64
     );
     Ok(())
 }
