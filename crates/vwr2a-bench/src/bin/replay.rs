@@ -11,11 +11,17 @@
 //! and activity counters must be bit-identical, and every measured launch
 //! must hit the cache (a 100 % warm hit rate).
 //!
+//! The run also prints how many of the stream's trace ops sit in segments
+//! that replay in place, without the two-phase commit
+//! (`vwr2a_core::replay`), and fails if that share falls below 90 %
+//! (`MIN_IN_PLACE_SHARE`).  A recorder that silently stops flagging
+//! segments changes no output, only host time, so no other gate notices.
+//!
 //! Full runs write `BENCH_replay.json`.  Run with `--smoke` for the fast
-//! CI gate (fails on any hit-rate miss or if replay-on host time does not
-//! beat replay-off; leaves the checked-in artifact alone); the full run
-//! additionally enforces the >= 10x host speed-up target.  `--windows N`
-//! overrides the stream length.
+//! CI gate (fails on any hit-rate miss, an in-place share below the floor,
+//! or if replay-on host time does not beat replay-off; leaves the
+//! checked-in artifact alone); the full run additionally enforces the
+//! >= 10x host speed-up target.  `--windows N` overrides the stream length.
 //!
 //! Two gate cells follow the stream, in smoke and full runs alike:
 //!
@@ -57,6 +63,18 @@ const N: usize = 256;
 
 /// Distinct FIR programs of the churn cell.
 const CHURN_PROGRAMS: usize = 6;
+
+/// Smallest share of the FIR stream's trace ops that must replay in place
+/// (the 11-tap FIR-256 trace puts 3696 of its 3876 ops there).
+const MIN_IN_PLACE_SHARE: f64 = 0.9;
+
+/// `flagged/all ops (share %)` for an `(in place, all)` op count.
+fn in_place_summary((flagged, all): (usize, usize)) -> String {
+    format!(
+        "{flagged}/{all} ops ({:.1}%)",
+        100.0 * flagged as f64 / all.max(1) as f64
+    )
+}
 
 /// How many times slower than the recorded baseline the measured
 /// per-window host time may be before `--baseline` fails the run.
@@ -169,16 +187,18 @@ fn fft_cell(windows: usize) -> Result<(), String> {
     let run = |replay: bool| {
         let mut session = Session::new();
         session.set_replay(replay);
-        time_host(|| session.run_batch(&kernel, inputs.iter()).expect("FFT runs"))
+        let run = time_host(|| session.run_batch(&kernel, inputs.iter()).expect("FFT runs"));
+        (run, session.accelerator().replay_cache().in_place_ops())
     };
-    let ((out_off, off), off_us) = run(false);
-    let ((out_on, mut on), on_us) = run(true);
+    let (((out_off, off), off_us), _) = run(false);
+    let (((out_on, mut on), on_us), in_place) = run(true);
     let launches = on.launches();
     let replayed = on.replayed;
     println!(
         "FFT-{N}: {windows} windows, {replayed}/{launches} stage launches replayed, \
-         host {off_us:.0} -> {on_us:.0} us ({:.1}x)",
-        off_us / on_us
+         host {off_us:.0} -> {on_us:.0} us ({:.1}x); in place: {}",
+        off_us / on_us,
+        in_place_summary(in_place),
     );
     on.replayed = 0;
     if out_on != out_off || on != off {
@@ -230,6 +250,8 @@ fn main() {
     // passes), so the hit rate is over array launches, not windows.
     let launches = on.report.launches();
     let hit_rate = on.report.replayed as f64 / launches as f64;
+    let (flagged, ops) = on.in_place_ops;
+    let in_place_share = flagged as f64 / ops.max(1) as f64;
     let speedup = off.host_us / on.host_us;
     let modelled_us = cycles_to_us(on.report.cycles);
 
@@ -250,6 +272,11 @@ fn main() {
         "Replay served {}/{} warm launches and cut host time {speedup:.1}x \
          ({:.1} -> {:.1} us); outputs and modelled costs are bit-identical.",
         on.report.replayed, launches, off.host_us, on.host_us,
+    );
+    println!(
+        "In place: {} of the stream's stored traces replay without the \
+         two-phase commit.",
+        in_place_summary(on.in_place_ops),
     );
 
     // Smoke runs gate but do not overwrite the checked-in full-run artifact.
@@ -275,6 +302,14 @@ fn main() {
             100.0 * hit_rate,
             on.report.replayed,
             launches,
+        );
+        std::process::exit(1);
+    }
+    if in_place_share < MIN_IN_PLACE_SHARE {
+        eprintln!(
+            "FAIL: {} of the FIR stream's trace replay in place, below the {:.0}% floor",
+            in_place_summary(on.in_place_ops),
+            100.0 * MIN_IN_PLACE_SHARE,
         );
         std::process::exit(1);
     }

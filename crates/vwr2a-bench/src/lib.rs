@@ -247,6 +247,9 @@ pub struct ReplayMeasurement {
     pub outputs: Vec<Vec<i32>>,
     /// Host wall-clock microseconds of the measured phase.
     pub host_us: f64,
+    /// Ops in in-place segments and all ops of the session's stored traces
+    /// (see `vwr2a_core::replay::ReplayCache::in_place_ops`).
+    pub in_place_ops: (usize, usize),
 }
 
 /// Streams `windows` warm windows of the 11-tap FIR over `n` points through
@@ -287,6 +290,7 @@ pub fn run_fir_replay_stream(n: usize, windows: usize, replay: bool) -> ReplayMe
         report,
         outputs,
         host_us,
+        in_place_ops: session.accelerator().replay_cache().in_place_ops(),
     }
 }
 

@@ -377,11 +377,12 @@ impl Vwr2a {
         for segment in &trace.segments {
             let ops = &trace.ops[start..start + segment.len as usize];
             start += segment.len as usize;
-            self.columns[segment.column as usize].replay_segment(
-                ops,
-                &mut self.spm,
-                &mut self.replay_scratch,
-            )?;
+            let column = &mut self.columns[usize::from(segment.column)];
+            if segment.in_place {
+                column.replay_in_place(ops)?;
+            } else {
+                column.replay_segment(ops, &mut self.spm, &mut self.replay_scratch)?;
+            }
         }
         for (column, finish) in self
             .columns
@@ -1049,6 +1050,158 @@ mod tests {
             );
             assert_eq!(on.read_srf(0, 6).unwrap(), line + 1);
         }
+    }
+
+    /// Loads `kernel` on both accelerators, launches it twice (the first
+    /// records, the second replays) over fresh SPM data each time, checks
+    /// replay against interpretation, and returns the recorded segments as
+    /// `(column, in_place, len)`.
+    fn record_and_replay(
+        on: &mut Vwr2a,
+        off: &mut Vwr2a,
+        kernel: &KernelProgram,
+    ) -> Vec<(u16, bool, u32)> {
+        for launch in 0..2 {
+            for line in 0..2 {
+                let data: Vec<i32> = (0..128)
+                    .map(|i| (i * 37 + 101 * line + 53 * launch) % 1999 - 999)
+                    .collect();
+                for accel in [&mut *on, &mut *off] {
+                    accel.dma_to_spm(&data, line as usize * 128).unwrap();
+                }
+            }
+            assert_eq!(launch_both(on, off, kernel), launch == 1, "launch {launch}");
+            assert_eq!(on.counters(), off.counters(), "launch {launch}");
+        }
+        assert_eq!(on.replay_cache().traces(), 1, "one trace recorded");
+        let id = on.load_kernel(kernel).unwrap();
+        let trace = on.config_mem.traces(id).and_then(|t| t.find(|_| true));
+        trace
+            .expect("the recorded trace")
+            .segments
+            .iter()
+            .map(|s| (s.column, s.in_place, s.len))
+            .collect()
+    }
+
+    #[test]
+    fn fir_shaped_register_rows_replay_in_place() {
+        // The FIR tap loop's shape on both columns: load the samples,
+        // multiply and accumulate into each cell's registers, shift the
+        // sum into VWR C, store it.
+        let mut b = ColumnProgramBuilder::new(4);
+        b.push(b.row().lsu(LsuInstr::LoadVwr {
+            vwr: VwrId::A,
+            line: LsuAddr::Imm(0),
+        }));
+        b.push(
+            b.row()
+                .mxcu(MxcuInstr::SetIdx(2))
+                .lcu(LcuInstr::Li { r: 0, value: 0 }),
+        );
+        let top = b.new_label();
+        b.bind_label(top);
+        let mul =
+            |dst, tap| RcInstr::new(RcOpcode::Mul, dst, RcSrc::Vwr(VwrId::A), RcSrc::Imm(tap));
+        b.push(
+            b.row()
+                .rc_all(mul(RcDst::Reg(0), 3))
+                .mxcu(MxcuInstr::AddIdx(-1)),
+        );
+        b.push(
+            b.row()
+                .rc_all(mul(RcDst::Reg(1), -5))
+                .mxcu(MxcuInstr::AddIdx(2)),
+        );
+        b.push(b.row().rc_all(RcInstr::new(
+            RcOpcode::Add,
+            RcDst::Reg(0),
+            RcSrc::Reg(0),
+            RcSrc::Reg(1),
+        )));
+        b.push(
+            b.row()
+                .rc_all(RcInstr::new(
+                    RcOpcode::Sra,
+                    RcDst::Vwr(VwrId::C),
+                    RcSrc::Reg(0),
+                    RcSrc::Imm(1),
+                ))
+                .lcu(LcuInstr::Add {
+                    r: 0,
+                    src: LcuSrc::Imm(1),
+                }),
+        );
+        b.push_branch(b.row(), LcuCond::Lt, 0, LcuSrc::Imm(2), top);
+        b.push(b.row().lsu(LsuInstr::StoreVwr {
+            vwr: VwrId::C,
+            line: LsuAddr::Imm(2),
+        }));
+        b.push_exit();
+        let col = b.build().unwrap();
+        let kernel = KernelProgram::new("fir-shape", vec![col.clone(), col]).unwrap();
+
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        let segments = record_and_replay(&mut on, &mut off, &kernel);
+        // Each cycle steps column 0, then column 1.
+        let cycle = |in_place, len| [(0, in_place, len), (1, in_place, len)];
+        let mut expected = cycle(false, 1).to_vec();
+        for _ in 0..2 {
+            for _ in 0..3 {
+                expected.extend(cycle(true, 4));
+            }
+            expected.extend(cycle(false, 4));
+        }
+        expected.extend(cycle(false, 1));
+        assert_eq!(segments, expected);
+    }
+
+    #[test]
+    fn rows_that_read_a_latch_or_write_shared_state_stay_staged() {
+        let mov = RcInstr::mov;
+        let col = ColumnProgram::new(vec![
+            // Two cells writing their own registers: in place.
+            Row::new(4)
+                .rc(0, mov(RcDst::Reg(0), RcSrc::Imm(7)))
+                .rc(1, mov(RcDst::Reg(1), RcSrc::Imm(9))),
+            // RC1 reads the latch RC0 rewrites this cycle.
+            Row::new(4).rc(0, mov(RcDst::Reg(0), RcSrc::Imm(1))).rc(
+                1,
+                RcInstr::new(RcOpcode::Add, RcDst::Reg(0), RcSrc::RcAbove, RcSrc::Reg(0)),
+            ),
+            // A VWR-word destination next to a register one.
+            Row::new(4)
+                .rc(0, mov(RcDst::Vwr(VwrId::C), RcSrc::Reg(0)))
+                .rc(1, mov(RcDst::Reg(1), RcSrc::Imm(2))),
+            // An SRF destination.
+            Row::new(4).rc(2, mov(RcDst::Srf(3), RcSrc::Reg(0))),
+            // An LSU op next to register-only RC ops.
+            Row::new(4)
+                .lsu(LsuInstr::LoadVwr {
+                    vwr: VwrId::B,
+                    line: LsuAddr::Imm(1),
+                })
+                .rc_all(mov(RcDst::Reg(1), RcSrc::Vwr(VwrId::A))),
+            Row::new(4).lsu(LsuInstr::StoreVwr {
+                vwr: VwrId::C,
+                line: LsuAddr::Imm(2),
+            }),
+            Row::new(4).lcu(LcuInstr::Exit),
+        ])
+        .unwrap();
+        let kernel = KernelProgram::new("staged", vec![col]).unwrap();
+        let (mut on, mut off) = lockstep(Geometry::paper());
+        assert_eq!(
+            record_and_replay(&mut on, &mut off, &kernel),
+            [
+                (0, true, 2),
+                (0, false, 2),
+                (0, false, 2),
+                (0, false, 1),
+                (0, false, 5),
+                (0, false, 1),
+            ]
+        );
     }
 
     #[test]

@@ -17,7 +17,8 @@ use crate::isa::mxcu::MxcuInstr;
 use crate::isa::rc::{RcDst, RcInstr, RcSrc};
 use crate::program::ColumnProgram;
 use crate::replay::{
-    narrow, ColumnFinish, ReplayDst, ReplayOp, ReplayScratch, ReplaySrc, SrfWrite, TraceRecorder,
+    narrow, replays_in_place, ColumnFinish, ReplayDst, ReplayOp, ReplayScratch, ReplaySrc,
+    SrfWrite, TraceRecorder,
 };
 use crate::shuffle;
 use crate::spm::Spm;
@@ -638,6 +639,25 @@ impl Column {
             ReplaySrc::Srf(s) => self.srf.read(usize::from(s))?,
             ReplaySrc::Prev(rc) => self.rcs[usize::from(rc)].prev_result,
         })
+    }
+
+    /// Replays one recorded segment flagged
+    /// [`crate::replay::ReplaySegment::in_place`]: each RC op writes its
+    /// register and latch as it executes, which is exact because no op of
+    /// such a segment reads what another writes (see [`crate::replay`]).
+    pub(crate) fn replay_in_place(&mut self, ops: &[ReplayOp]) -> Result<()> {
+        for op in ops {
+            debug_assert!(replays_in_place(op), "{op:?} cannot replay in place");
+            if let ReplayOp::Rc { rc, op, a, b, dst } = *op {
+                let result = alu::execute(op, self.replay_read(a)?, self.replay_read(b)?);
+                let cell = &mut self.rcs[usize::from(rc)];
+                if let ReplayDst::Reg { reg, .. } = dst {
+                    cell.regs[usize::from(reg)] = result;
+                }
+                cell.prev_result = result;
+            }
+        }
+        Ok(())
     }
 
     /// Replays one recorded segment with the interpreter's two-phase

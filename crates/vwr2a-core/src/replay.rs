@@ -47,9 +47,44 @@
 //!   always fall back to interpretation.
 //!
 //! Ops are stored narrow (u8 cell, register, VWR and SRF indices, u16 VWR
-//! words, u32 SPM addresses).  [`crate::Geometry::validate`] sets no upper
-//! bounds, so a geometry whose indices overflow that encoding poisons the
-//! recording instead — those launches are interpreted.
+//! words, u32 SPM addresses, u16 segment columns).
+//! [`crate::Geometry::validate`] sets no upper bounds, so a geometry whose
+//! indices overflow that encoding poisons the recording instead — those
+//! launches are interpreted.
+//!
+//! # In-place segments
+//!
+//! A trace is cut into segments, one per column step of one cycle, so each
+//! RC contributes at most one op to a segment.  Replaying a segment
+//! two-phase (every result staged in scratch, committed at segment end)
+//! matters only when one op of the cycle reads what another writes.  When
+//! the recorder closes a segment it flags it [`ReplaySegment::in_place`]
+//! if every op is an RC op whose destination is nothing or a register of
+//! its own cell, and whose operands read no result latch and no other
+//! cell's register ([`ReplaySrc::Reg`] carries the reading cell).  Replay
+//! runs a flagged segment with each write landing as its op executes, and
+//! that is exact:
+//!
+//! * the ops write only their own cell's registers and latch and read none
+//!   of another cell's, so no op reads a location another op of the
+//!   segment writes; an op that reads its own destination
+//!   (`reg0 = reg0 + reg1`) reads before it writes;
+//! * each location is written at most once per segment, so commit order
+//!   does not matter, and a flagged segment writes no SPM line, VWR word or
+//!   SRF entry;
+//! * the trace's indices were resolved interpreting the same program on
+//!   the same geometry, so a flagged segment cannot fail half-way.
+//!
+//! The FIR tap loop's multiply and accumulate rows are flagged: 3696 of the
+//! 3876 ops of a FIR-256 trace.  Every other segment stays two-phase,
+//! including RC ops with VWR-word or SRF destinations.  An SRF entry is
+//! shared by the column's cells, LSU and MXCU, so going in place would need
+//! a hazard check across units.  A VWR word is slice-local and could go in
+//! place by the same argument as a register; every FFT-stage RC op writes
+//! one, and flagging them too lengthened a 25 s `hetero` perfbench run on a
+//! 2-vCPU VM from 69 to 76 s of wall time, because that benchmark's run
+//! length grows with host speed.  They wait for a benchmark whose run
+//! length does not.
 //!
 //! # Trace lifetime
 //!
@@ -218,6 +253,26 @@ pub(crate) fn narrow<T: TryFrom<usize>>(value: usize) -> Option<T> {
     T::try_from(value).ok()
 }
 
+/// `true` for an op that may replay in place: an RC op whose destination is
+/// nothing or a register of its own cell, and whose operands read no result
+/// latch and no other cell's register (see the module docs).
+pub(crate) fn replays_in_place(op: &ReplayOp) -> bool {
+    let ReplayOp::Rc { rc, a, b, dst, .. } = *op else {
+        return false;
+    };
+    let local = |src| match src {
+        ReplaySrc::Reg { rc: cell, .. } => cell == rc,
+        ReplaySrc::Prev(_) => false,
+        ReplaySrc::Const(_) | ReplaySrc::VwrWord { .. } | ReplaySrc::Srf(_) => true,
+    };
+    let writes_own = match dst {
+        ReplayDst::None => true,
+        ReplayDst::Reg { rc: cell, .. } => cell == rc,
+        ReplayDst::VwrWord { .. } | ReplayDst::Srf(_) => false,
+    };
+    writes_own && local(a) && local(b)
+}
+
 /// One guard of a trace: the SRF entry `(column, index)` must still hold
 /// `value` for the trace to replay (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,13 +286,18 @@ pub struct SrfGuard {
 }
 
 /// One segment of a trace: `len` consecutive ops of [`ReplayTrace::ops`]
-/// executed on `column` with the interpreter's two-phase cycle semantics
-/// (reads see segment-start state, writes commit at segment end; SPM
-/// accesses are immediate, as in [`crate::column::Column::step`]).
+/// executed on `column` in one cycle.  A segment replays with the
+/// interpreter's two-phase cycle semantics (reads see segment-start state,
+/// writes commit at segment end; SPM accesses are immediate, as in
+/// [`crate::column::Column::step`]), unless it is flagged `in_place`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplaySegment {
     /// Column the segment executes on.
-    pub column: u32,
+    pub column: u16,
+    /// Every op is an RC op that writes nothing but its own cell's
+    /// registers and latch and reads no latch, so each write may land as
+    /// its op executes (see the module docs).
+    pub in_place: bool,
     /// Number of ops in the segment.
     pub len: u32,
 }
@@ -365,11 +425,13 @@ impl TraceRecorder {
 
     fn close_segment(&mut self) {
         if self.seg_open && self.ops.len() > self.seg_start {
-            match (
-                narrow(self.cur_column),
-                narrow(self.ops.len() - self.seg_start),
-            ) {
-                (Some(column), Some(len)) => self.segments.push(ReplaySegment { column, len }),
+            let ops = &self.ops[self.seg_start..];
+            match (narrow(self.cur_column), narrow(ops.len())) {
+                (Some(column), Some(len)) => self.segments.push(ReplaySegment {
+                    column,
+                    in_place: ops.iter().all(replays_in_place),
+                    len,
+                }),
                 _ => self.poisoned = true,
             }
         }
@@ -607,6 +669,21 @@ impl ReplayCache {
             .sum()
     }
 
+    /// The ops in segments flagged [`ReplaySegment::in_place`] and all
+    /// ops, each summed over every stored trace: how much of the stored
+    /// schedules replays without the two-phase commit.
+    pub fn in_place_ops(&self) -> (usize, usize) {
+        let mut ops = (0, 0);
+        for (_, traces) in lock(&self.entries).programs.values() {
+            for trace in lock(&traces.traces).iter() {
+                let flagged = trace.segments.iter().filter(|s| s.in_place);
+                ops.0 += flagged.map(|s| s.len as usize).sum::<usize>();
+                ops.1 += trace.len();
+            }
+        }
+        ops
+    }
+
     /// The traces handle of a program stored for `geometry`, created on
     /// first sight.  Marks the program as the most recently loaded; a new
     /// program beyond the bound drops the least recently loaded one (slots
@@ -683,6 +760,45 @@ mod tests {
         rec.push_op(None);
         assert!(rec.poisoned());
         assert!(finish(rec).is_none());
+    }
+
+    #[test]
+    fn a_column_that_does_not_fit_poisons() {
+        let mut rec = TraceRecorder::new(1);
+        rec.begin_segment(1 << 16);
+        rec.push_op(Some(ReplayOp::Shuffle {
+            op: ShuffleOp::EvenPrune,
+        }));
+        assert!(finish(rec).is_none());
+    }
+
+    #[test]
+    fn only_cell_local_rc_ops_replay_in_place() {
+        let add = |a, dst| ReplayOp::Rc {
+            rc: 1,
+            op: RcOpcode::Add,
+            a,
+            b: ReplaySrc::Const(1),
+            dst,
+        };
+        let own_dst = ReplayDst::Reg { rc: 1, reg: 0 };
+        let own_reg = ReplaySrc::Reg { rc: 1, reg: 0 };
+        let other_reg = ReplaySrc::Reg { rc: 0, reg: 0 };
+        let word = ReplaySrc::VwrWord { vwr: 0, word: 40 };
+        assert!(replays_in_place(&add(own_reg, own_dst)));
+        assert!(replays_in_place(&add(word, ReplayDst::None)));
+        assert!(replays_in_place(&add(ReplaySrc::Srf(2), own_dst)));
+        // Another cell's register or any latch may change under the read.
+        assert!(!replays_in_place(&add(other_reg, own_dst)));
+        assert!(!replays_in_place(&add(ReplaySrc::Prev(1), own_dst)));
+        for dst in [
+            ReplayDst::Reg { rc: 0, reg: 0 },
+            ReplayDst::VwrWord { vwr: 2, word: 40 },
+            ReplayDst::Srf(3),
+        ] {
+            assert!(!replays_in_place(&add(word, dst)), "{dst:?}");
+        }
+        assert!(!replays_in_place(&ReplayOp::AddSrf { srf: 0, imm: 1 }));
     }
 
     #[test]

@@ -62,6 +62,12 @@ pub const SETUP_CYCLES: u64 = 60;
 const RADIX2_BUTTERFLIES_PER_CYCLE: f64 = 0.55;
 /// Cycles per input/output word moved through the dual-port memory.
 const IO_CYCLES_PER_WORD: u64 = 1;
+/// Largest input word magnitude of the floating-point entries, which clamp
+/// every scaled sample to it.  Below it no first-stage product or sum can
+/// overflow an `i64`: a block whose peak reaches 2^16 is halved before its
+/// butterflies, to at most 2^46, and twiddles are at most 2^15.  Samples
+/// below 2^31 in magnitude scale to less and are unchanged.
+const MAX_INPUT_WORD: i64 = 1 << 47;
 
 fn check_size(n: usize) -> Result<(), FftAccelError> {
     if n < MIN_POINTS || !n.is_power_of_two() || n > MAX_POINTS {
@@ -244,6 +250,8 @@ impl FftAccelerator {
     /// Runs a complex FFT on interleaved floating-point data (the host view
     /// of the q15 samples), returning the spectrum scaled by `1/N` (the
     /// engine's block-scaled output renormalised) and the run statistics.
+    /// Samples saturate at 2^31 in magnitude (and `NaN` reads as zero), so
+    /// no finite or infinite input overflows the datapath.
     ///
     /// # Errors
     ///
@@ -253,10 +261,8 @@ impl FftAccelerator {
         input: &[Complex],
     ) -> Result<(Vec<Complex>, FftAccelStats), FftAccelError> {
         let scale_in = (1 << (DATAPATH_BITS - 2)) as f64;
-        let mut x: Vec<(i64, i64)> = input
-            .iter()
-            .map(|c| ((c.re * scale_in) as i64, (c.im * scale_in) as i64))
-            .collect();
+        let word = |v: f64| ((v * scale_in) as i64).clamp(-MAX_INPUT_WORD, MAX_INPUT_WORD);
+        let mut x: Vec<(i64, i64)> = input.iter().map(|c| (word(c.re), word(c.im))).collect();
         let (block_exponent, stats) = transform(&mut x)?;
 
         // Renormalise to the mathematical DFT scaled by 1/N so callers can
@@ -544,6 +550,43 @@ mod tests {
             accel.run_complex_q16(&[0; 4], &[0; 4]),
             Err(FftAccelError::UnsupportedSize { n: 4, max: 4096 })
         );
+    }
+
+    #[test]
+    fn huge_inputs_saturate_instead_of_overflowing() {
+        // Two samples that meet in one first-stage butterfly, one with its
+        // imaginary half negative: at every magnitude from 1e10 up they
+        // clamp to the words of a sample at 2^31, the clamp bound, and give
+        // its spectrum, with outputs within the 18-bit full scale.
+        let accel = FftAccelerator::new();
+        let block = |m: f64| {
+            let mut x = vec![Complex::default(); 8];
+            x[0] = Complex::new(m, -m);
+            x[4] = Complex::new(m, m);
+            x
+        };
+        let (at_bound, _) = accel.run_complex(&block(2f64.powi(31))).unwrap();
+        assert!(at_bound.iter().any(|c| c.re != 0.0 || c.im != 0.0));
+        assert!(at_bound
+            .iter()
+            .all(|c| c.re.abs() <= 2.0 && c.im.abs() <= 2.0));
+        let real = |m: f64| {
+            let mut x = vec![0.0; 16];
+            x[..2].copy_from_slice(&[m, -m]);
+            x[8..10].copy_from_slice(&[m, m]);
+            x
+        };
+        let (real_at_bound, _) = accel.run_real(&real(2f64.powi(31))).unwrap();
+        for m in [1e10, 1e12, 1e15, f64::MAX, f64::INFINITY] {
+            let (spectrum, _) = accel.run_complex(&block(m)).unwrap();
+            assert_eq!(bits(&spectrum), bits(&at_bound), "{m}");
+            let (spectrum, _) = accel.run_real(&real(m)).unwrap();
+            assert_eq!(bits(&spectrum), bits(&real_at_bound), "{m}");
+            let (spectrum, _) = accel.run_real(&real(-m)).unwrap();
+            assert!(spectrum
+                .iter()
+                .all(|c| c.re.is_finite() && c.im.is_finite()));
+        }
     }
 
     #[test]

@@ -318,21 +318,25 @@ fn run_hetero_server(
         .expect("heterogeneous serving runs")
 }
 
-/// Caps a random RC instruction at one SRF access (the SRF is
-/// single-ported, so a row with more is a static structural hazard):
-/// surplus SRF operands become the zero source, keeping the row legal
-/// while preserving the instruction's shape otherwise.
-fn cap_srf_accesses(mut instr: RcInstr) -> RcInstr {
-    let mut used = matches!(instr.dst, RcDst::Srf(_));
-    if matches!(instr.src_a, RcSrc::Srf(_)) {
-        if used {
-            instr.src_a = RcSrc::Zero;
-        } else {
-            used = true;
+/// Caps the random RC instructions of one row at one SRF access in total
+/// (the SRF is single-ported, so a row with more is a static structural
+/// hazard): once `used` is set, a surplus SRF destination becomes register
+/// 0 and a surplus SRF operand the zero source, keeping the row legal while
+/// preserving each instruction's shape otherwise.
+fn cap_srf_accesses(mut instr: RcInstr, used: &mut bool) -> RcInstr {
+    if matches!(instr.dst, RcDst::Srf(_)) {
+        if *used {
+            instr.dst = RcDst::Reg(0);
         }
+        *used = true;
     }
-    if matches!(instr.src_b, RcSrc::Srf(_)) && used {
-        instr.src_b = RcSrc::Zero;
+    for src in [&mut instr.src_a, &mut instr.src_b] {
+        if matches!(src, RcSrc::Srf(_)) {
+            if *used {
+                *src = RcSrc::Zero;
+            }
+            *used = true;
+        }
     }
     instr
 }
@@ -342,6 +346,16 @@ fn cap_srf_accesses(mut instr: RcInstr) -> RcInstr {
 enum BodyRow {
     /// An RC instruction (on RC `row % 4`).
     Rc(RcInstr),
+    /// The first `count` (2 to 4) instructions, on RCs `first`,
+    /// `first + 1`, … (mod 4) of one row: a cell can read a neighbour's
+    /// latch while the neighbour rewrites it, and one row can mix
+    /// register, VWR-word and SRF destinations, so segments that replay in
+    /// place and staged ones meet in one trace.
+    Cells {
+        first: usize,
+        count: usize,
+        instrs: [RcInstr; 4],
+    },
     /// An in-kernel bump of a line pointer: a schedule-derived SRF write.
     Bump { srf: u8, imm: i16 },
     /// Move the MXCU index by `step`, then store it into an SRF entry:
@@ -362,6 +376,19 @@ fn arb_body_row() -> impl Strategy<Value = BodyRow> {
     prop_oneof![
         arb_rc_instr().prop_map(BodyRow::Rc),
         arb_rc_instr().prop_map(BodyRow::Rc),
+        (
+            0usize..4,
+            2usize..5,
+            arb_rc_instr(),
+            arb_rc_instr(),
+            arb_rc_instr(),
+            arb_rc_instr()
+        )
+            .prop_map(|(first, count, a, b, c, d)| BodyRow::Cells {
+                first,
+                count,
+                instrs: [a, b, c, d],
+            }),
         (6u8..8, -2i16..3).prop_map(|(srf, imm)| BodyRow::Bump { srf, imm }),
         (0u8..8, -3i16..4).prop_map(|(srf, step)| BodyRow::StoreIdx { srf, step }),
         (4u8..8, 0u16..8).prop_map(|(srf, entry)| BodyRow::LoadSrf { srf, entry }),
@@ -388,7 +415,19 @@ fn replay_kernel(name: &str, body: &[BodyRow]) -> vwr2a::core::KernelProgram {
     }));
     for (i, row) in body.iter().enumerate() {
         let row = match *row {
-            BodyRow::Rc(instr) => b.row().rc(i % 4, cap_srf_accesses(instr)),
+            BodyRow::Rc(instr) => b.row().rc(i % 4, cap_srf_accesses(instr, &mut false)),
+            BodyRow::Cells {
+                first,
+                count,
+                instrs,
+            } => {
+                let mut used = false;
+                (first..first + count)
+                    .zip(instrs)
+                    .fold(b.row(), |row, (rc, instr)| {
+                        row.rc(rc % 4, cap_srf_accesses(instr, &mut used))
+                    })
+            }
             BodyRow::Bump { srf, imm } => b.row().lsu(LsuInstr::AddSrf { srf, imm }),
             BodyRow::StoreIdx { srf, step } => {
                 b.push(b.row().mxcu(MxcuInstr::AddIdx(step)));
