@@ -106,7 +106,7 @@
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use vwr2a_core::geometry::Geometry;
 use vwr2a_energy::EnergyModel;
@@ -494,8 +494,8 @@ enum BackendPrice {
 }
 
 /// Per-job, per-backend pricing computed at admission, once per distinct
-/// cache key and [`Offload`] declaration of a serve, and shared by the
-/// tickets that have both.
+/// cache key and [`Offload`] declaration until the fleet changes, and
+/// shared by the tickets that have both.
 #[derive(Debug, Clone)]
 struct JobPricing {
     /// Scalar reload cost: the footprint on the first array backend whose
@@ -610,7 +610,7 @@ struct Ticket<'k, K, I> {
     /// shared by every ticket of the same key and offload declaration.  An
     /// ineligible price marks a backend that cannot serve this job;
     /// dispatch and stealing never commit the job there.
-    pricing: Rc<JobPricing>,
+    pricing: Arc<JobPricing>,
     windows_hint: usize,
     tenant: TenantId,
     arrival: u64,
@@ -687,12 +687,11 @@ pub(crate) struct Dispatch<'a> {
 pub struct Pool {
     backends: Vec<Backend>,
     placement: Box<dyn Placement>,
-    /// Configuration-word footprints by array geometry and
-    /// [`Kernel::cache_key`] (`None` = the geometry cannot build the
-    /// program), so a program's [`Kernel::config_words`] is computed once
-    /// per key and geometry rather than once per job or per backend (the
-    /// hook may build the whole program to count).
-    footprints: HashMap<Geometry, HashMap<String, Option<usize>>>,
+    /// Admission prices by [`KeyId`], one per distinct [`Offload`]
+    /// declaration of the key.  A price reads only the key's footprints,
+    /// the declaration and the fleet, so it is computed once and kept
+    /// until [`Pool::push_backend`] changes the fleet.
+    prices: Vec<Vec<(Offload, Arc<JobPricing>)>>,
     /// Every cache key admitted so far, by its [`KeyId`].
     key_ids: HashMap<String, KeyId>,
     /// The learned per-program array costs behind projected backlogs and
@@ -749,7 +748,7 @@ impl Pool {
         let mut pool = Self {
             backends: Vec::with_capacity(backends.len()),
             placement: Box::new(CostAware::default()),
-            footprints: HashMap::new(),
+            prices: Vec::new(),
             key_ids: HashMap::new(),
             estimates: Estimator::default(),
             residency: Vec::new(),
@@ -769,7 +768,8 @@ impl Pool {
     }
 
     /// Appends a backend to the fleet.  Existing residency and the
-    /// placement strategy are unaffected; the new backend starts idle.
+    /// placement strategy are unaffected; the new backend starts idle, and
+    /// admission prices are recomputed for the new fleet.
     ///
     /// Every CGRA array of the fleet shares the first array's
     /// [`ReplayCache`](vwr2a_core::replay::ReplayCache), so a program
@@ -784,6 +784,7 @@ impl Pool {
             session.accelerator_mut().share_replay_cache(&cache);
         }
         self.backends.push(backend);
+        self.prices.clear();
     }
 
     /// Replaces the placement strategy, builder-style.
@@ -914,19 +915,6 @@ impl Pool {
         self.serve(jobs, sink, batch).map(|report| report.fleet)
     }
 
-    /// Configuration-word footprint of `kernel`'s program on `geometry`,
-    /// cached per geometry and cache key across jobs and waves.  `None` if
-    /// the geometry cannot build the program.
-    fn footprint<K: Kernel>(&mut self, geometry: Geometry, kernel: &K, key: &str) -> Option<usize> {
-        let by_key = self.footprints.entry(geometry).or_default();
-        if let Some(&cached) = by_key.get(key) {
-            return cached;
-        }
-        let words = kernel.config_words(&geometry).ok();
-        by_key.insert(key.to_string(), words);
-        words
-    }
-
     /// The [`KeyId`] of `key`, numbering it if the pool has not seen it.
     fn intern(&mut self, key: &str) -> KeyId {
         if let Some(&id) = self.key_ids.get(key) {
@@ -937,33 +925,31 @@ impl Pool {
         id
     }
 
-    /// Prices `kernel` (cache key `key`, offload declaration `offload`)
-    /// against every backend of the fleet (see [`JobPricing`]).  An array
-    /// can serve the job when its geometry builds the program, an offload
-    /// backend when its model prices a window ([`Backend::window_cycles`]).
-    /// Errs if *no* backend can serve the job, naming the first array
-    /// (whose geometry failed) or, in an all-offload fleet, the first
-    /// backend.
-    fn price_job<K: Kernel>(
-        &mut self,
-        kernel: &K,
-        key: &str,
-        offload: &Offload,
-    ) -> Result<JobPricing> {
+    /// Prices `kernel` (offload declaration `offload`) against every
+    /// backend of the fleet (see [`JobPricing`]).  An array can serve the
+    /// job when its geometry builds the program, an offload backend when
+    /// its model prices a window ([`Backend::window_cycles`]).  Errs if
+    /// *no* backend can serve the job, naming the first array (whose
+    /// geometry failed) or, in an all-offload fleet, the first backend.
+    fn price_job<K: Kernel>(&self, kernel: &K, offload: &Offload) -> Result<JobPricing> {
         let model = EnergyModel::calibrated();
         let mut per_backend = Vec::with_capacity(self.backends.len());
         let mut config_words = None;
         let mut accel_floor: Option<u64> = None;
-        // Fleets are mostly uniform: reuse the previous array's footprint
-        // while the geometry repeats.
-        let mut last: Option<(Geometry, Option<usize>)> = None;
+        // Footprints per distinct geometry (`None`: the geometry cannot
+        // build the program), so [`Kernel::config_words`], which may build
+        // the whole program to count, runs once per geometry.
+        let mut footprints: Vec<(Geometry, Option<usize>)> = Vec::new();
         for index in 0..self.backends.len() {
             let price = if let Some(&geometry) = self.backends[index].geometry() {
-                let words = match last {
-                    Some((seen, words)) if seen == geometry => words,
-                    _ => self.footprint(geometry, kernel, key),
+                let words = match footprints.iter().find(|(seen, _)| *seen == geometry) {
+                    Some(&(_, words)) => words,
+                    None => {
+                        let words = kernel.config_words(&geometry).ok();
+                        footprints.push((geometry, words));
+                        words
+                    }
                 };
-                last = Some((geometry, words));
                 match words {
                     Some(words) => {
                         config_words.get_or_insert(words);
@@ -1081,8 +1067,9 @@ impl Pool {
             report.prefetch_energy_nj += staged_nj;
             report.counters += staged.counters;
         }
-        // Whatever the outcome: a speculative load that failed may already
-        // have evicted residents to make room.
+        // Whatever the outcome: a stage the registry refuses evicts
+        // nothing, but a policy that refuses, or names a non-candidate,
+        // partway through a load leaves that load's evictions behind.
         self.refresh_residency(target);
     }
 
@@ -1142,10 +1129,6 @@ impl Pool {
         F: FnMut(usize, K::Output) -> Result<()>,
     {
         let mut pending: VecDeque<Ticket<'k, K, W::IntoIter>> = VecDeque::new();
-        // This serve's prices, per key id: one per distinct offload
-        // declaration.  A price reads only the key's footprint, the
-        // declaration and the fleet, so tickets sharing both share it.
-        let mut prices: Vec<Vec<(Offload, Rc<JobPricing>)>> = Vec::new();
         for (seq, job) in jobs.into_iter().enumerate() {
             if job.arrival_cycle.max(job.deadline_cycle.unwrap_or(0)) > CYCLE_HORIZON {
                 return Err(RuntimeError::invalid_input(format!(
@@ -1155,16 +1138,19 @@ impl Pool {
             let key = job.kernel.cache_key();
             let key_id = self.intern(&key);
             let offload = job.kernel.offload();
-            if prices.len() <= key_id {
-                prices.resize_with(key_id + 1, Vec::new);
+            if self.prices.len() <= key_id {
+                self.prices.resize_with(key_id + 1, Vec::new);
             }
             // Admission prices the job against every backend; the ticket
             // carries the pricing through dispatch and stealing.
-            let pricing = match prices[key_id].iter().find(|(seen, _)| *seen == offload) {
-                Some((_, pricing)) => Rc::clone(pricing),
+            let pricing = match self.prices[key_id]
+                .iter()
+                .find(|(seen, _)| *seen == offload)
+            {
+                Some((_, pricing)) => Arc::clone(pricing),
                 None => {
-                    let pricing = Rc::new(self.price_job(job.kernel, &key, &offload)?);
-                    prices[key_id].push((offload, Rc::clone(&pricing)));
+                    let pricing = Arc::new(self.price_job(job.kernel, &offload)?);
+                    self.prices[key_id].push((offload, Arc::clone(&pricing)));
                     pricing
                 }
             };
@@ -2871,7 +2857,7 @@ mod tests {
             windows: std::iter::empty(),
             key: key.to_string(),
             key_id: pool.intern(key),
-            pricing: Rc::new(pricing),
+            pricing: Arc::new(pricing),
             windows_hint,
             tenant: 0,
             arrival: 0,
@@ -3058,22 +3044,18 @@ mod tests {
     fn admission_prices_the_fft_floor_from_the_engine_model() {
         // The floor comes from the engine's own model at admission; the
         // CPU's modelled window never floors the arrays.
-        let mut pool = Pool::new(1)
+        let pool = Pool::new(1)
             .with_backend(FftBackend::new())
             .with_backend(CpuBackend::new());
         let kernel = FftishKernel::new(3, 256);
-        let pricing = pool
-            .price_job(&kernel, &kernel.cache_key(), &kernel.offload())
-            .unwrap();
+        let pricing = pool.price_job(&kernel, &kernel.offload()).unwrap();
         let modelled = Backend::from(FftBackend::new())
             .window_cycles(&kernel.offload())
             .unwrap();
         assert_eq!(pricing.accel_floor, modelled);
         assert_eq!(pricing.per_backend[2], BackendPrice::Ineligible);
         let crumb = BakedScaleKernel::new(2).with_cpu_offload(10);
-        let pricing = pool
-            .price_job(&crumb, &crumb.cache_key(), &crumb.offload())
-            .unwrap();
+        let pricing = pool.price_job(&crumb, &crumb.offload()).unwrap();
         assert_eq!(pricing.accel_floor, 0);
         assert_eq!(pricing.per_backend[1], BackendPrice::Ineligible);
         assert!(matches!(

@@ -1128,6 +1128,16 @@ mod tests {
     }
 
     #[test]
+    fn pools_servers_and_sessions_are_send() {
+        // Host-parallel serving would move them across threads; this stops
+        // compiling if any of them loses `Send`.
+        fn assert_send<T: Send>() {}
+        assert_send::<Pool>();
+        assert_send::<Server>();
+        assert_send::<crate::Session>();
+    }
+
+    #[test]
     fn weighted_fair_closed_form_matches_visit_by_visit_credit() {
         // SplitMix64 over small queues, deficits and cursors: the closed
         // form picks the same job and leaves the same deficits and cursor.

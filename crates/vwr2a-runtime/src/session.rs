@@ -27,6 +27,17 @@
 //! on its next use, and that launch is cold again (it pays the
 //! configuration-word streaming); [`RunReport::evictions`] counts how often
 //! the session had to make room.
+//!
+//! Every program — a kernel's primary program, an auxiliary program and a
+//! [`Session::prefetch`] stage — enters the configuration memory through
+//! one admission step, which builds, validates and loads it.  The unpinned
+//! residents fall into three victim tiers: plain programs, then programs
+//! announced as needed soon ([`Session::set_needed_soon`]), then programs
+//! staged by a prefetch and not yet launched.  Each eviction offers the
+//! policy the lowest non-empty tier.  Admission decides whether the load
+//! can fit before it evicts anything: a launch may free every unpinned
+//! resident, a prefetch stage only the plain ones, and a load that cannot
+//! fit fails with `ConfigMemoryFull` and leaves every resident in place.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -92,8 +103,8 @@ pub trait Kernel {
         self.name().to_string()
     }
 
-    /// Declared resource needs, validated against the session's geometry at
-    /// registration.
+    /// Declared resource needs, validated against the session's geometry
+    /// before the program is first built.
     fn resources(&self) -> Resources;
 
     /// Builds the kernel's configuration-memory program for the given
@@ -229,9 +240,10 @@ pub struct Prefetch {
 
 /// A session's configuration-memory registry: the resident programs by
 /// cache key, the eviction policy that picks victims among them, and the
-/// planner's needed-soon shield.  [`LaunchCtx`] borrows it next to the
-/// accelerator, so registration, prefetch and auxiliary launches share
-/// one load path.
+/// planner's needed-soon shield.  [`Registry::admit`] is the only way a
+/// program enters the configuration memory; [`LaunchCtx`] borrows the
+/// registry next to the accelerator so auxiliary programs take the same
+/// path as primary programs and prefetch stages.
 #[derive(Debug)]
 struct Registry {
     programs: HashMap<String, Loaded>,
@@ -248,117 +260,109 @@ struct Registry {
 }
 
 impl Registry {
-    /// Loads `program` under `key`, evicting policy-chosen unpinned
-    /// residents until it fits; each eviction is recorded in `evicted` as
-    /// it happens, so the count survives even an error return.  Fails with
-    /// `ConfigMemoryFull` — *before* unloading anything — when the
-    /// evictable residents cannot free enough words (everything else is
-    /// pinned, or the program exceeds the total capacity), so an
-    /// impossible load never flushes the warm working set.  A policy that
-    /// refuses or returns a key outside the candidate set (pinned or not
-    /// resident) also fails the load instead of breaking the pin
-    /// guarantee.
+    /// Victim tier of a resident program; an eviction takes from the
+    /// lowest non-empty tier.  `0`: a plain program.  `1`: a program
+    /// announced as needed soon — a planning hint, dropped before the
+    /// prefetch soft pin.  `2`: a program staged by a prefetch and not yet
+    /// launched, offered only as a last resort: a stale staging must not
+    /// wedge the memory the way an invocation pin legitimately can
+    /// (evicting it merely wastes the staged words).
+    fn tier(&self, key: &str, loaded: &Loaded) -> usize {
+        if loaded.prefetched {
+            2
+        } else {
+            usize::from(self.needed_soon.contains(key))
+        }
+    }
+
+    /// Admits the program under `key`: a resident program is left as it
+    /// is; otherwise `build` makes it for the accelerator's geometry, and
+    /// it is validated and loaded, evicting policy-chosen residents outside
+    /// `pinned` until it fits.  Evictions are counted in `evicted` as they
+    /// happen, so the count survives an error return.
     ///
-    /// A `speculative` load (prefetch staging) additionally refuses to
-    /// fall past the shielded victim tier: sacrificing an already-staged
-    /// or needed-soon program to stage another speculatively is strictly
-    /// worse than letting the later job pay its own (authoritative)
-    /// reload, so the stage fails — and its best-effort caller skips it —
-    /// instead.
-    fn load(
+    /// The load fails with `ConfigMemoryFull` before it evicts anything
+    /// when the free words plus those it may free fall short: every
+    /// unpinned resident's, or only tier 0's for a `speculative` load (a
+    /// prefetch stage), since sacrificing a staged or needed-soon program
+    /// to stage another is worse than letting the later job pay its own
+    /// reload.  Each eviction step ranks the unpinned residents into tiers
+    /// ([`Registry::tier`]) once and offers the policy the lowest non-empty
+    /// one, so a speculative load evicts only from tier 0.  A policy that
+    /// refuses, or names a program outside the offered tier, fails the load
+    /// instead of breaking the pin guarantee.
+    fn admit(
         &mut self,
         accel: &mut Vwr2a,
         key: &str,
-        program: &KernelProgram,
+        build: impl FnOnce(&Geometry) -> Result<KernelProgram>,
         pinned: &[String],
         speculative: bool,
         evicted: &mut u64,
     ) -> Result<()> {
+        if self.programs.contains_key(key) {
+            return Ok(());
+        }
+        let geometry = *accel.geometry();
+        let program = build(&geometry)?;
+        validate_fit(&geometry, &program)?;
         let needed = program.config_words();
         let full = |accel: &Vwr2a| vwr2a_core::CoreError::ConfigMemoryFull {
             capacity_words: accel.config_mem().capacity_words(),
             requested_words: needed,
         };
-        // Programs pinned by the active invocation are never evictable.
-        // Prefetched-but-not-yet-launched programs are *soft-pinned*:
-        // withheld while any other resident can make room, offered only
-        // as a last resort — a stale speculative staging must not wedge
-        // the memory the way an invocation pin legitimately can (evicting
-        // one merely wastes the staged words; its next use reloads cold).
-        let unpinned = |key: &String| !pinned.iter().any(|p| p == key);
-        let evictable: usize = self
+        let unpinned = |key: &str| !pinned.iter().any(|p| p == key);
+        let freeable: usize = self
             .programs
             .iter()
-            .filter(|(key, _)| unpinned(key))
+            .filter(|(key, loaded)| unpinned(key) && (!speculative || self.tier(key, loaded) == 0))
             .map(|(_, loaded)| loaded.words)
             .sum();
-        if needed > accel.config_mem().free_words() + evictable {
+        if needed > accel.config_mem().free_words() + freeable {
             return Err(full(accel).into());
         }
         while needed > accel.config_mem().free_words() {
-            let programs = &self.programs;
-            let needed_soon = &self.needed_soon;
-            let snapshot =
-                |include_needed: bool, include_prefetched: bool| -> Vec<ResidentProgram<'_>> {
-                    programs
-                        .iter()
-                        .filter(|(key, loaded)| {
-                            unpinned(key)
-                                && (include_prefetched || !loaded.prefetched)
-                                && (include_needed || !needed_soon.contains(*key))
-                        })
-                        .map(|(key, loaded)| ResidentProgram {
-                            key,
-                            words: loaded.words,
-                            launches: loaded.launches,
-                            last_use: loaded.last_use,
-                        })
-                        .collect()
-                };
-            // Victim tiers: first programs neither staged by a prefetch
-            // nor announced as needed-soon, then needed-soon programs (a
-            // planning hint, dropped before the prefetch soft pin — the
-            // staged words are already paid for), then everything
-            // unpinned.
-            let shielded = snapshot(false, false);
-            if speculative && shielded.is_empty() {
+            let mut tiers: [Vec<ResidentProgram<'_>>; 3] = Default::default();
+            for (key, loaded) in self.programs.iter().filter(|(key, _)| unpinned(key)) {
+                tiers[self.tier(key, loaded)].push(ResidentProgram {
+                    key,
+                    words: loaded.words,
+                    launches: loaded.launches,
+                    last_use: loaded.last_use,
+                });
+            }
+            let lowest = tiers.iter().position(|tier| !tier.is_empty()).unwrap_or(0);
+            let offered = &tiers[lowest];
+            // Refusal — or a rogue policy naming a pinned or non-resident
+            // program, which must not break the pin guarantee — fails the
+            // load.
+            let Some(victim) = self
+                .policy
+                .select_victim(offered)
+                .filter(|victim| offered.iter().any(|c| c.key == *victim))
+            else {
                 return Err(full(accel).into());
-            }
-            let unshielded = snapshot(true, false);
-            let used_shield = !shielded.is_empty() && shielded.len() < unshielded.len();
-            let mut candidates = if shielded.is_empty() {
-                unshielded.clone()
-            } else {
-                shielded
             };
-            if candidates.is_empty() {
-                candidates = snapshot(true, true);
-            }
-            let victim = match self.policy.select_victim(&candidates) {
-                Some(victim) if candidates.iter().any(|c| c.key == victim) => victim.to_string(),
-                // Refusal — or a rogue policy naming a pinned or
-                // non-resident program, which must not break the pin
-                // guarantee.
-                _ => return Err(full(accel).into()),
-            };
-            if used_shield {
+            if lowest == 0 && !tiers[1].is_empty() {
                 // Count the shield's effect: without it the policy would
                 // have victimised a program a queued job needs.
-                if let Some(would) = self.policy.select_victim(&unshielded) {
-                    if would != victim && needed_soon.contains(would) {
+                let [plain, soon, _] = &mut tiers;
+                plain.extend_from_slice(soon);
+                if let Some(would) = self.policy.select_victim(plain) {
+                    if would != victim && self.needed_soon.contains(would) {
                         self.averted += 1;
                     }
                 }
             }
-            let entry = self
-                .programs
-                .remove(&victim)
-                .expect("victim validated against the candidate set");
+            let victim = victim.to_string();
+            let Some(entry) = self.programs.remove(&victim) else {
+                return Err(full(accel).into());
+            };
             accel.unload_kernel(entry.id)?;
             self.policy.note_eviction(&victim, entry.launches);
             *evicted += 1;
         }
-        let id = accel.load_kernel(program)?;
+        let id = accel.load_kernel(&program)?;
         self.policy.note_load(key);
         self.clock += 1;
         self.programs.insert(
@@ -470,18 +474,14 @@ impl LaunchCtx<'_> {
         key: &str,
         build: impl FnOnce() -> Result<KernelProgram>,
     ) -> Result<u64> {
-        if !self.registry.programs.contains_key(key) {
-            let program = build()?;
-            validate_fit(self.accel.geometry(), &program)?;
-            self.registry.load(
-                self.accel,
-                key,
-                &program,
-                &self.pinned,
-                false,
-                &mut self.evictions,
-            )?;
-        }
+        self.registry.admit(
+            self.accel,
+            key,
+            |_| build(),
+            &self.pinned,
+            false,
+            &mut self.evictions,
+        )?;
         if !self.pinned.iter().any(|p| p == key) {
             self.pinned.push(key.to_string());
         }
@@ -491,11 +491,15 @@ impl LaunchCtx<'_> {
     fn launch_key(&mut self, key: &str) -> Result<u64> {
         self.registry.clock += 1;
         let now = self.registry.clock;
+        // Invariant: `Session::run_into` admits the primary program before
+        // the invocation starts and `launch_aux` admits its program before
+        // launching it; both stay pinned for the whole invocation, so no
+        // eviction can have removed the key.
         let entry = self
             .registry
             .programs
             .get_mut(key)
-            .expect("program registered before launch");
+            .expect("launched programs are admitted and pinned");
         debug_assert!(
             self.accel.config_mem().contains(entry.id),
             "registry id must refer to a resident configuration-memory kernel"
@@ -504,12 +508,12 @@ impl LaunchCtx<'_> {
         // A never-launched program whose words were *prefetched* launches
         // warm: the configuration streaming already happened, off the
         // critical path.
-        let stats = if entry.launches == 0 && !entry.prefetched {
-            self.cold_launches += 1;
-            self.accel.run_kernel(entry.id)?
-        } else {
+        let stats = if entry.warm() {
             self.warm_launches += 1;
             self.accel.run_kernel_warm(entry.id)?
+        } else {
+            self.cold_launches += 1;
+            self.accel.run_kernel(entry.id)?
         };
         entry.launches += 1;
         self.replayed += self.accel.replays() - replays_before;
@@ -727,17 +731,8 @@ impl Session {
         self.busy
     }
 
-    /// Registers a kernel without running it: validates its resource needs
-    /// and loads its program into the configuration memory, evicting cold
-    /// programs if it does not fit.  [`Session::run`] does this implicitly;
-    /// pre-registering is useful to front-load validation errors.
-    pub fn register<K: Kernel>(&mut self, kernel: &K) -> Result<()> {
-        self.register_internal(kernel, &kernel.cache_key())
-            .map(|_| ())
-    }
-
     /// Speculatively stages a kernel so its next launch is warm: loads the
-    /// program if absent (evicting cold residents as [`Session::register`]
+    /// program if absent (evicting cold residents as [`Session::run`]
     /// would) and streams its configuration words into the per-slot program
     /// memories ahead of the launch — the cold half of a launch, paid while
     /// the array is busy with something else.
@@ -755,13 +750,14 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// As [`Session::register`] (resource misfits, `ConfigMemoryFull` when
-    /// eviction cannot make room).  The staging load is *speculative*:
-    /// it also fails with `ConfigMemoryFull` — instead of evicting — when
-    /// only prefetched or needed-soon residents (see
-    /// [`Session::set_needed_soon`]) could free enough words, so a
-    /// best-effort prefetch never cannibalises a program another staged
-    /// or queued launch depends on.
+    /// As [`Session::run`] for resource misfits, and `ConfigMemoryFull`
+    /// when the program cannot fit.  The staging load is *speculative*: it
+    /// may evict only residents that are neither prefetched nor announced
+    /// as needed soon (see [`Session::set_needed_soon`]), so a best-effort
+    /// prefetch never cannibalises a program another staged or queued
+    /// launch depends on.  When those residents cannot free enough words,
+    /// the stage fails before it evicts anything: a refused stage leaves
+    /// every resident in place.
     pub fn prefetch<K: Kernel>(&mut self, kernel: &K) -> Result<Option<Prefetch>> {
         self.prefetch_key(kernel, &kernel.cache_key())
     }
@@ -773,15 +769,16 @@ impl Session {
         kernel: &K,
         key: &str,
     ) -> Result<Option<Prefetch>> {
-        let evictions = self.register_internal_with(kernel, key, true)?;
-        let entry = self
+        let evictions = self.admit(kernel, key, true)?;
+        // Admission left the program resident: stage it unless it is warm.
+        let Some(entry) = self
             .registry
             .programs
             .get_mut(key)
-            .expect("program registered by prefetch");
-        if entry.warm() {
+            .filter(|entry| !entry.warm())
+        else {
             return Ok(None);
-        }
+        };
         let before = self.accel.counters();
         let config_cycles = self.accel.prefetch_kernel(entry.id)?;
         entry.prefetched = true;
@@ -796,23 +793,13 @@ impl Session {
         }))
     }
 
-    /// Loads the kernel's program (cache key `key`) if absent, returning
-    /// how many residents were evicted to make room.  Evictions are added
-    /// to [`Session::evictions`] as they happen, even if the load then
-    /// fails.
-    fn register_internal<K: Kernel>(&mut self, kernel: &K, key: &str) -> Result<u64> {
-        self.register_internal_with(kernel, key, false)
-    }
-
-    /// [`Session::register_internal`] with an explicit speculative flag:
-    /// a speculative load (prefetch staging) gives up instead of evicting
-    /// a prefetched or needed-soon resident.
-    fn register_internal_with<K: Kernel>(
-        &mut self,
-        kernel: &K,
-        key: &str,
-        speculative: bool,
-    ) -> Result<u64> {
+    /// Admits `kernel`'s program under `key` for a launch, or for a
+    /// prefetch stage when `speculative` (see [`Registry::admit`]), and
+    /// returns how many residents were evicted to make room.  Evictions
+    /// are added to [`Session::evictions`] as they happen, even if the
+    /// load then fails.  The kernel's declared [`Resources`] are checked
+    /// before its program is built.
+    fn admit<K: Kernel>(&mut self, kernel: &K, key: &str, speculative: bool) -> Result<u64> {
         if self.registry.programs.contains_key(key) {
             // An invocation (or prefetch) came back for a resident program:
             // the once-per-invocation reuse signal adaptive policies
@@ -846,13 +833,11 @@ impl Session {
                 needs.srf_slots, geometry.srf_entries
             )));
         }
-        let program = kernel.program(&geometry)?;
-        validate_fit(&geometry, &program)?;
         let mut evicted = 0;
-        let result = self.registry.load(
+        let result = self.registry.admit(
             &mut self.accel,
             key,
-            &program,
+            |geometry| kernel.program(geometry),
             &[],
             speculative,
             &mut evicted,
@@ -966,7 +951,7 @@ impl Session {
         input: &K::Input,
         report: &mut RunReport,
     ) -> Result<(K::Output, WindowPhases)> {
-        let register_evictions = self.register_internal(kernel, key)?;
+        let admit_evictions = self.admit(kernel, key, false)?;
         let before = self.accel.counters();
         let mut ctx = LaunchCtx {
             accel: &mut self.accel,
@@ -995,7 +980,7 @@ impl Session {
         report.warm_launches += warm;
         report.replayed += replayed;
         report.cycles += phases.total();
-        report.evictions += register_evictions + ctx_evictions;
+        report.evictions += admit_evictions + ctx_evictions;
         let delta = self.accel.counters() - before;
         // Price the invocation's own activity delta (not the running
         // total): per-window nJ then sum *exactly* to per-backend and
@@ -1697,12 +1682,14 @@ mod tests {
         assert!(!session.is_resident_key("scale"));
         assert_eq!(session.busy(), Occupancy::default());
 
-        // Registration loads the program: resident but not yet warm.
-        session.register(&kernel).unwrap();
+        // A prefetch loads and stages the program: resident and warm
+        // before any compute ran.
+        let staged = session.prefetch(&kernel).unwrap().expect("streams words");
         assert!(session.is_resident(&kernel));
         assert!(session.is_resident_key("scale"));
-        assert!(!session.is_warm(&kernel));
+        assert!(session.is_warm(&kernel));
         assert_eq!(session.busy().compute, 0, "no compute ran yet");
+        assert_eq!(session.busy().config_load, staged.config_cycles);
 
         let input: Vec<i32> = (0..64).collect();
         let (_, first) = session.run(&kernel, &input).unwrap();
@@ -1715,7 +1702,9 @@ mod tests {
         assert!(busy.compute > after_first);
         assert_eq!(
             busy.total(),
-            (first.busy + second.busy).total() - first.busy.interrupt - second.busy.interrupt
+            staged.config_cycles + (first.busy + second.busy).total()
+                - first.busy.interrupt
+                - second.busy.interrupt
         );
     }
 
@@ -1829,7 +1818,7 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_that_cannot_fit_fails_like_register() {
+    fn prefetch_that_cannot_fit_fails_like_run() {
         let mut session = constrained_session(baked_words() - 1);
         let err = session.prefetch(&BakedScaleKernel::new(2)).unwrap_err();
         assert!(
@@ -1972,5 +1961,416 @@ mod tests {
             kernel.config_words(&geometry).unwrap(),
             kernel.program(&geometry).unwrap().config_words()
         );
+    }
+
+    #[test]
+    fn a_refused_speculative_stage_evicts_nothing() {
+        // A (plain) and B (needed soon) fill a two-slot memory.  Staging a
+        // program that needs both slots may evict only A, which cannot
+        // make room alone, so the stage fails before it evicts anything.
+        // The launch of the same kernel is authoritative and makes room.
+        let small = PaddedKernel::words(1);
+        let mut session = constrained_session(2 * small);
+        let a = PaddedKernel::new(1, "a");
+        let b = PaddedKernel::new(1, "b");
+        session.run(&a, &()).unwrap();
+        session.run(&b, &()).unwrap();
+        session.set_needed_soon([b.cache_key()]);
+
+        let rows = (1..).find(|&r| PaddedKernel::words(r) > small).unwrap();
+        assert!(PaddedKernel::words(rows) <= 2 * small, "fits in two slots");
+        let big = PaddedKernel::new(rows, "big");
+        let err = session.prefetch(&big).unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Core(CoreError::ConfigMemoryFull { .. })),
+            "expected ConfigMemoryFull, got {err:?}"
+        );
+        assert_eq!(session.evictions(), 0);
+        assert!(session.is_warm(&a), "the refused stage left A in place");
+        assert!(session.is_warm(&b));
+
+        let (_, report) = session.run(&big, &()).unwrap();
+        assert_eq!(report.evictions, 2);
+        assert!(session.is_resident(&big));
+    }
+
+    // The registry's load step before admission decided feasibility up
+    // front and ranked the residents once per eviction step, kept verbatim
+    // as the reference of `admission_matches_the_reference_load`.
+    impl Registry {
+        /// Loads `program` under `key`, evicting policy-chosen unpinned
+        /// residents until it fits; each eviction is recorded in `evicted` as
+        /// it happens, so the count survives even an error return.  Fails with
+        /// `ConfigMemoryFull` — *before* unloading anything — when the
+        /// evictable residents cannot free enough words (everything else is
+        /// pinned, or the program exceeds the total capacity), so an
+        /// impossible load never flushes the warm working set.  A policy that
+        /// refuses or returns a key outside the candidate set (pinned or not
+        /// resident) also fails the load instead of breaking the pin
+        /// guarantee.
+        ///
+        /// A `speculative` load (prefetch staging) additionally refuses to
+        /// fall past the shielded victim tier: sacrificing an already-staged
+        /// or needed-soon program to stage another speculatively is strictly
+        /// worse than letting the later job pay its own (authoritative)
+        /// reload, so the stage fails — and its best-effort caller skips it —
+        /// instead.
+        fn load(
+            &mut self,
+            accel: &mut Vwr2a,
+            key: &str,
+            program: &KernelProgram,
+            pinned: &[String],
+            speculative: bool,
+            evicted: &mut u64,
+        ) -> Result<()> {
+            let needed = program.config_words();
+            let full = |accel: &Vwr2a| vwr2a_core::CoreError::ConfigMemoryFull {
+                capacity_words: accel.config_mem().capacity_words(),
+                requested_words: needed,
+            };
+            // Programs pinned by the active invocation are never evictable.
+            // Prefetched-but-not-yet-launched programs are *soft-pinned*:
+            // withheld while any other resident can make room, offered only
+            // as a last resort — a stale speculative staging must not wedge
+            // the memory the way an invocation pin legitimately can (evicting
+            // one merely wastes the staged words; its next use reloads cold).
+            let unpinned = |key: &String| !pinned.iter().any(|p| p == key);
+            let evictable: usize = self
+                .programs
+                .iter()
+                .filter(|(key, _)| unpinned(key))
+                .map(|(_, loaded)| loaded.words)
+                .sum();
+            if needed > accel.config_mem().free_words() + evictable {
+                return Err(full(accel).into());
+            }
+            while needed > accel.config_mem().free_words() {
+                let programs = &self.programs;
+                let needed_soon = &self.needed_soon;
+                let snapshot =
+                    |include_needed: bool, include_prefetched: bool| -> Vec<ResidentProgram<'_>> {
+                        programs
+                            .iter()
+                            .filter(|(key, loaded)| {
+                                unpinned(key)
+                                    && (include_prefetched || !loaded.prefetched)
+                                    && (include_needed || !needed_soon.contains(*key))
+                            })
+                            .map(|(key, loaded)| ResidentProgram {
+                                key,
+                                words: loaded.words,
+                                launches: loaded.launches,
+                                last_use: loaded.last_use,
+                            })
+                            .collect()
+                    };
+                // Victim tiers: first programs neither staged by a prefetch
+                // nor announced as needed-soon, then needed-soon programs (a
+                // planning hint, dropped before the prefetch soft pin — the
+                // staged words are already paid for), then everything
+                // unpinned.
+                let shielded = snapshot(false, false);
+                if speculative && shielded.is_empty() {
+                    return Err(full(accel).into());
+                }
+                let unshielded = snapshot(true, false);
+                let used_shield = !shielded.is_empty() && shielded.len() < unshielded.len();
+                let mut candidates = if shielded.is_empty() {
+                    unshielded.clone()
+                } else {
+                    shielded
+                };
+                if candidates.is_empty() {
+                    candidates = snapshot(true, true);
+                }
+                let victim = match self.policy.select_victim(&candidates) {
+                    Some(victim) if candidates.iter().any(|c| c.key == victim) => {
+                        victim.to_string()
+                    }
+                    // Refusal — or a rogue policy naming a pinned or
+                    // non-resident program, which must not break the pin
+                    // guarantee.
+                    _ => return Err(full(accel).into()),
+                };
+                if used_shield {
+                    // Count the shield's effect: without it the policy would
+                    // have victimised a program a queued job needs.
+                    if let Some(would) = self.policy.select_victim(&unshielded) {
+                        if would != victim && needed_soon.contains(would) {
+                            self.averted += 1;
+                        }
+                    }
+                }
+                let entry = self
+                    .programs
+                    .remove(&victim)
+                    .expect("victim validated against the candidate set");
+                accel.unload_kernel(entry.id)?;
+                self.policy.note_eviction(&victim, entry.launches);
+                *evicted += 1;
+            }
+            let id = accel.load_kernel(program)?;
+            self.policy.note_load(key);
+            self.clock += 1;
+            self.programs.insert(
+                key.to_string(),
+                Loaded {
+                    id,
+                    launches: 0,
+                    last_use: self.clock,
+                    words: needed,
+                    prefetched: false,
+                },
+            );
+            Ok(())
+        }
+    }
+
+    /// The calls an eviction policy received, in order.
+    type CallLog = std::sync::Arc<std::sync::Mutex<Vec<String>>>;
+
+    /// Delegates to `inner` and logs every call, so that two registries
+    /// can be compared call by call.
+    #[derive(Debug)]
+    struct Logged<P> {
+        inner: P,
+        log: CallLog,
+    }
+
+    impl<P: EvictionPolicy> Logged<P> {
+        fn push(&self, entry: String) {
+            self.log.lock().unwrap().push(entry);
+        }
+    }
+
+    impl<P: EvictionPolicy> EvictionPolicy for Logged<P> {
+        fn select_victim<'a>(&self, candidates: &[ResidentProgram<'a>]) -> Option<&'a str> {
+            let victim = self.inner.select_victim(candidates);
+            let mut keys: Vec<&str> = candidates.iter().map(|c| c.key).collect();
+            keys.sort_unstable();
+            self.push(format!("select {keys:?} -> {victim:?}"));
+            victim
+        }
+        fn note_load(&self, key: &str) {
+            self.inner.note_load(key);
+            self.push(format!("load {key}"));
+        }
+        fn note_use(&self, key: &str) {
+            self.inner.note_use(key);
+            self.push(format!("use {key}"));
+        }
+        fn note_eviction(&self, key: &str, launches: u64) {
+            self.inner.note_eviction(key, launches);
+            self.push(format!("evict {key} launches={launches}"));
+        }
+    }
+
+    /// A registry and its accelerator, with the log of its policy's calls.
+    struct Side {
+        accel: Vwr2a,
+        registry: Registry,
+        log: CallLog,
+    }
+
+    impl Side {
+        fn new(capacity: usize, policy: u64) -> Self {
+            let mut geometry = Geometry::paper();
+            geometry.config_words = capacity;
+            let log = CallLog::default();
+            let policy: Box<dyn EvictionPolicy> = match policy {
+                0 => Box::new(Logged {
+                    inner: LruPolicy,
+                    log: CallLog::clone(&log),
+                }),
+                1 => Box::new(Logged {
+                    inner: SizeAwareLru,
+                    log: CallLog::clone(&log),
+                }),
+                _ => Box::new(Logged {
+                    inner: crate::policy::ArcPolicy::new(),
+                    log: CallLog::clone(&log),
+                }),
+            };
+            Self {
+                accel: Vwr2a::with_geometry(geometry).unwrap(),
+                registry: Registry {
+                    programs: HashMap::new(),
+                    policy,
+                    clock: 0,
+                    needed_soon: HashSet::new(),
+                    averted: 0,
+                },
+                log,
+            }
+        }
+
+        /// Everything a later decision can depend on, in a stable order:
+        /// the residents, the averted count, the free words and the
+        /// policy's calls so far.
+        fn state(&self) -> String {
+            let mut programs: Vec<_> = self
+                .registry
+                .programs
+                .iter()
+                .map(|(key, l)| (key, l.launches, l.last_use, l.words, l.prefetched))
+                .collect();
+            programs.sort();
+            format!(
+                "{programs:?} averted {} free {} calls {:?}",
+                self.registry.averted,
+                self.accel.config_mem().free_words(),
+                self.log.lock().unwrap()
+            )
+        }
+    }
+
+    #[test]
+    fn admission_matches_the_reference_load() {
+        // SplitMix64 over random residency histories: 2-5 programs of 1-3
+        // sizes in a memory of 2-4 programs, under LRU, size-aware LRU and
+        // ARC.  Authoritative, aux-pinned and speculative loads, launches,
+        // prefetch marks and needed-soon announcements run on a registry
+        // that admits and on one that loads through the reference.  Both
+        // must return the same result after the same policy calls, evict
+        // the same victims and count the same averts — except where the
+        // reference evicted and then failed: there admission must fail
+        // with no eviction, and the case ends, since the two memories now
+        // differ.
+        let mut state = 0x5eed_u64;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let geometry = Geometry::paper();
+        let (mut refused_after_evicting, mut evictions, mut averted) = (0, 0, 0);
+        for case in 0..600 {
+            let sizes: Vec<usize> = (0..1 + draw(3)).map(|_| 1 + draw(6) as usize).collect();
+            let programs: Vec<(String, KernelProgram)> = (0..2 + draw(4))
+                .map(|p| {
+                    let key = format!("p{p}");
+                    let rows = sizes[draw(sizes.len() as u64) as usize];
+                    let program = PaddedKernel::new(rows, &key).program(&geometry).unwrap();
+                    (key, program)
+                })
+                .collect();
+            let unit = programs[draw(programs.len() as u64) as usize]
+                .1
+                .config_words();
+            let capacity = (2 + draw(3) as usize) * unit;
+            let policy = draw(3);
+            let mut reference = Side::new(capacity, policy);
+            let mut admitted = Side::new(capacity, policy);
+            for step in 0..40 {
+                let (key, program) = &programs[draw(programs.len() as u64) as usize];
+                let op = draw(5);
+                // Invocation pins for an auxiliary load: a random subset of
+                // the residents (the registries agree on who is resident).
+                let pinned: Vec<String> = if op == 1 {
+                    let mut residents: Vec<&String> = reference.registry.programs.keys().collect();
+                    residents.sort();
+                    residents
+                        .into_iter()
+                        .filter(|_| draw(2) == 0)
+                        .cloned()
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                let needed_soon: Vec<String> = programs
+                    .iter()
+                    .filter(|_| draw(2) == 0)
+                    .map(|(key, _)| key.clone())
+                    .collect();
+                let resident = reference.registry.programs.contains_key(key);
+                if op >= 3 || (resident && op != 1) {
+                    for registry in [&mut reference.registry, &mut admitted.registry] {
+                        match op {
+                            3 => {
+                                // A launch, as `LaunchCtx::launch_key` books it.
+                                if let Some(loaded) = registry.programs.get_mut(key) {
+                                    registry.clock += 1;
+                                    loaded.launches += 1;
+                                    loaded.prefetched = false;
+                                    loaded.last_use = registry.clock;
+                                }
+                            }
+                            4 => {
+                                registry.needed_soon.clear();
+                                registry.needed_soon.extend(needed_soon.iter().cloned());
+                            }
+                            // A launch or stage of a resident program, as
+                            // `Session::admit` handles it.
+                            _ => registry.policy.note_use(key),
+                        }
+                    }
+                } else {
+                    // The reference's callers loaded only absent programs;
+                    // admission returns at once for a resident one.
+                    let speculative = op == 2;
+                    let mut ref_evicted = 0;
+                    let ref_result = if resident {
+                        Ok(())
+                    } else {
+                        reference.registry.load(
+                            &mut reference.accel,
+                            key,
+                            program,
+                            &pinned,
+                            speculative,
+                            &mut ref_evicted,
+                        )
+                    };
+                    let mut new_evicted = 0;
+                    let before = admitted.state();
+                    let new_result = admitted.registry.admit(
+                        &mut admitted.accel,
+                        key,
+                        |_| Ok(program.clone()),
+                        &pinned,
+                        speculative,
+                        &mut new_evicted,
+                    );
+                    if ref_result.is_err() && ref_evicted > 0 {
+                        assert!(speculative, "case {case} step {step}: authoritative flush");
+                        assert!(new_result.is_err(), "case {case} step {step}");
+                        assert_eq!(new_evicted, 0, "case {case} step {step}");
+                        assert_eq!(admitted.state(), before, "case {case} step {step}");
+                        refused_after_evicting += 1;
+                        break;
+                    }
+                    assert_eq!(new_result, ref_result, "case {case} step {step}");
+                    assert_eq!(new_evicted, ref_evicted, "case {case} step {step}");
+                    evictions += new_evicted;
+                    if speculative && ref_result.is_ok() {
+                        // Mark the stage, as `Session::prefetch_key` does.
+                        for registry in [&mut reference.registry, &mut admitted.registry] {
+                            if let Some(loaded) = registry.programs.get_mut(key) {
+                                if !loaded.warm() {
+                                    registry.clock += 1;
+                                    loaded.prefetched = true;
+                                    loaded.last_use = registry.clock;
+                                }
+                            }
+                        }
+                    }
+                }
+                assert_eq!(
+                    admitted.state(),
+                    reference.state(),
+                    "case {case} step {step}"
+                );
+            }
+            averted += admitted.registry.averted;
+        }
+        // The histories reach every path the comparison is about.
+        assert!(
+            evictions > 0 && averted > 0,
+            "{evictions} evictions, {averted} averted"
+        );
+        assert!(refused_after_evicting > 0, "no reference flush was drawn");
     }
 }

@@ -437,7 +437,7 @@ mod tests {
         }
         let mut session = Session::new();
         assert!(matches!(
-            session.register(&Greedy),
+            session.run(&Greedy, &()),
             Err(RuntimeError::Resources { .. })
         ));
     }
